@@ -33,7 +33,7 @@ from .gradient_flow import (
     tracking_ladder,
     trajectory_length,
 )
-from .optimizer import MomentumParams, StopRules, Trace, run, safe_alpha, step
+from .optimizer import LockstepResult, MomentumParams, StopRules, Trace, run, run_lockstep, safe_alpha, step
 from .problems import (
     MatrixShape,
     Problem,

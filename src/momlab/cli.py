@@ -23,7 +23,6 @@ import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -174,7 +173,7 @@ def _trace_csv_rows(trace, cert):
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, args.seed)
     out = _out_dir(args)
     trace, cert, results, psi, total_length, seeds = _run_and_certify(cfg, args)
     meta = f"config_sha256={cfg.config_hash} seeds={json.dumps(seeds, sort_keys=True)}"
@@ -242,7 +241,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_track(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, args.seed)
     if cfg.track is None:
         raise ConfigError("track: section required for the track command")
     out = _out_dir(args)
@@ -275,7 +274,7 @@ def cmd_track(args) -> int:
 
 
 def cmd_saddle(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, args.seed)
     if cfg.saddle is None:
         raise ConfigError("saddle: section required for the saddle command")
     if cfg.beta == 0.0:
@@ -310,7 +309,10 @@ def cmd_saddle(args) -> int:
     analysis = analyze_critical_point(cfg.problem, point, params)
 
     report = {
-        "meta": {"config_sha256": cfg.config_hash, "version": __version__,
+        "meta": {"config_sha256": cfg.config_hash,
+                 "seeds": {"problem_seed": cfg.raw["problem"].get("seed", 0),
+                           "saddle_seed": cfg.saddle["seed"]},
+                 "version": __version__,
                  "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")},
         "problem": cfg.problem.name,
         "analysis": analysis.to_dict(),
@@ -324,7 +326,6 @@ def cmd_saddle(args) -> int:
             seed=cfg.saddle["seed"],
             stop=StopRules(cfg.stop.max_iters, max(cfg.stop.grad_tol, 1e-9),
                            cfg.stop.box_radius if not math.isinf(cfg.stop.box_radius) else 100.0),
-            workers=args.workers,
         )
         exp.to_json(out / "escape.json")
         report["escape_fraction"] = exp.escape_fraction
@@ -341,7 +342,7 @@ def cmd_saddle(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, args.seed)
     if cfg.sweep is None:
         raise ConfigError("sweep: section required for the sweep command")
     out = _out_dir(args)
@@ -362,7 +363,7 @@ def cmd_sweep(args) -> int:
         from .config import parse_config
 
         sub = parse_config(raw)
-        sub_args = argparse.Namespace(alpha=None, quiet=True, out=None, workers=1)
+        sub_args = argparse.Namespace(alpha=None, quiet=True, out=None)
         trace, cert, results, _, total_length, _ = _run_and_certify(sub, sub_args, seed_offset=s)
         descent = cert.per_step.get("descent")
         return [
@@ -373,12 +374,7 @@ def cmd_sweep(args) -> int:
             _fmt(results["rate"].sup_product) if "rate" in results else "",
         ]
 
-    workers = max(1, args.workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one_cell, grid))
-    else:
-        rows = [one_cell(c) for c in grid]
+    rows = [one_cell(c) for c in grid]
 
     meta = f"config_sha256={cfg.config_hash} cells={len(grid)}"
     _write_csv(
@@ -404,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="YAML experiment config")
         sp.add_argument("--out", default=None, help="output directory (default $MOMLAB_OUT)")
         sp.add_argument("--seed", type=int, default=None, help="override problem seed")
-        sp.add_argument("--workers", type=int, default=os.cpu_count() or 1)
         sp.add_argument("--alpha", type=float, default=None, help="override step size")
         sp.add_argument("--quiet", action="store_true")
         sp.set_defaults(fn=fn)
@@ -413,24 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.seed is not None:
-        # seed override is applied by rewriting the config's problem seed
-        try:
-            cfg_raw = load_config(args.config).raw
-        except ConfigError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_ERROR
-        cfg_raw.setdefault("problem", {})["seed"] = args.seed
-        import tempfile
-
-        import yaml as _yaml
-
-        tmp = tempfile.NamedTemporaryFile(
-            "w", suffix=".yaml", delete=False, prefix="momlab_cfg_"
-        )
-        _yaml.safe_dump(cfg_raw, tmp)
-        tmp.close()
-        args.config = tmp.name
     try:
         return args.fn(args)
     except ConfigError as e:

@@ -182,7 +182,8 @@ def _build_problem(section: dict) -> tuple[Problem, list]:
     raise ConfigError(f"problem.kind: unknown kind {kind!r}")
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, seed: Optional[int] = None) -> ExperimentConfig:
+    """Read and validate a YAML config; seed, when given, replaces problem.seed."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -192,6 +193,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: not valid YAML ({e})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
+    if seed is not None:
+        raw["problem"] = dict(_need(raw, "problem", "<top>"), seed=seed)
     return parse_config(raw)
 
 

@@ -9,7 +9,9 @@ The update is carried out in three stages,
 which reduces to the heavy-ball method for gamma = 0 and to Nesterov's
 accelerated gradient for gamma = beta. Traces store everything needed to
 replay the recursion bit-for-bit and to run the certificate checks without
-re-evaluating the objective.
+re-evaluating the objective. run() records one trajectory; run_lockstep()
+steps a stack of starts together under the same stop rules and keeps only
+where each one stopped.
 """
 
 from __future__ import annotations
@@ -24,7 +26,16 @@ import numpy as np
 
 from .problems import Problem
 
-__all__ = ["MomentumParams", "StopRules", "Trace", "step", "run", "safe_alpha"]
+__all__ = [
+    "MomentumParams",
+    "StopRules",
+    "Trace",
+    "LockstepResult",
+    "step",
+    "run",
+    "run_lockstep",
+    "safe_alpha",
+]
 
 PRESETS = ("generic", "heavy_ball", "nesterov")
 
@@ -190,19 +201,34 @@ class Trace:
         )
 
 
-def step(problem: Problem, x_prev, x_curr, params: MomentumParams):
+def step(problem: Problem, x_prev, x_curr, params: MomentumParams, grad=None):
     """One momentum update; returns (x_next, y_beta, y_gamma).
 
-    Raises FloatingPointError via the caller's checks only; a non-finite
-    gradient is surfaced as non-finite x_next for run() to flag.
+    Rows of (B, dim) inputs are updated independently. grad, when given, is
+    used as grad f(y_gamma) instead of evaluating it: with gamma == 0,
+    y_gamma equals x_curr up to the sign of zero, so callers pass the
+    gradient at x_curr they already hold. A non-finite gradient is surfaced
+    as non-finite x_next for the caller to flag.
     """
     x_prev = np.asarray(x_prev, dtype=float)
     x_curr = np.asarray(x_curr, dtype=float)
     d = x_curr - x_prev
     y_gamma = x_curr + params.gamma * d
     y_beta = x_curr + params.beta * d
-    x_next = y_beta - params.alpha * problem.gradient(y_gamma)
+    if grad is None:
+        grad = problem.gradient(y_gamma)
+    x_next = y_beta - params.alpha * grad
     return x_next, y_beta, y_gamma
+
+
+def _warn_velocity(v0: float, params: MomentumParams) -> None:
+    if v0 > params.delta * params.alpha * (1.0 + 1e-12):
+        warnings.warn(
+            f"initial velocity {v0:.3g} exceeds delta*alpha = "
+            f"{params.delta * params.alpha:.3g}; certificate bounds that use "
+            "delta may not apply",
+            stacklevel=3,
+        )
 
 
 def run(
@@ -217,20 +243,14 @@ def run(
     Stops on ||grad f(x_k)|| < grad_tol, k == max_iters, the iterate
     leaving B(x_0, box_radius), or a non-finite value (stop_reason
     'diverged'). The initial-velocity bound ||x_0 - x_{-1}|| <= delta*alpha
-    is checked and produces a warning, not an error.
+    is checked and produces a warning, not an error. Heavy ball (gamma ==
+    0) reuses the stored grad f(x_k), so it costs one gradient per step.
     """
     stop = stop or StopRules()
     x_prev = problem.check_point(x_minus1)
     x_curr = problem.check_point(x_0)
-
-    v0 = np.linalg.norm(x_curr - x_prev)
-    if v0 > params.delta * params.alpha * (1.0 + 1e-12):
-        warnings.warn(
-            f"initial velocity {v0:.3g} exceeds delta*alpha = "
-            f"{params.delta * params.alpha:.3g}; certificate bounds that use "
-            "delta may not apply",
-            stacklevel=2,
-        )
+    _warn_velocity(np.linalg.norm(x_curr - x_prev), params)
+    reuse = params.gamma == 0.0
 
     pts = [x_prev, x_curr]
     fs = [problem.value(x_prev), problem.value(x_curr)]
@@ -253,7 +273,7 @@ def run(
         if np.linalg.norm(pts[-1] - x0_ref) > stop.box_radius:
             reason = "left_box"
             break
-        x_next, y_b, y_g = step(problem, pts[-2], pts[-1], params)
+        x_next, y_b, y_g = step(problem, pts[-2], pts[-1], params, gs[-1] if reuse else None)
         if not np.all(np.isfinite(x_next)):
             reason = "diverged"
             break
@@ -275,6 +295,95 @@ def run(
         stop_reason=reason,
         problem_name=problem.name,
     )
+
+
+@dataclass
+class LockstepResult:
+    """Where each row of a lockstep run stopped (row b is start b)."""
+
+    x: np.ndarray               # (B, dim) last iterate x_K
+    grad: np.ndarray            # (B, dim) gradient at x
+    iters: np.ndarray           # (B,) steps taken, K
+    stop_reason: list           # (B,) the stop rule that fired, as in run()
+
+
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit-equal to np.linalg.norm of that row.
+
+    np.linalg.norm(V, axis=1) sums differently and can be 1 ulp off, which
+    would let a row stop one step apart from its run() replay.
+    """
+    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
+
+
+def run_lockstep(
+    problem: Problem,
+    x_minus1,
+    x_0,
+    params: MomentumParams,
+    stop: Optional[StopRules] = None,
+) -> LockstepResult:
+    """Iterate every row of (B, dim) starts in lockstep until each one stops.
+
+    Row b follows exactly the iterates, stop rule and step count of
+    run(problem, x_minus1[b], x_0[b], params, stop); a row freezes once a
+    rule fires. Only the current and previous iterates are kept, so memory
+    does not grow with the step count. Heavy ball reuses grad f(x_k) as in
+    run().
+    """
+    stop = stop or StopRules()
+    prev = np.array(x_minus1, dtype=float, ndmin=2)
+    cur = np.array(x_0, dtype=float, ndmin=2)
+    if cur.ndim != 2 or not cur.size or cur.shape[1] != problem.dim or prev.shape != cur.shape:
+        raise ValueError(
+            f"{problem.name}: expected two (B, {problem.dim}) arrays of starts with B >= 1, "
+            f"got shapes {prev.shape} and {cur.shape}"
+        )
+    _warn_velocity(float(np.max(_row_norms(cur - prev))), params)
+    reuse = params.gamma == 0.0
+    check_box = not np.isinf(stop.box_radius)
+
+    n = cur.shape[0]
+    out_x, out_g = np.empty_like(cur), np.empty_like(cur)
+    iters = np.zeros(n, dtype=int)
+    reasons = np.full(n, "", dtype=object)
+    rows, x0 = np.arange(n), cur
+    f, g = problem.value(cur), problem.gradient(cur)
+    k = 0
+
+    def freeze(stopped, why):
+        """Record the stopped rows at x_k, where run() leaves them; return the live mask."""
+        idx = rows[stopped]
+        out_x[idx], out_g[idx], iters[idx], reasons[idx] = cur[stopped], g[stopped], k, why
+        return ~stopped
+
+    while True:
+        # run()'s stop rules, lowest precedence first: later assignments win
+        why = np.full(rows.size, "", dtype=object)
+        if k >= stop.max_iters:
+            why[:] = "max_iters"
+        elif check_box:
+            why[_row_norms(cur - x0) > stop.box_radius] = "left_box"
+        if stop.grad_tol > 0:
+            why[_row_norms(g) < stop.grad_tol] = "grad_tol"
+        why[~(np.isfinite(f) & np.isfinite(g).all(axis=1))] = "diverged"
+        done = why != ""
+        if done.any():
+            live = freeze(done, why[done])
+            if not live.any():
+                break
+            rows, prev, cur, x0, g = rows[live], prev[live], cur[live], x0[live], g[live]
+        x_next, _, _ = step(problem, prev, cur, params, g if reuse else None)
+        done = ~np.isfinite(x_next).all(axis=1)
+        if done.any():
+            live = freeze(done, "diverged")
+            if not live.any():
+                break
+            rows, cur, x0, x_next = rows[live], cur[live], x0[live], x_next[live]
+        prev, cur = cur, x_next
+        f, g = problem.value(cur), problem.gradient(cur)
+        k += 1
+    return LockstepResult(out_x, out_g, iters, reasons.tolist())
 
 
 def safe_alpha(M: float, params: MomentumParams) -> float:

@@ -31,9 +31,14 @@ __all__ = [
 class Problem:
     """A differentiable objective over a flat variable vector.
 
-    value and gradient must be finite for finite inputs (all shipped
-    problems are polynomial). hessian_vec is optional; when present it is
-    the exact directional derivative of the gradient.
+    value and gradient accept one point of shape (dim,) or a stack of
+    points of shape (B, dim). For one point value returns a float and
+    gradient a (dim,) array; for a stack they return (B,) and (B, dim), and
+    row b is bit-for-bit the result for the point z[b]. value and gradient
+    must be finite for finite inputs (all shipped problems are polynomial).
+    hessian_vec is optional and single-point: it takes x and v of shape
+    (dim,) and, when present, is the exact directional derivative of the
+    gradient.
     """
 
     name: str
@@ -74,14 +79,55 @@ class MatrixShape:
             raise ValueError("m, n, r must all be >= 1")
 
 
+def _T(a):
+    """Transpose of the last two axes; a.T for a single matrix."""
+    return a.swapaxes(-1, -2)
+
+
+def _block(z, start, stop, rows, cols):
+    """z[..., start:stop] as a column-major (rows, cols) matrix per point (a view)."""
+    return z[..., start:stop].reshape(z.shape[:-1] + (rows, cols), order="F")
+
+
 def _split_xy(z, m, n, r):
-    X = z[: m * r].reshape((m, r), order="F")
-    Y = z[m * r :].reshape((n, r), order="F")
-    return X, Y
+    return _block(z, 0, m * r, m, r), _block(z, m * r, z.shape[-1], n, r)
 
 
 def _join(*blocks):
-    return np.concatenate([np.asarray(b).ravel(order="F") for b in blocks])
+    """Flatten each block column-major and concatenate, per point."""
+    return np.concatenate([b.reshape(b.shape[:-2] + (-1,), order="F") for b in blocks], -1)
+
+
+def _per_point(v):
+    """A float for one point, the (B,) array for a stack."""
+    return float(v) if v.ndim == 0 else v
+
+
+def _sum_sq(R):
+    """Sum of squared entries of each matrix in a stack.
+
+    Each matrix is summed as one flat vector, the order np.sum takes for a
+    single matrix, so stacked sums match single points bit for bit.
+    """
+    return _per_point((R * R).reshape(R.shape[:-2] + (-1,)).sum(-1))
+
+
+def _dot_self(v):
+    """v @ v over the last axis, with the same dot product per point."""
+    if v.ndim == 1:
+        return float(v @ v)
+    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _col_pow(x, i, k):
+    """x[..., i] ** k as a float64 scalar power, one point at a time.
+
+    numpy's vectorized array pow can differ from the scalar one in the last
+    bit, so a stack of points would not reproduce its single points.
+    """
+    if x.ndim == 1:
+        return x[i] ** k
+    return np.array([v**k for v in x[:, i]])
 
 
 def matrix_factorization(M: np.ndarray, r: int) -> Problem:
@@ -102,13 +148,13 @@ def matrix_factorization(M: np.ndarray, r: int) -> Problem:
 
     def value(z):
         X, Y = _split_xy(z, m, n, r)
-        R = X @ Y.T - M
-        return float(np.sum(R * R))
+        R = X @ _T(Y) - M
+        return _sum_sq(R)
 
     def gradient(z):
         X, Y = _split_xy(z, m, n, r)
-        R = X @ Y.T - M
-        return _join(2.0 * R @ Y, 2.0 * R.T @ X)
+        R = X @ _T(Y) - M
+        return _join(2.0 * R @ Y, 2.0 * _T(R) @ X)
 
     def hessian_vec(z, v):
         X, Y = _split_xy(z, m, n, r)
@@ -145,23 +191,25 @@ def matrix_sensing(A: Sequence[np.ndarray], b: np.ndarray, r: int) -> Problem:
     if r < 1:
         raise ValueError("rank r must be >= 1")
     A_stack = np.stack(A)  # (p, m, n)
+    A_flat = A_stack.reshape(len(A), m * n)
     dim = (m + n) * r
 
     def residuals(X, Y):
-        P = X @ Y.T
-        return np.tensordot(A_stack, P, axes=([1, 2], [0, 1])) - b
+        # one matrix-vector product per point: a batched tensordot sums in
+        # another order and would not match single points bit for bit
+        P = X @ _T(Y)
+        return (A_flat @ P.reshape(P.shape[:-2] + (m * n, 1)))[..., 0] - b
 
     def value(z):
         X, Y = _split_xy(z, m, n, r)
-        res = residuals(X, Y)
-        return float(res @ res)
+        return _dot_self(residuals(X, Y))
 
     def gradient(z):
         X, Y = _split_xy(z, m, n, r)
         res = residuals(X, Y)
         # sum_i res_i A_i, assembled once
-        S = np.tensordot(res, A_stack, axes=(0, 0))
-        return _join(2.0 * S @ Y, 2.0 * S.T @ X)
+        S = (res[..., None, :] @ A_flat).reshape(res.shape[:-1] + (m, n))
+        return _join(2.0 * S @ Y, 2.0 * _T(S) @ X)
 
     def hessian_vec(z, v):
         X, Y = _split_xy(z, m, n, r)
@@ -212,10 +260,7 @@ def linear_network(Xbar: np.ndarray, Ybar: np.ndarray, widths: Sequence[int]) ->
     dim = int(offsets[-1])
 
     def split(z):
-        return [
-            z[offsets[j] : offsets[j + 1]].reshape((widths[j + 1], widths[j]), order="F")
-            for j in range(l)
-        ]
+        return [_block(z, offsets[j], offsets[j + 1], widths[j + 1], widths[j]) for j in range(l)]
 
     def forward(Ws):
         # acts[j] = W_j ... W_1 Xbar, acts[0] = Xbar
@@ -227,7 +272,7 @@ def linear_network(Xbar: np.ndarray, Ybar: np.ndarray, widths: Sequence[int]) ->
     def value(z):
         Ws = split(z)
         E = forward(Ws)[-1] - Ybar
-        return float(np.sum(E * E))
+        return _sum_sq(E)
 
     def gradient(z):
         Ws = split(z)
@@ -237,8 +282,8 @@ def linear_network(Xbar: np.ndarray, Ybar: np.ndarray, widths: Sequence[int]) ->
         back = E
         grads = [None] * l
         for j in range(l - 1, -1, -1):
-            grads[j] = 2.0 * back @ acts[j].T
-            back = Ws[j].T @ back
+            grads[j] = 2.0 * back @ _T(acts[j])
+            back = _T(Ws[j]) @ back
         return _join(*grads)
 
     def hessian_vec(z, v):
@@ -283,7 +328,7 @@ def synthetic(name: str, dim: int = 2) -> Problem:
         return Problem(
             name="quadratic",
             dim=dim,
-            value=lambda x: 0.5 * float(x @ x),
+            value=lambda x: 0.5 * _dot_self(x),
             gradient=lambda x: np.array(x, dtype=float),
             hessian_vec=lambda x, v: np.array(v, dtype=float),
             suggested_box=2.0,
@@ -294,7 +339,7 @@ def synthetic(name: str, dim: int = 2) -> Problem:
         return Problem(
             name="indefinite_quadratic",
             dim=2,
-            value=lambda x: 0.5 * float(x[0] ** 2 - x[1] ** 2),
+            value=lambda x: 0.5 * _per_point(_col_pow(x, 0, 2) - _col_pow(x, 1, 2)),
             gradient=lambda x: sign * x,
             hessian_vec=lambda x, v: sign * v,
             suggested_box=2.0,
@@ -304,8 +349,8 @@ def synthetic(name: str, dim: int = 2) -> Problem:
         return Problem(
             name="quartic",
             dim=1,
-            value=lambda x: float(x[0] ** 4),
-            gradient=lambda x: np.array([4.0 * x[0] ** 3]),
+            value=lambda x: _per_point(_col_pow(x, 0, 4)),
+            gradient=lambda x: (4.0 * _col_pow(x, 0, 3))[..., None],
             hessian_vec=lambda x, v: np.array([12.0 * x[0] ** 2 * v[0]]),
             suggested_box=1.5,
             info={"kind": "quartic", "f_star": 0.0},

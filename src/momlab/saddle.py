@@ -18,13 +18,12 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .optimizer import MomentumParams, StopRules, run, safe_alpha
+from .optimizer import MomentumParams, StopRules, run_lockstep, safe_alpha
 from .problems import Problem
 
 __all__ = [
@@ -299,16 +298,17 @@ def escape_experiment(
     trials: int,
     seed: int = 0,
     stop: Optional[StopRules] = None,
-    workers: int = 1,
 ) -> EscapeExperiment:
     """Run seeded random restarts near a strict saddle and count escapes.
 
     Per trial t, x_0 is uniform in B(saddle, radius) and x_{-1} uniform in
     B(x_0, delta * alpha), drawn from an RNG stream keyed by (seed, t).
-    A trial is 'at_saddle' when it converges within 10 * radius * 1e-3 of
-    the saddle; raw final distances are recorded so outcomes can be
-    re-thresholded. Requires the candidate to be a strict saddle, beta != 0,
-    and alpha <= min(safe_alpha, saddle_safe_alpha).
+    All trials step together through run_lockstep, and each outcome equals
+    that of run() on the trial's start. A trial is 'at_saddle' when it
+    converges within 10 * radius * 1e-3 of the saddle; raw final distances
+    are recorded so outcomes can be re-thresholded. Requires the candidate
+    to be a strict saddle, beta != 0, and alpha <= min(safe_alpha,
+    saddle_safe_alpha).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -328,28 +328,25 @@ def escape_experiment(
     stop = stop or StopRules(max_iters=20_000, grad_tol=1e-9, box_radius=100.0)
     at_tol = 10.0 * radius * 1e-3
 
-    def one_trial(t):
+    x0s, xm1s = [], []
+    for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        x0 = _sample_ball(rng, saddle, radius)
-        xm1 = _sample_ball(rng, x0, params.delta * params.alpha)
-        trace = run(problem, xm1, x0, params, stop)
-        label, dist = classify_limit(
-            trace.x(trace.num_steps), saddle, trace.stop_reason, at_tol
-        )
-        return {
+        x0s.append(_sample_ball(rng, saddle, radius))
+        xm1s.append(_sample_ball(rng, x0s[-1], params.delta * params.alpha))
+    res = run_lockstep(problem, np.array(xm1s), np.array(x0s), params, stop)
+    # the axis-1 norm, as run()'s Trace.grad_norms computes it
+    grad_norms = np.linalg.norm(res.grad, axis=1)
+    outcomes = []
+    for t in range(trials):
+        label, dist = classify_limit(res.x[t], saddle, res.stop_reason[t], at_tol)
+        outcomes.append({
             "trial": t,
             "classification": label,
             "final_distance": dist,
-            "stop_reason": trace.stop_reason,
-            "iters": trace.num_steps,
-            "final_grad_norm": float(trace.grad_norms[-1]),
-        }
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one_trial, range(trials)))
-    else:
-        outcomes = [one_trial(t) for t in range(trials)]
+            "stop_reason": res.stop_reason[t],
+            "iters": int(res.iters[t]),
+            "final_grad_norm": float(grad_norms[t]),
+        })
     return EscapeExperiment(
         saddle=saddle,
         radius=radius,

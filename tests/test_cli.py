@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+
+from momlab.cli import main
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -127,6 +130,47 @@ checks: [descent]
         assert any("isometry" in n for n in report["notes"])
 
 
+MF_CFG = """
+problem: {kind: matrix_factorization, m: 3, n: 3, rank: 1, seed: SEED}
+params: {alpha: auto, beta: 0.5, preset: heavy_ball}
+init: {x0: {random: {radius: 0.4, seed: 4}}}
+lipschitz: {mode: sampled, center: x0, radius: 3.0}
+stop: {max_iters: 100}
+checks: [descent]
+"""
+
+
+class TestFlags:
+    def test_workers_flag_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, QUAD_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_seed_override_in_memory(self, tmp_path, monkeypatch):
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setenv("TMPDIR", str(tmp))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        base = write_config(tmp_path, MF_CFG.replace("SEED", "5"), "base.yaml")
+        pinned = write_config(tmp_path, MF_CFG.replace("SEED", "3"), "pinned.yaml")
+        assert main(["run", "--config", str(base), "--out", str(tmp_path / "a"),
+                     "--seed", "3", "--quiet"]) == 0
+        assert main(["run", "--config", str(pinned), "--out", str(tmp_path / "b"),
+                     "--quiet"]) == 0
+        assert list(tmp.iterdir()) == []
+        # same raw config, hence the same hash and bytes, as writing the seed in
+        a = (tmp_path / "a" / "trace.csv").read_bytes()
+        assert a == (tmp_path / "b" / "trace.csv").read_bytes()
+
+    def test_seed_override_bad_config_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "params: {alpha: 0.1}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--seed", "3"]) == 1
+        assert "problem" in capsys.readouterr().err
+
+
 class TestTrackCommand:
     def test_ladder_writes_csv_and_slope(self, tmp_path):
         res = momlab("track", "--config", str(CONFIG_DIR / "quadratic_track.yaml"),
@@ -159,12 +203,26 @@ stop: {max_iters: 20000, grad_tol: 1.0e-9, box_radius: 10.0}
 saddle: {point: origin, radius: 1.0e-3, trials: 10, seed: 0}
 """)
         res = momlab("saddle", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                     "--workers", "1", "--quiet")
+                     "--quiet")
         assert res.returncode == 0, res.stderr
         report = json.loads((tmp_path / "out" / "saddle_report.json").read_text())
         assert report["analysis"]["classification"] == "strict_saddle"
         assert report["escape_fraction"] == 1.0
         assert (tmp_path / "out" / "escape.json").exists()
+
+    @pytest.mark.parametrize("seed_flag, problem_seed", [((), 2), (("--seed", "7"), 7)])
+    def test_report_records_seeds(self, tmp_path, seed_flag, problem_seed):
+        cfg = write_config(tmp_path, """
+problem: {kind: indefinite_quadratic, seed: 2}
+params: {alpha: auto, beta: 0.5, preset: heavy_ball}
+stop: {max_iters: 20000, grad_tol: 1.0e-9, box_radius: 10.0}
+saddle: {point: origin, radius: 1.0e-3, trials: 4, seed: 5}
+""")
+        out = tmp_path / "out"
+        assert main(["saddle", "--config", str(cfg), "--out", str(out), "--quiet",
+                     *seed_flag]) == 0
+        report = json.loads((out / "saddle_report.json").read_text())
+        assert report["meta"]["seeds"] == {"problem_seed": problem_seed, "saddle_seed": 5}
 
     def test_convex_quadratic_no_escape_study(self, tmp_path):
         cfg = write_config(tmp_path, """
@@ -203,7 +261,7 @@ saddle: {point: [1.0, 1.0], trials: 5}
 class TestSweepCommand:
     def test_grid_rows(self, tmp_path):
         res = momlab("sweep", "--config", str(CONFIG_DIR / "quadratic_sweep.yaml"),
-                     "--out", str(tmp_path / "out"), "--workers", "1", "--quiet")
+                     "--out", str(tmp_path / "out"), "--quiet")
         assert res.returncode == 0, res.stderr
         lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert lines[1] == "alpha,beta,gamma,seed,converged,length,min_slack,rate_sup"
@@ -242,6 +300,6 @@ stop: {max_iters: 300}
 checks: [descent, rate]
 sweep: {alphas: [auto], betas: [0.0, 0.3], gammas: [0.0], seeds: [0, 1]}
 """)
-        momlab("sweep", "--config", str(cfg), "--out", str(tmp_path / "a"), "--workers", "1", "--quiet")
-        momlab("sweep", "--config", str(cfg), "--out", str(tmp_path / "b"), "--workers", "1", "--quiet")
+        momlab("sweep", "--config", str(cfg), "--out", str(tmp_path / "a"), "--quiet")
+        momlab("sweep", "--config", str(cfg), "--out", str(tmp_path / "b"), "--quiet")
         assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()

@@ -131,6 +131,26 @@ class TestRun:
                      StopRules(max_iters=10_000))
         assert tr.stop_reason in ("diverged", "left_box")
 
+    @pytest.mark.parametrize("gamma, evals_per_step", [(0.0, 1), (0.3, 2)])
+    def test_gradient_calls_per_step(self, gamma, evals_per_step):
+        base = make_problem("matrix_factorization")
+        calls = []
+
+        def gradient(x):
+            calls.append(1)
+            return base.gradient(x)
+
+        counted = Problem(name="counted", dim=base.dim, value=base.value, gradient=gradient)
+        x0 = np.random.default_rng(3).standard_normal(base.dim) * 0.3
+        params = MomentumParams(alpha=0.01, beta=0.5, gamma=gamma)
+        tr = run(counted, x0, x0, params, StopRules(max_iters=40))
+        assert tr.num_steps == 40
+        # x_{-1} and x_0 are evaluated once before the first step
+        assert len(calls) == evals_per_step * tr.num_steps + 2
+        # heavy ball reuses grad f(x_k) without changing a bit of the iterates
+        ref = run(base, x0, x0, params, StopRules(max_iters=40))
+        assert np.array_equal(tr.points, ref.points)
+
     def test_trace_roundtrip(self, tmp_path):
         p = synthetic("quadratic")
         x0 = np.array([1.0, 0.5])
