@@ -4,8 +4,9 @@
 For each objective: estimate Lipschitz constants on a trust ball, take the
 largest certified step size scaled by 0.9, run 1200 iterations, and verify
 the per-step descent, gradient-bound, and velocity-bound inequalities plus
-the running-min gradient rate. Prints one summary row per problem and
-writes trace CSVs when --out is given.
+the running-min gradient rate. Prints one summary row per problem; with
+--out DIR it also writes each problem's trace CSV (the columns of the CLI's
+trace.csv) and certificate JSON.
 """
 
 import argparse
@@ -30,6 +31,7 @@ from momlab import (
     safe_alpha,
     synthetic,
 )
+from momlab.cli import write_trace_csv
 
 
 def benchmarks(seed=42):
@@ -75,8 +77,9 @@ def main():
         if args.out:
             args.out.mkdir(parents=True, exist_ok=True)
             stem = p.name.split("[")[0]
-            trace.to_csv(args.out / f"{stem}_trace.csv")
             cert.per_step.update(descent=d, gradient_bound=g, step_bound=s)
+            write_trace_csv(args.out / f"{stem}_trace.csv", trace, cert,
+                            f"problem={p.name} seed={args.seed}")
             cert.to_json(args.out / f"{stem}_certificate.json")
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .optimizer import MomentumParams, Trace, safe_alpha
-from .problems import Problem
+from .problems import Problem, _dot_self, _row_norms
 
 __all__ = [
     "Certificate",
@@ -309,15 +309,32 @@ def check_descent(trace: Trace, cert: Certificate) -> PerStepReport:
     slack_k = H(z_k) - H(z_{k+1}) - c1 (||x_{k+1}-x_k||^2 + ||x_k-x_{k-1}||^2);
     a step passes iff slack_k >= -SLACK_RTOL * (1 + |H(z_k)|).
     """
-    K = trace.num_steps
     H = lyapunov_values(trace, cert.lam)
-    sn = trace.step_norms
-    slack = np.empty(K)
-    for k in range(K):
-        slack[k] = H[k] - H[k + 1] - cert.c1 * (sn[k + 1] ** 2 + sn[k] ** 2)
-    tol = SLACK_RTOL * (1.0 + np.abs(H[:K]))
-    passed = slack >= -tol
+    # float_power squares with pow(), as a float64 scalar ** 2 does; the
+    # array ** 2 multiplies and can differ in the last bit
+    sq = np.float_power(trace.step_norms, 2.0)
+    slack = H[:-1] - H[1:] - cert.c1 * (sq[1:] + sq[:-1])
+    passed = slack >= -SLACK_RTOL * (1.0 + np.abs(H[:-1]))
     return PerStepReport("descent", slack, passed, _certified_steps(trace, cert))
+
+
+# math.hypot per element: np.hypot rounds differently in the last bit
+_hypot = np.frompyfunc(math.hypot, 2, 1)
+
+
+def _z_gaps(sn: np.ndarray) -> np.ndarray:
+    """||z_{k+1} - z_k|| = hypot(||x_{k+1}-x_k||, ||x_k-x_{k-1}||) for k = 0..K-1."""
+    return _hypot(sn[1:], sn[:-1]).astype(float)
+
+
+def _first_max(a, b):
+    """Elementwise max(a, b) as Python's max picks it (a on ties and NaN)."""
+    return np.where(b > a, b, a)
+
+
+def _first_min(a, b):
+    """Elementwise min(a, b) as Python's min picks it (a on ties and NaN)."""
+    return np.where(b < a, b, a)
 
 
 def check_gradient_bound(trace: Trace, cert: Certificate) -> PerStepReport:
@@ -326,33 +343,19 @@ def check_gradient_bound(trace: Trace, cert: Certificate) -> PerStepReport:
 
     The reported slack is the smaller of the two normalized slacks.
     """
-    K = trace.num_steps
-    lam = cert.lam
-    sn = trace.step_norms
-    slack = np.empty(K)
-    passed = np.empty(K, dtype=bool)
-    for k in range(K):
-        z_gap = math.hypot(sn[k + 1], sn[k])
-        gf = np.linalg.norm(trace.grads[k + 1])
-        slack_b = cert.b_alpha * z_gap - gf
+    z_gap = _z_gaps(trace.step_norms)
+    slack_b = cert.b_alpha * z_gap - _row_norms(trace.grads[1:-1])
 
-        gH_k = _grad_H_norm(trace, k, lam)
-        gH_k1 = _grad_H_norm(trace, k + 1, lam)
-        slack_c2 = cert.c2 * z_gap - max(gH_k, gH_k1)
-
-        tol_b = SLACK_RTOL * (1.0 + cert.b_alpha * z_gap)
-        tol_c = SLACK_RTOL * (1.0 + cert.c2 * z_gap)
-        passed[k] = (slack_b >= -tol_b) and (slack_c2 >= -tol_c)
-        slack[k] = min(slack_b, slack_c2)
-    return PerStepReport("gradient_bound", slack, passed, _certified_steps(trace, cert))
-
-
-def _grad_H_norm(trace: Trace, k: int, lam: float) -> float:
     # grad H(x, y) = (grad f(x) + 2 lam (x - y), 2 lam (y - x)) at z_k = (x_k, x_{k-1})
-    x, y = trace.points[k + 1], trace.points[k]
-    d = 2.0 * lam * (x - y)
-    top = trace.grads[k + 1] + d
-    return math.sqrt(float(top @ top) + float(d @ d))
+    d = 2.0 * cert.lam * (trace.points[1:] - trace.points[:-1])
+    gH = np.sqrt(_dot_self(trace.grads[1:] + d) + _dot_self(d))
+    slack_c2 = cert.c2 * z_gap - _first_max(gH[:-1], gH[1:])
+
+    tol_b = SLACK_RTOL * (1.0 + cert.b_alpha * z_gap)
+    tol_c = SLACK_RTOL * (1.0 + cert.c2 * z_gap)
+    passed = (slack_b >= -tol_b) & (slack_c2 >= -tol_c)
+    slack = _first_min(slack_b, slack_c2)
+    return PerStepReport("gradient_bound", slack, passed, _certified_steps(trace, cert))
 
 
 def check_step_bound(trace: Trace, cert: Certificate) -> PerStepReport:
@@ -364,21 +367,18 @@ def check_step_bound(trace: Trace, cert: Certificate) -> PerStepReport:
     beta < 0 the printed constant is optimistic and the report says so via
     its slack.
     """
-    K = trace.num_steps
     p = cert.params
     sn = trace.step_norms
     L_scaled = cert.L / (1.0 - p.beta)
-    slack = np.empty(K)
-    passed = np.empty(K, dtype=bool)
-    for k in range(K):
-        # sn[k+1] = ||x_{k+1} - x_k||, the result of step k
-        flat = cert.delta1 * p.alpha - sn[k + 1]
-        decay = (p.delta * abs(p.beta) ** (k + 1) + L_scaled) * p.alpha - sn[k + 1]
-        z_gap = math.hypot(sn[k + 1], sn[k])
-        z_bound = math.sqrt(2.0) * cert.delta1 * p.alpha - z_gap
-        tol = SLACK_RTOL * (1.0 + cert.delta1 * p.alpha)
-        passed[k] = (flat >= -tol) and (decay >= -tol) and (z_bound >= -tol)
-        slack[k] = min(flat, decay, z_bound)
+    # sn[k+1] = ||x_{k+1} - x_k||, the result of step k
+    flat = cert.delta1 * p.alpha - sn[1:]
+    # float_power is the scalar pow of |beta| ** (k+1); np.power is not
+    powers = np.float_power(abs(p.beta), np.arange(1, trace.num_steps + 1))
+    decay = (p.delta * powers + L_scaled) * p.alpha - sn[1:]
+    z_bound = math.sqrt(2.0) * cert.delta1 * p.alpha - _z_gaps(sn)
+    tol = SLACK_RTOL * (1.0 + cert.delta1 * p.alpha)
+    passed = (flat >= -tol) & (decay >= -tol) & (z_bound >= -tol)
+    slack = _first_min(_first_min(flat, decay), z_bound)
     return PerStepReport("step_bound", slack, passed, _certified_steps(trace, cert))
 
 

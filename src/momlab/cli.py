@@ -151,25 +151,32 @@ def _passed_everything(trace, cert, results) -> bool:
     return ok
 
 
-def _trace_csv_rows(trace, cert):
-    H = lyapunov_values(trace, cert.lam)
-    descent = cert.per_step.get("descent")
-    gradb = cert.per_step.get("gradient_bound")
-    gn = trace.grad_norms
-    sn = trace.step_norms
-    rows = []
-    for k in range(trace.num_steps + 1):
-        is_step = k < trace.num_steps
-        rows.append([
-            k,
-            _fmt(trace.f[k + 1]),
-            _fmt(gn[k + 1]),
-            _fmt(sn[k + 1]) if is_step else "",
-            _fmt(H[k]),
-            _fmt(descent.slack[k]) if descent is not None and is_step else "",
-            _fmt(gradb.slack[k]) if gradb is not None and is_step else "",
-        ])
-    return rows
+def write_trace_csv(path, trace, cert, meta: str) -> None:
+    """Write trace.csv: one row per iterate x_k, k = 0..K.
+
+    The per-step columns (step_norm and the descent and gradient-bound
+    slacks in cert.per_step) are blank on the last row and wherever a check
+    was not run.
+    """
+    rows = trace.num_steps + 1
+
+    def column(values):
+        col = np.full(rows, "", dtype=object)
+        if values is not None:
+            col[:len(values)] = np.char.mod("%.17g", values)
+        return col
+
+    slack = {name: rep.slack for name, rep in cert.per_step.items()}
+    header = ["k", "f", "grad_norm", "step_norm", "H_lambda", "descent_slack", "gradbound_slack"]
+    _write_csv(path, header, zip(
+        range(rows),
+        column(trace.f[1:]),
+        column(trace.grad_norms[1:]),
+        column(trace.step_norms[1:]),
+        column(lyapunov_values(trace, cert.lam)),
+        column(slack.get("descent")),
+        column(slack.get("gradient_bound")),
+    ), meta)
 
 
 def cmd_run(args) -> int:
@@ -178,12 +185,7 @@ def cmd_run(args) -> int:
     trace, cert, results, psi, total_length, seeds = _run_and_certify(cfg, args)
     meta = f"config_sha256={cfg.config_hash} seeds={json.dumps(seeds, sort_keys=True)}"
 
-    _write_csv(
-        out / "trace.csv",
-        ["k", "f", "grad_norm", "step_norm", "H_lambda", "descent_slack", "gradbound_slack"],
-        _trace_csv_rows(trace, cert),
-        meta,
-    )
+    write_trace_csv(out / "trace.csv", trace, cert, meta)
     cert.to_json(out / "certificate.json")
     report = {
         "meta": {
@@ -247,7 +249,7 @@ def cmd_track(args) -> int:
     out = _out_dir(args)
     x0, seeds = cfg.resolve_x0()
     maxes, slope = tracking_ladder(
-        cfg.problem, x0, cfg.beta, cfg.track["alphas"], cfg.track["horizon"]
+        cfg.problem, x0, cfg.beta, cfg.track["alphas"], cfg.track["horizon"], gamma=cfg.gamma
     )
     meta = f"config_sha256={cfg.config_hash} seeds={json.dumps(seeds, sort_keys=True)}"
     _write_csv(
@@ -261,6 +263,7 @@ def cmd_track(args) -> int:
                  "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")},
         "problem": cfg.problem.name,
         "beta": cfg.beta,
+        "gamma": cfg.gamma,
         "horizon": cfg.track["horizon"],
         "alphas": cfg.track["alphas"],
         "max_errors": maxes,

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 
 from .optimizer import MomentumParams, StopRules, Trace, run
-from .problems import Problem
+from .problems import Problem, _row_norms
 
 __all__ = [
     "FlowTrajectory",
@@ -51,7 +51,7 @@ class FlowTrajectory:
     grad_norms: np.ndarray
     beta: float
     terminated: str                    # "grad_tol" | "horizon"
-    _dense = None                      # scipy OdeSolution over [0, T]
+    _dense = None                      # scipy OdeSolution over [0, T], all chunks
 
     @property
     def total_length(self) -> float:
@@ -164,9 +164,9 @@ def integrate_flow(
 
     times = np.concatenate([s.t if i == 0 else s.t[1:] for i, s in enumerate(sols)])
     ys = np.concatenate([s.y if i == 0 else s.y[:, 1:] for i, s in enumerate(sols)], axis=1)
-    states = ys[:dim, :].T
-    f_vals = np.array([problem.value(x) for x in states])
-    g_norms = np.array([np.linalg.norm(problem.gradient(x)) for x in states])
+    states = np.ascontiguousarray(ys[:dim, :].T)
+    f_vals = problem.value(states)
+    g_norms = _row_norms(problem.gradient(states))
     traj = FlowTrajectory(
         times=times,
         states=states,
@@ -180,25 +180,13 @@ def integrate_flow(
     if len(sols) == 1:
         traj._dense = sols[0].sol
     else:
-        traj._dense = _ChainedDense(sols)
+        # one solution over every chunk's steps; a chunk end belongs to the
+        # chunk it ends, as in each chunk's own solution
+        traj._dense = OdeSolution(
+            np.concatenate([s.sol.ts if i == 0 else s.sol.ts[1:] for i, s in enumerate(sols)]),
+            [f for s in sols for f in s.sol.interpolants],
+        )
     return traj
-
-
-class _ChainedDense:
-    def __init__(self, sols):
-        self.sols = sols
-        self.breaks = [s.t[-1] for s in sols]
-
-    def __call__(self, t):
-        t_arr = np.atleast_1d(t)
-        out = []
-        for ti in t_arr:
-            j = 0
-            while j < len(self.breaks) - 1 and ti > self.breaks[j]:
-                j += 1
-            out.append(self.sols[j].sol(ti))
-        res = np.array(out).T
-        return res[:, 0] if np.ndim(t) == 0 else res
 
 
 @dataclass
@@ -252,21 +240,19 @@ def tracking_error(problem: Problem, trace: Trace, horizon: float):
     ts = np.arange(k_max + 1) * alpha
     traj = integrate_flow(problem, trace.x(0), beta=beta, horizon=horizon, grad_tol=0.0)
     flow_states = traj.at(ts)
-    if flow_states.ndim == 1:
-        flow_states = flow_states[None, :]
-    errors = np.array(
-        [np.linalg.norm(trace.x(k) - flow_states[k]) for k in range(k_max + 1)]
-    )
+    errors = _row_norms(trace.points[1:k_max + 2] - flow_states)
     return errors, float(np.max(errors))
 
 
-def tracking_ladder(problem: Problem, x0, beta: float, alphas, horizon: float):
+def tracking_ladder(problem: Problem, x0, beta: float, alphas, horizon: float,
+                    gamma: float = 0.0):
     """Max tracking error for each step size plus the log-log slope.
 
     Each run starts with velocity matched to the rescaled flow,
     x_{-1} = x_0 + alpha / (1 - beta) * grad f(x_0), so the measured error
     reflects the O(alpha) tracking regime instead of the from-rest startup
-    transient (for beta = 0 the recurrence ignores x_{-1} entirely).
+    transient (for beta = 0 the recurrence ignores x_{-1} entirely). The
+    flow does not depend on gamma; the iterates do.
     Returns (max_errors, slope).
     """
     alphas = [float(a) for a in alphas]
@@ -279,7 +265,7 @@ def tracking_ladder(problem: Problem, x0, beta: float, alphas, horizon: float):
     for alpha in alphas:
         x_m1 = x0 + alpha * scale * g0
         delta = scale * float(np.linalg.norm(g0)) * (1.0 + 1e-9)
-        params = MomentumParams(alpha=alpha, beta=beta, delta=delta)
+        params = MomentumParams(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
         trace = run(problem, x_m1, x0, params,
                     StopRules(max_iters=int(math.floor(horizon / alpha)) + 1))
         _, max_err = tracking_error(problem, trace, horizon)

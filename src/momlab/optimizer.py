@@ -7,16 +7,16 @@ The update is carried out in three stages,
     x_{k+1}   = y_k^beta - alpha * grad f(y_k^gamma),
 
 which reduces to the heavy-ball method for gamma = 0 and to Nesterov's
-accelerated gradient for gamma = beta. Traces store everything needed to
-replay the recursion bit-for-bit and to run the certificate checks without
-re-evaluating the objective. run() records one trajectory; run_lockstep()
-steps a stack of starts together under the same stop rules and keeps only
-where each one stopped.
+accelerated gradient for gamma = beta. Traces store the iterates with their
+objective values and gradients: enough to replay the recursion bit-for-bit
+(y_k^beta and y_k^gamma follow from the iterates and the params) and to run
+the certificate checks without re-evaluating the objective. run() records
+one trajectory; run_lockstep() steps a stack of starts together under the
+same stop rules and keeps only where each one stopped.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import Problem
+from .problems import Problem, _row_norms
 
 __all__ = [
     "MomentumParams",
@@ -105,8 +105,6 @@ class Trace:
     points: np.ndarray          # (K+2, dim)
     f: np.ndarray               # (K+2,) objective at each point
     grads: np.ndarray           # (K+2, dim) gradient at each point
-    y_beta: np.ndarray          # (K, dim)
-    y_gamma: np.ndarray         # (K, dim)
     params: MomentumParams
     stop_reason: str = "max_iters"
     problem_name: str = ""
@@ -136,30 +134,17 @@ class Trace:
     def replay_residuals(self, problem: Problem) -> np.ndarray:
         """Residual of the update recursion at each stored step.
 
-        Recomputes y_k^gamma from the stored points with the same
-        expression used by step(), so an untouched trace reproduces the
-        recursion exactly.
+        Recomputes every y_k^gamma from the stored points with the same
+        expression used by step() and evaluates their gradients in one
+        batched call, so an untouched trace reproduces the recursion exactly.
         """
-        res = np.zeros(self.num_steps)
-        g = self.params.gamma
-        for k in range(self.num_steps):
-            x_prev, x_curr, x_next = self.points[k], self.points[k + 1], self.points[k + 2]
-            y_g = x_curr + g * (x_curr - x_prev)
-            lhs = x_next - x_curr - self.params.beta * (x_curr - x_prev) \
-                + self.params.alpha * problem.gradient(y_g)
-            res[k] = np.linalg.norm(lhs) / (1.0 + np.linalg.norm(x_next))
-        return res
-
-    def to_csv(self, path) -> None:
-        """Columns k, f, grad_norm, step_norm; step_norm is ||x_{k+1}-x_k||."""
-        gn = self.grad_norms
-        sn = self.step_norms
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["k", "f", "grad_norm", "step_norm"])
-            for k in range(0, self.num_steps + 1):
-                step_norm = format(sn[k + 1], ".17g") if k < self.num_steps else ""
-                w.writerow([k, format(self.f[k + 1], ".17g"), format(gn[k + 1], ".17g"), step_norm])
+        if self.num_steps == 0:
+            return np.zeros(0)
+        x_prev, x_curr, x_next = self.points[:-2], self.points[1:-1], self.points[2:]
+        d = x_curr - x_prev
+        y_g = x_curr + self.params.gamma * d
+        lhs = x_next - x_curr - self.params.beta * d + self.params.alpha * problem.gradient(y_g)
+        return _row_norms(lhs) / (1.0 + _row_norms(x_next))
 
     def save(self, path) -> None:
         """Full JSON dump (includes every iterate) for offline replay."""
@@ -176,8 +161,6 @@ class Trace:
             "points": self.points.tolist(),
             "f": self.f.tolist(),
             "grads": self.grads.tolist(),
-            "y_beta": self.y_beta.tolist(),
-            "y_gamma": self.y_gamma.tolist(),
             "meta": self.meta,
         }
         with open(path, "w") as fh:
@@ -185,6 +168,7 @@ class Trace:
 
     @staticmethod
     def load(path) -> "Trace":
+        """Read a save() dump; the y_beta/y_gamma arrays of older dumps are ignored."""
         with open(path) as fh:
             d = json.load(fh)
         p = d["params"]
@@ -192,8 +176,6 @@ class Trace:
             points=np.asarray(d["points"]),
             f=np.asarray(d["f"]),
             grads=np.asarray(d["grads"]),
-            y_beta=np.asarray(d["y_beta"]).reshape(len(d["y_beta"]), -1),
-            y_gamma=np.asarray(d["y_gamma"]).reshape(len(d["y_gamma"]), -1),
             params=MomentumParams(p["alpha"], p["beta"], p["gamma"], p["preset"], p["delta"]),
             stop_reason=d["stop_reason"],
             problem_name=d["problem"],
@@ -255,7 +237,6 @@ def run(
     pts = [x_prev, x_curr]
     fs = [problem.value(x_prev), problem.value(x_curr)]
     gs = [problem.gradient(x_prev), problem.gradient(x_curr)]
-    ybs, ygs = [], []
     reason = "max_iters"
     x0_ref = x_curr
 
@@ -273,24 +254,19 @@ def run(
         if np.linalg.norm(pts[-1] - x0_ref) > stop.box_radius:
             reason = "left_box"
             break
-        x_next, y_b, y_g = step(problem, pts[-2], pts[-1], params, gs[-1] if reuse else None)
+        x_next, _, _ = step(problem, pts[-2], pts[-1], params, gs[-1] if reuse else None)
         if not np.all(np.isfinite(x_next)):
             reason = "diverged"
             break
         pts.append(x_next)
-        ybs.append(y_b)
-        ygs.append(y_g)
         fs.append(problem.value(x_next))
         gs.append(problem.gradient(x_next))
         k += 1
 
-    dim = problem.dim
     return Trace(
         points=np.asarray(pts),
         f=np.asarray(fs),
         grads=np.asarray(gs),
-        y_beta=np.asarray(ybs).reshape(len(ybs), dim),
-        y_gamma=np.asarray(ygs).reshape(len(ygs), dim),
         params=params,
         stop_reason=reason,
         problem_name=problem.name,
@@ -305,15 +281,6 @@ class LockstepResult:
     grad: np.ndarray            # (B, dim) gradient at x
     iters: np.ndarray           # (B,) steps taken, K
     stop_reason: list           # (B,) the stop rule that fired, as in run()
-
-
-def _row_norms(V: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, bit-equal to np.linalg.norm of that row.
-
-    np.linalg.norm(V, axis=1) sums differently and can be 1 ulp off, which
-    would let a row stop one step apart from its run() replay.
-    """
-    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
 
 
 def run_lockstep(

@@ -119,6 +119,18 @@ def _dot_self(v):
     return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
+def _row_norms(V):
+    """Euclidean norm of each row, bit-equal to np.linalg.norm of that row.
+
+    np.linalg.norm(V, axis=1) sums differently and can be 1 ulp off, which
+    would let a row stop one step apart from its run() replay. A strided
+    stack (such as the column-major batched gradients of the matrix
+    families) would take another matmul path, so rows are made contiguous
+    first.
+    """
+    return np.sqrt(_dot_self(np.ascontiguousarray(V)))
+
+
 def _col_pow(x, i, k):
     """x[..., i] ** k as a float64 scalar power, one point at a time.
 
@@ -412,15 +424,16 @@ def estimate_lipschitz(
     max_grad = np.linalg.norm(problem.gradient(center))
     max_quot = 0.0
     for s in scales:
-        for i in range(per_scale):
-            p = center + s * a[i]
-            q = center + s * b[i]
-            gp = problem.gradient(p)
-            gq = problem.gradient(q)
-            max_grad = max(max_grad, np.linalg.norm(gp), np.linalg.norm(gq))
-            gap = np.linalg.norm(p - q)
-            if gap > 1e-12 * (1.0 + s):
-                max_quot = max(max_quot, np.linalg.norm(gp - gq) / gap)
+        # one batched call per rung; rows are bit-equal to single points
+        p = center + s * a
+        q = center + s * b
+        gp = problem.gradient(p)
+        gq = problem.gradient(q)
+        max_grad = max(max_grad, np.max(_row_norms(gp)), np.max(_row_norms(gq)))
+        gap = _row_norms(p - q)
+        apart = gap > 1e-12 * (1.0 + s)
+        if apart.any():
+            max_quot = max(max_quot, np.max(_row_norms(gp - gq)[apart] / gap[apart]))
     return safety * max_grad, safety * max_quot
 
 

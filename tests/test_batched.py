@@ -45,9 +45,17 @@ def test_batched_rows_equal_single_points(kind, B, seed, scale):
 @given(dim=st.integers(1, 97), seed=st.integers(0, 2**32 - 1), scale=SCALES)
 @settings(max_examples=60, deadline=None)
 def test_row_norms_equal_vector_norms(dim, seed, scale):
-    V = np.random.default_rng(seed).standard_normal((5, dim)) * scale
-    norms = _row_norms(V)
-    assert all(norms[b] == np.linalg.norm(V[b]) for b in range(5))
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((5, dim)) * scale
+    for W in (V, np.asfortranarray(V)):
+        norms = _row_norms(W)
+        assert all(norms[b] == np.linalg.norm(V[b]) for b in range(5))
+    # the matrix families return column-major (B, dim) gradient stacks
+    for kind in ALL_KINDS:
+        p = make_problem(kind)
+        Z = rng.standard_normal((50, p.dim)) * scale
+        norms = _row_norms(p.gradient(Z))
+        assert all(norms[b] == np.linalg.norm(p.gradient(Z[b])) for b in range(50)), kind
 
 
 PRESETS = st.sampled_from(["heavy_ball", "nesterov", "generic"])

@@ -182,6 +182,22 @@ class TestTrackCommand:
         report = json.loads((tmp_path / "out" / "tracking_report.json").read_text())
         assert report["loglog_slope"] >= 0.9
 
+    def test_gamma_changes_iterates(self, tmp_path):
+        reports = {}
+        for gamma in ("0.9", "0.0"):
+            cfg = write_config(tmp_path, f"""
+problem: {{kind: quadratic, dim: 2}}
+params: {{beta: 0.5, gamma: {gamma}}}
+init: {{x0: [1.0, 0.0]}}
+track: {{horizon: 1.0, alphas: [0.1, 0.05]}}
+""", name=f"g{gamma}.yaml")
+            out = tmp_path / gamma
+            assert main(["track", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+            reports[gamma] = json.loads((out / "tracking_report.json").read_text())
+        assert reports["0.9"]["gamma"] == 0.9 and reports["0.0"]["gamma"] == 0.0
+        rows = {g: (tmp_path / g / "tracking.csv").read_text().splitlines()[2:] for g in reports}
+        assert rows["0.9"] != rows["0.0"]
+
     def test_single_alpha_rejected(self, tmp_path):
         cfg = write_config(tmp_path, """
 problem: {kind: quadratic, dim: 2}

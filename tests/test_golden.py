@@ -1,0 +1,70 @@
+"""Golden bytes: the deterministic CLI outputs match pinned sha256 digests.
+
+The digests were captured from the per-step loop implementation of the
+certificate checks and the trace CSV writer; the array rewrite must keep
+every byte. They pin float64 rounding of this numpy and BLAS build, so a
+different numerical stack can move them without a defect in momlab.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from momlab.cli import main
+
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
+
+# non-dyadic beta, gamma != 0 and delta > 0: the scalar pow, math.hypot and
+# |beta|**k terms of the checks all reach the pinned bytes
+GENERIC_CFG = """
+problem: {kind: matrix_factorization, m: 4, n: 4, rank: 2, seed: 3}
+params: {alpha: auto, beta: 0.3, gamma: 0.7, preset: generic, delta: 0.5}
+init:
+  x0: {random: {radius: 0.5, seed: 2}}
+lipschitz: {mode: sampled, center: x0, radius: 6.0, seed: 1}
+stop: {max_iters: 3000}
+checks: [descent, grad_bounds, step_bounds, rate, length, kl_fit]
+"""
+
+GOLDEN_RUNS = {
+    "quadratic": (
+        "419862cb02ff20498967e12277d3e3b5f825d43c58243c2870a5399c13527f1d",
+        "a7d18f46eec84a73a157fa8bf62add0e762ecb05dffc689d496428884cb7d037",
+    ),
+    "matrix_factorization": (
+        "353d1113045a12d363cb6e0a0b18e6ac84b795490d0a3fa246b50e0e1ea35578",
+        "1d4c1847b18bc129f4a1877d8c8ca4c31aedb6f2f5d76d5499b6bc902e9fb844",
+    ),
+    "generic": (
+        "86ebdbe82b704ee685e7acef84bcd97035467cfbd1753192e72a4667ec7f98e9",
+        "2f0e909794ec85f03975070896f3c7e01346dfeda597460aba6b0d71630ea680",
+    ),
+}
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_run_outputs_match_golden_digests(name, tmp_path):
+    if name == "generic":
+        config = tmp_path / "generic.yaml"
+        config.write_text(GENERIC_CFG)
+    else:
+        config = CONFIG_DIR / f"{name}.yaml"
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    trace_digest, certificate_digest = GOLDEN_RUNS[name]
+    assert sha256(out / "trace.csv") == trace_digest
+    assert sha256(out / "certificate.json") == certificate_digest
+
+
+def test_gamma_free_tracking_matches_golden_digest(tmp_path):
+    out = tmp_path / "out"
+    config = CONFIG_DIR / "quadratic_track.yaml"
+    assert main(["track", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    assert sha256(out / "tracking.csv") == (
+        "4cb498d33c130855687739f662744c8495f6efee9714b1325d56ff62b13517e7"
+    )

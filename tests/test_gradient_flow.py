@@ -67,6 +67,20 @@ class TestIntegrateFlow:
             drop = traj.f_values[0] - traj.f_values[-1]
             assert drop == pytest.approx((1.0 - beta) * traj.energy[-1], rel=1e-6)
 
+    def test_multi_chunk_dense_output(self):
+        # grad_tol without a horizon integrates over [0, 1], [1, 2], [2, 4], ...
+        p = synthetic("quadratic")
+        x0 = np.array([1.0, -0.5])
+        traj = integrate_flow(p, x0, beta=0.5, grad_tol=1e-6)
+        assert traj.terminated == "grad_tol" and traj.times[-1] > 4.0
+        ts = np.linspace(0.0, traj.times[-1], 301)
+        exact = np.exp(-2.0 * ts)[:, None] * x0
+        assert np.max(np.abs(traj.at(ts) - exact)) <= 1e-8
+        assert np.allclose(traj.at(traj.times), traj.states, rtol=1e-12, atol=1e-15)
+        for t in (0.0, 1.0, 2.0, 3.3, 4.0, traj.times[-1]):
+            assert np.allclose(traj.at(t), traj.at(np.array([t]))[0], rtol=1e-14, atol=0)
+        assert np.array_equal(traj.at(2 * traj.times[-1]), traj.at(traj.times[-1]))
+
     def test_csv_export(self, tmp_path):
         p = synthetic("quadratic")
         traj = integrate_flow(p, np.array([1.0, 0.0]), horizon=1.0)

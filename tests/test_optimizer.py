@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import make_problem
@@ -5,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momlab import MomentumParams, Problem, StopRules, Trace, run, safe_alpha, step, synthetic
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestMomentumParams:
@@ -162,16 +166,17 @@ class TestRun:
         assert np.all(tr2.points == tr.points)
         assert tr2.params == tr.params
         assert tr2.stop_reason == tr.stop_reason
+        assert "y_beta" not in f.read_text()
 
-    def test_trace_csv_columns(self, tmp_path):
-        p = synthetic("quadratic")
-        x0 = np.array([1.0, 0.5])
-        tr = run(p, x0, x0, MomentumParams(alpha=0.1), StopRules(max_iters=5))
-        f = tmp_path / "t.csv"
-        tr.to_csv(f)
-        lines = f.read_text().splitlines()
-        assert lines[0] == "k,f,grad_norm,step_norm"
-        assert len(lines) == 2 + tr.num_steps
+    def test_load_ignores_stored_y_arrays(self, tmp_path):
+        # a dump written when traces still stored y_beta and y_gamma
+        tr = Trace.load(DATA / "trace_with_y_arrays.json")
+        assert tr.points.shape == (8, 2) and tr.num_steps == 6
+        assert tr.params == MomentumParams(0.1, 0.3, 0.2, "generic", 0.5)
+        assert np.max(tr.replay_residuals(synthetic("quadratic"))) <= 1e-12
+        tr.save(tmp_path / "again.json")
+        again = Trace.load(tmp_path / "again.json")
+        assert np.array_equal(again.points, tr.points) and np.array_equal(again.grads, tr.grads)
 
 
 class TestSafeAlpha:
