@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .optimizer import MomentumParams, Trace, safe_alpha
-from .problems import Problem, _dot_self, _row_norms
+from .problems import Problem, _dot_self, _norms_in_place, _row_norms
 
 __all__ = [
     "Certificate",
@@ -286,7 +286,7 @@ def build_certificate(
 def _certified_steps(trace: Trace, cert: Certificate) -> np.ndarray:
     """certified[k] for step k = 0..K-1; False from the first ball exit on."""
     K = trace.num_steps
-    dist = np.linalg.norm(trace.points - cert.ball_center, axis=1)
+    dist = _norms_in_place(trace.points - cert.ball_center)
     inside = dist <= cert.ball_radius * (1.0 + 1e-12)
     certified = np.ones(K, dtype=bool)
     out = np.nonzero(~inside)[0]
@@ -337,6 +337,18 @@ def _first_min(a, b):
     return np.where(b < a, b, a)
 
 
+def _grad_H_norms(trace: Trace, lam: float) -> np.ndarray:
+    """||grad H_lam(z_k)|| for k = 0..K, built in one (K+1, dim) buffer.
+
+    grad H(x, y) = (grad f(x) + 2 lam (x - y), 2 lam (y - x)) at z_k = (x_k, x_{k-1}).
+    """
+    d = trace.points[1:] - trace.points[:-1]
+    d *= 2.0 * lam
+    d_sq = _dot_self(d)
+    d += trace.grads[1:]
+    return np.sqrt(_dot_self(d) + d_sq)
+
+
 def check_gradient_bound(trace: Trace, cert: Certificate) -> PerStepReport:
     """Both per-step gradient bounds: ||grad f(x_k)|| <= b_alpha ||z_{k+1}-z_k||
     and max(||grad H(z_k)||, ||grad H(z_{k+1})||) <= c2 ||z_{k+1}-z_k||.
@@ -345,10 +357,7 @@ def check_gradient_bound(trace: Trace, cert: Certificate) -> PerStepReport:
     """
     z_gap = _z_gaps(trace.step_norms)
     slack_b = cert.b_alpha * z_gap - _row_norms(trace.grads[1:-1])
-
-    # grad H(x, y) = (grad f(x) + 2 lam (x - y), 2 lam (y - x)) at z_k = (x_k, x_{k-1})
-    d = 2.0 * cert.lam * (trace.points[1:] - trace.points[:-1])
-    gH = np.sqrt(_dot_self(trace.grads[1:] + d) + _dot_self(d))
+    gH = _grad_H_norms(trace, cert.lam)
     slack_c2 = cert.c2 * z_gap - _first_max(gH[:-1], gH[1:])
 
     tol_b = SLACK_RTOL * (1.0 + cert.b_alpha * z_gap)

@@ -163,7 +163,7 @@ def write_trace_csv(path, trace, cert, meta: str) -> None:
     def column(values):
         col = np.full(rows, "", dtype=object)
         if values is not None:
-            col[:len(values)] = np.char.mod("%.17g", values)
+            col[:len(values)] = ["%.17g" % v for v in values.tolist()]
         return col
 
     slack = {name: rep.slack for name, rep in cert.per_step.items()}

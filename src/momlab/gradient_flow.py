@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
 
 from .optimizer import MomentumParams, StopRules, Trace, run
 from .problems import Problem, _row_norms
@@ -105,6 +104,9 @@ def integrate_flow(
     crosses the tolerance). Raises RuntimeError on integrator failure or a
     non-finite state.
     """
+    # imported here so that loading momlab does not load scipy
+    from scipy.integrate import OdeSolution, solve_ivp
+
     if horizon is None and grad_tol <= 0:
         raise ValueError("need a horizon or a positive grad_tol")
     if not -1 < beta < 1:

@@ -11,8 +11,10 @@ accelerated gradient for gamma = beta. Traces store the iterates with their
 objective values and gradients: enough to replay the recursion bit-for-bit
 (y_k^beta and y_k^gamma follow from the iterates and the params) and to run
 the certificate checks without re-evaluating the objective. run() records
-one trajectory; run_lockstep() steps a stack of starts together under the
-same stop rules and keeps only where each one stopped.
+one trajectory: its loop makes one single-point gradient call per step for
+every preset, and the f and grads columns of the trace are evaluated in
+batch once it stops. run_lockstep() steps a stack of starts together under
+the same stop rules and keeps only where each one stopped.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problems import Problem, _row_norms
+from .problems import Problem, _norms_in_place, _row_norms
 
 __all__ = [
     "MomentumParams",
@@ -129,7 +131,7 @@ class Trace:
     @property
     def step_norms(self) -> np.ndarray:
         """||x_{k+1} - x_k|| for k = -1..K-1 (length K+1)."""
-        return np.linalg.norm(np.diff(self.points, axis=0), axis=1)
+        return _norms_in_place(np.diff(self.points, axis=0))
 
     def replay_residuals(self, problem: Problem) -> np.ndarray:
         """Residual of the update recursion at each stored step.
@@ -138,8 +140,6 @@ class Trace:
         expression used by step() and evaluates their gradients in one
         batched call, so an untouched trace reproduces the recursion exactly.
         """
-        if self.num_steps == 0:
-            return np.zeros(0)
         x_prev, x_curr, x_next = self.points[:-2], self.points[1:-1], self.points[2:]
         d = x_curr - x_prev
         y_g = x_curr + self.params.gamma * d
@@ -225,26 +225,32 @@ def run(
     Stops on ||grad f(x_k)|| < grad_tol, k == max_iters, the iterate
     leaving B(x_0, box_radius), or a non-finite value (stop_reason
     'diverged'). The initial-velocity bound ||x_0 - x_{-1}|| <= delta*alpha
-    is checked and produces a warning, not an error. Heavy ball (gamma ==
-    0) reuses the stored grad f(x_k), so it costs one gradient per step.
+    is checked and produces a warning, not an error.
+
+    The loop evaluates one single-point gradient per step, grad f(y_k^gamma),
+    which heavy ball (gamma == 0) reads from the stored grad f(x_k); it also
+    evaluates grad f(x_k) when grad_tol > 0, and never the objective. The
+    trace's f column, and its grads column when the loop did not hold it, are
+    then evaluated in batch; the trace is cut at the first point (x_0 or
+    later) whose value or gradient is not finite, as a per-step check of
+    both would have stopped there.
     """
     stop = stop or StopRules()
     x_prev = problem.check_point(x_minus1)
     x_curr = problem.check_point(x_0)
     _warn_velocity(np.linalg.norm(x_curr - x_prev), params)
     reuse = params.gamma == 0.0
+    # grad f(x_k) for every point, when the loop needs it
+    gs = None
+    if reuse or stop.grad_tol > 0:
+        gs = [problem.gradient(x_prev), problem.gradient(x_curr)]
 
     pts = [x_prev, x_curr]
-    fs = [problem.value(x_prev), problem.value(x_curr)]
-    gs = [problem.gradient(x_prev), problem.gradient(x_curr)]
     reason = "max_iters"
     x0_ref = x_curr
 
     k = 0
     while True:
-        if not (np.isfinite(fs[-1]) and np.all(np.isfinite(gs[-1]))):
-            reason = "diverged"
-            break
         if stop.grad_tol > 0 and np.linalg.norm(gs[-1]) < stop.grad_tol:
             reason = "grad_tol"
             break
@@ -259,18 +265,56 @@ def run(
             reason = "diverged"
             break
         pts.append(x_next)
-        fs.append(problem.value(x_next))
-        gs.append(problem.gradient(x_next))
+        if gs is not None:
+            gs.append(problem.gradient(x_next))
         k += 1
 
+    points = np.asarray(pts)
+    grads = None if gs is None else np.asarray(gs)
+    del pts, gs  # return the per-step arrays' memory before the columns are filled
+    points, f, grads, diverged = _trace_columns(problem, points, grads)
     return Trace(
-        points=np.asarray(pts),
-        f=np.asarray(fs),
-        grads=np.asarray(gs),
+        points=points,
+        f=f,
+        grads=grads,
         params=params,
-        stop_reason=reason,
+        stop_reason="diverged" if diverged else reason,
         problem_name=problem.name,
     )
+
+
+# rows per batched value / gradient call when a trace's columns are filled:
+# large enough to amortize the call, small enough that the per-call
+# temporaries stay a few MB
+_ROW_BLOCK = 1024
+
+
+def _trace_columns(problem: Problem, points: np.ndarray, grads: Optional[np.ndarray]):
+    """(points, f, grads, diverged): the trace arrays of a run's points.
+
+    f, and grads when they are None, are evaluated in row blocks. If some row
+    i >= 1 has a value or gradient that is not finite, the arrays end at the
+    first such row and diverged is True. grads is C-contiguous: the batched
+    gradients of the matrix families are column-major, and their row norms
+    would round differently.
+    """
+    n = len(points)
+    f = np.empty(n)
+    batched = grads is None
+    if batched:
+        grads = np.empty_like(points)
+    for i in range(0, n, _ROW_BLOCK):
+        j = min(i + _ROW_BLOCK, n)
+        f[i:j] = problem.value(points[i:j])
+        if batched:
+            grads[i:j] = problem.gradient(points[i:j])
+        bad = ~(np.isfinite(f[i:j]) & np.isfinite(grads[i:j]).all(axis=1))
+        if i == 0:
+            bad[0] = False  # x_{-1} is never checked
+        if bad.any():
+            end = i + int(np.argmax(bad)) + 1
+            return points[:end], f[:end], grads[:end], True
+    return points, f, grads, False
 
 
 @dataclass

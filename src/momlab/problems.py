@@ -93,9 +93,17 @@ def _split_xy(z, m, n, r):
     return _block(z, 0, m * r, m, r), _block(z, m * r, z.shape[-1], n, r)
 
 
+def _flat_size(a):
+    """Shape of a with each matrix as one vector.
+
+    Sized explicitly: a reshape to -1 is ambiguous on an empty stack.
+    """
+    return a.shape[:-2] + (a.shape[-2] * a.shape[-1],)
+
+
 def _join(*blocks):
     """Flatten each block column-major and concatenate, per point."""
-    return np.concatenate([b.reshape(b.shape[:-2] + (-1,), order="F") for b in blocks], -1)
+    return np.concatenate([b.reshape(_flat_size(b), order="F") for b in blocks], -1)
 
 
 def _per_point(v):
@@ -109,7 +117,7 @@ def _sum_sq(R):
     Each matrix is summed as one flat vector, the order np.sum takes for a
     single matrix, so stacked sums match single points bit for bit.
     """
-    return _per_point((R * R).reshape(R.shape[:-2] + (-1,)).sum(-1))
+    return _per_point((R * R).reshape(_flat_size(R)).sum(-1))
 
 
 def _dot_self(v):
@@ -129,6 +137,15 @@ def _row_norms(V):
     first.
     """
     return np.sqrt(_dot_self(np.ascontiguousarray(V)))
+
+
+def _norms_in_place(V: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(V, axis=1) bit for bit, squaring V in its own buffer.
+
+    norm would allocate a second array the size of V; V is overwritten.
+    """
+    V *= V
+    return np.sqrt(np.add.reduce(V, axis=1))
 
 
 def _col_pow(x, i, k):

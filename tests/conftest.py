@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from momlab import linear_network, matrix_factorization, matrix_sensing, synthetic
+from momlab import linear_network, matrix_factorization, matrix_sensing, step, synthetic
 
 
 def make_problem(kind, seed=0):
@@ -45,3 +45,39 @@ ALL_KINDS = [
 @pytest.fixture(params=ALL_KINDS)
 def any_problem(request):
     return make_problem(request.param)
+
+
+def reference_run(problem, x_minus1, x_0, params, stop):
+    """run() as a per-step loop: f and grad f at every iterate, checked before each step.
+
+    Returns (points, f, grads, stop_reason), the arrays run() must reproduce
+    bit for bit.
+    """
+    x_prev, x_curr = problem.check_point(x_minus1), problem.check_point(x_0)
+    pts = [x_prev, x_curr]
+    fs = [problem.value(x_prev), problem.value(x_curr)]
+    gs = [problem.gradient(x_prev), problem.gradient(x_curr)]
+    k = 0
+    while True:
+        if not (np.isfinite(fs[-1]) and np.all(np.isfinite(gs[-1]))):
+            reason = "diverged"
+            break
+        if stop.grad_tol > 0 and np.linalg.norm(gs[-1]) < stop.grad_tol:
+            reason = "grad_tol"
+            break
+        if k >= stop.max_iters:
+            reason = "max_iters"
+            break
+        if np.linalg.norm(pts[-1] - x_curr) > stop.box_radius:
+            reason = "left_box"
+            break
+        x_next, _, _ = step(problem, pts[-2], pts[-1], params,
+                            gs[-1] if params.gamma == 0.0 else None)
+        if not np.all(np.isfinite(x_next)):
+            reason = "diverged"
+            break
+        pts.append(x_next)
+        fs.append(problem.value(x_next))
+        gs.append(problem.gradient(x_next))
+        k += 1
+    return np.asarray(pts), np.asarray(fs), np.asarray(gs), reason

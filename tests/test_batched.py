@@ -27,7 +27,7 @@ SCALES = st.sampled_from([1e-3, 0.3, 1.0, 10.0])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-@pytest.mark.parametrize("B", [1, 2, 7])
+@pytest.mark.parametrize("B", [0, 1, 2, 7])
 @given(seed=st.integers(0, 2**32 - 1), scale=SCALES)
 @settings(max_examples=15, deadline=None)
 def test_batched_rows_equal_single_points(kind, B, seed, scale):

@@ -140,6 +140,40 @@ checks: [descent]
 """
 
 
+# runs the CLI in-process; prints its exit code and the scipy modules loaded
+IN_PROCESS = """
+import sys
+import momlab.cli
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+rc = momlab.cli.main(sys.argv[1:])
+print(rc, any(m.split(".")[0] == "scipy" for m in sys.modules))
+"""
+
+
+class TestScipyImport:
+    """Only flow integration loads scipy; importing the CLI and `run` do not."""
+
+    def in_process(self, *argv):
+        res = subprocess.run([sys.executable, "-c", IN_PROCESS, *argv],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        return res.stdout.split()
+
+    def test_run_leaves_scipy_unloaded(self, tmp_path):
+        cfg = CONFIG_DIR / "quadratic.yaml"
+        out = tmp_path / "out"
+        assert self.in_process("run", "--config", str(cfg), "--out", str(out), "--quiet") == [
+            "0", "False"]
+        assert (out / "trace.csv").exists()
+
+    def test_track_loads_scipy_and_works(self, tmp_path):
+        cfg = CONFIG_DIR / "quadratic_track.yaml"
+        out = tmp_path / "out"
+        assert self.in_process("track", "--config", str(cfg), "--out", str(out), "--quiet") == [
+            "0", "True"]
+        assert len((out / "tracking.csv").read_text().splitlines()) > 2
+
+
 class TestFlags:
     def test_workers_flag_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, QUAD_CFG)

@@ -5,19 +5,23 @@
   the trust ball (the step bound only for beta >= 0: for beta < 0 the
   printed delta1 is optimistic, and its verdict is recorded as an event);
 - the array checks equal a step-by-step evaluation of each inequality bit
-  for bit, on certified runs and on runs that fail or diverge.
+  for bit, on certified runs and on runs that fail or diverge;
+- run() equals a per-step loop that evaluates f and grad f at every iterate
+  bit for bit, on runs that stop on any rule, including a value overflow
+  that the batched f column catches after the loop.
 """
 
 import math
 
 import numpy as np
 import pytest
-from conftest import ALL_KINDS, make_problem
+from conftest import ALL_KINDS, make_problem, reference_run
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from momlab import (
     MomentumParams,
+    Problem,
     StopRules,
     build_certificate,
     check_descent,
@@ -33,14 +37,19 @@ PRESETS = ["heavy_ball", "nesterov", "generic"]
 RADIUS = 2.0
 
 
-def sampled_run(kind, preset, seed, beta, gamma, scale=0.9, steps=300, box=RADIUS):
-    """A run at scale * safe_alpha from a random start, stopped at distance box."""
+def sampled_setup(kind, preset, seed, beta, gamma, scale):
+    """(problem, x0, params, L, M) for a run at scale * safe_alpha from a random start."""
     gamma = {"heavy_ball": 0.0, "nesterov": beta}.get(preset, gamma)
     p = make_problem(kind, seed)
     x0 = np.random.default_rng(seed).uniform(-0.5, 0.5, p.dim)
     L, M = estimate_lipschitz(p, x0, RADIUS, reach=max(abs(beta), abs(gamma)), seed=seed)
     alpha = scale * safe_alpha(M, MomentumParams(1e-6, beta, gamma))
-    params = MomentumParams(alpha, beta, gamma, preset)
+    return p, x0, MomentumParams(alpha, beta, gamma, preset), L, M
+
+
+def sampled_run(kind, preset, seed, beta, gamma, scale=0.9, steps=300, box=RADIUS):
+    """A run at scale * safe_alpha from a random start, stopped at distance box."""
+    p, x0, params, L, M = sampled_setup(kind, preset, seed, beta, gamma, scale)
     with np.errstate(all="ignore"):
         trace = run(p, x0, x0, params, StopRules(max_iters=steps, box_radius=box))
     cert = build_certificate(M, L, params, x0, RADIUS, strict=False)
@@ -116,3 +125,35 @@ def test_checks_equal_step_by_step_reference(kind, preset, seed, beta, gamma, sc
         slack, passed = zip(*reference[rep.name]) if trace.num_steps else ((), ())
         assert np.array_equal(rep.slack, np.array(slack, dtype=float), equal_nan=True), rep.name
         assert np.array_equal(rep.passed, np.array(passed, dtype=bool)), rep.name
+
+
+def _overflowing(p):
+    """p with its value scaled by 2^1000: inf from f > ~1.7e7 on, while grad f stays finite."""
+    return Problem(name=p.name, dim=p.dim, value=lambda z: p.value(z) * 2.0**1000,
+                   gradient=p.gradient)
+
+
+@pytest.mark.parametrize("grad_tol", [0.0, 1e-3])
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@given(seed=st.integers(0, 2**16), beta=BETAS, gamma=GAMMAS,
+       scale=st.sampled_from([0.9, 3.0, 1e4]), box=st.sampled_from([np.inf, 0.5]),
+       overflow=st.booleans())
+@settings(**SETTINGS)
+def test_run_equals_per_step_reference(kind, preset, grad_tol, seed, beta, gamma, scale, box,
+                                       overflow):
+    stop = StopRules(max_iters=150, grad_tol=grad_tol, box_radius=box)
+    with np.errstate(all="ignore"):
+        p, x0, params, _, _ = sampled_setup(kind, preset, seed, beta, gamma, scale)
+        if overflow:
+            p = _overflowing(p)
+        trace = run(p, x0, x0, params, stop)
+        points, f, grads, reason = reference_run(p, x0, x0, params, stop)
+    event(reason)
+    if reason == "diverged" and not np.isfinite(f[-1]) and np.isfinite(grads[-1]).all():
+        event("diverged on f alone")
+    assert trace.stop_reason == reason
+    assert np.array_equal(trace.points, points)
+    assert np.array_equal(trace.f, f, equal_nan=True)
+    assert np.array_equal(trace.grads, grads, equal_nan=True)
+    assert trace.grads.flags.c_contiguous

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_problem
+from conftest import make_problem, reference_run
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -135,25 +135,57 @@ class TestRun:
                      StopRules(max_iters=10_000))
         assert tr.stop_reason in ("diverged", "left_box")
 
-    @pytest.mark.parametrize("gamma, evals_per_step", [(0.0, 1), (0.3, 2)])
-    def test_gradient_calls_per_step(self, gamma, evals_per_step):
+    @pytest.mark.parametrize("params, grad_tol, single_grads, stacked_grads", [
+        # K single-point gradients at y_gamma; the grads column is batched
+        (MomentumParams(0.01, 0.5, 0.3), 0.0, lambda K: K, lambda K: K + 2),
+        (MomentumParams.nesterov(0.01, 0.5), 0.0, lambda K: K, lambda K: K + 2),
+        # heavy ball steps with the stored grad f(x_k), x_{-1} and x_0 included
+        (MomentumParams.heavy_ball(0.01, 0.5), 0.0, lambda K: K + 2, lambda K: 0),
+        # grad_tol needs grad f(x_k) at every iterate as well
+        (MomentumParams(0.01, 0.5, 0.3), 1e-12, lambda K: 2 * K + 2, lambda K: 0),
+    ], ids=["generic", "nesterov", "heavy_ball", "generic_grad_tol"])
+    def test_evaluated_rows_per_step(self, params, grad_tol, single_grads, stacked_grads):
         base = make_problem("matrix_factorization")
-        calls = []
+        # [single-point calls, rows of stacked calls]
+        counts = {"value": [0, 0], "gradient": [0, 0]}
 
-        def gradient(x):
-            calls.append(1)
-            return base.gradient(x)
+        def counted(name, fn):
+            def call(x):
+                if x.ndim == 1:
+                    counts[name][0] += 1
+                else:
+                    counts[name][1] += x.shape[0]
+                return fn(x)
+            return call
 
-        counted = Problem(name="counted", dim=base.dim, value=base.value, gradient=gradient)
+        p = Problem(name="counted", dim=base.dim, value=counted("value", base.value),
+                    gradient=counted("gradient", base.gradient))
         x0 = np.random.default_rng(3).standard_normal(base.dim) * 0.3
-        params = MomentumParams(alpha=0.01, beta=0.5, gamma=gamma)
-        tr = run(counted, x0, x0, params, StopRules(max_iters=40))
-        assert tr.num_steps == 40
-        # x_{-1} and x_0 are evaluated once before the first step
-        assert len(calls) == evals_per_step * tr.num_steps + 2
-        # heavy ball reuses grad f(x_k) without changing a bit of the iterates
-        ref = run(base, x0, x0, params, StopRules(max_iters=40))
-        assert np.array_equal(tr.points, ref.points)
+        stop = StopRules(max_iters=40, grad_tol=grad_tol)
+        tr = run(p, x0, x0, params, stop)
+        K = tr.num_steps
+        assert K == 40
+        assert counts["gradient"] == [single_grads(K), stacked_grads(K)]
+        assert counts["value"] == [0, K + 2]
+        points, f, grads, reason = reference_run(base, x0, x0, params, stop)
+        assert np.array_equal(tr.points, points) and tr.stop_reason == reason
+        assert np.array_equal(tr.f, f) and np.array_equal(tr.grads, grads)
+        assert tr.grads.flags.c_contiguous
+
+    def test_value_overflow_cuts_trace_after_x_minus1(self):
+        # f overflows at x_{-1} (never checked) and again at x_1, where
+        # grad f is still finite: the trace ends at x_1 as 'diverged'
+        base = synthetic("quadratic")
+        p = Problem(name="overflowing", dim=2, value=lambda z: base.value(z) * 2.0**1000,
+                    gradient=base.gradient)
+        x_m1, x0 = np.array([2e4, 0.0]), np.array([1.0, 0.0])
+        params, stop = MomentumParams(0.1, 0.5, 0.2, delta=1e6), StopRules(max_iters=5)
+        with np.errstate(over="ignore"):
+            tr = run(p, x_m1, x0, params, stop)
+            points, f, grads, reason = reference_run(p, x_m1, x0, params, stop)
+        assert tr.stop_reason == reason == "diverged" and tr.num_steps == 1
+        assert np.array_equal(tr.points, points)
+        assert np.array_equal(tr.f, f) and np.array_equal(tr.grads, grads)
 
     def test_trace_roundtrip(self, tmp_path):
         p = synthetic("quadratic")
