@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -72,8 +73,11 @@ def _say(args, msg: str) -> None:
         print(msg, file=sys.stderr)
 
 
-def _prepare(cfg: ExperimentConfig, args, seed_offset: int = 0):
-    """Resolve init, Lipschitz constants, and the final step size."""
+def _prepare(cfg: ExperimentConfig, alpha: float | None, seed_offset: int = 0):
+    """Resolve init, Lipschitz constants, and the final step size.
+
+    alpha, when given, overrides the config's step size.
+    """
     x0, seeds = cfg.resolve_x0(seed_offset)
     if cfg.x_minus1_spec is not None:
         x_m1 = np.asarray(cfg.x_minus1_spec, dtype=float)
@@ -94,18 +98,16 @@ def _prepare(cfg: ExperimentConfig, args, seed_offset: int = 0):
     )
     seeds["lipschitz_seed"] = cfg.lipschitz_seed
 
-    if args.alpha is not None:
-        alpha = args.alpha
-    elif cfg.alpha_spec == "auto":
-        alpha = 0.9 * safe_alpha(M, cfg.momentum_params(1e-6))
-    else:
+    if alpha is None:
         alpha = cfg.alpha_spec
+    if alpha == "auto":
+        alpha = 0.9 * safe_alpha(M, cfg.momentum_params(1e-6))
     params = cfg.momentum_params(alpha)
     return x0, x_m1, center, radius, L, M, params, seeds
 
 
-def _run_and_certify(cfg: ExperimentConfig, args, seed_offset: int = 0):
-    x0, x_m1, center, radius, L, M, params, seeds = _prepare(cfg, args, seed_offset)
+def _run_and_certify(cfg: ExperimentConfig, alpha: float | None, seed_offset: int = 0):
+    x0, x_m1, center, radius, L, M, params, seeds = _prepare(cfg, alpha, seed_offset)
     stop = cfg.stop
     if math.isinf(stop.box_radius):
         # keep iterates inside the certified ball by default
@@ -182,7 +184,7 @@ def write_trace_csv(path, trace, cert, meta: str) -> None:
 def cmd_run(args) -> int:
     cfg = load_config(args.config, args.seed)
     out = _out_dir(args)
-    trace, cert, results, psi, total_length, seeds = _run_and_certify(cfg, args)
+    trace, cert, results, psi, total_length, seeds = _run_and_certify(cfg, args.alpha)
     meta = f"config_sha256={cfg.config_hash} seeds={json.dumps(seeds, sort_keys=True)}"
 
     write_trace_csv(out / "trace.csv", trace, cert, meta)
@@ -291,22 +293,16 @@ def cmd_saddle(args) -> int:
         if cfg.saddle["point"] == "origin"
         else np.asarray(cfg.saddle["point"], dtype=float)
     )
-    gn = float(np.linalg.norm(cfg.problem.gradient(point)))
-    if gn > 1e-8:
-        print(f"error: candidate point is not critical: ||grad f|| = {gn:.3e}",
-              file=sys.stderr)
-        return EXIT_ERROR
-
-    # probe step size: alpha 'auto' uses both ceilings
+    # probe step size: alpha 'auto' uses both ceilings; the analysis rejects
+    # a point that is not critical, naming ||grad f||
     probe = cfg.momentum_params(1e-6)
     analysis = analyze_critical_point(cfg.problem, point, probe)
     m_tilde = float(np.max(np.abs(analysis.hessian_eigs)))
-    if cfg.alpha_spec == "auto" and args.alpha is None:
+    alpha = cfg.alpha_spec if args.alpha is None else args.alpha
+    if alpha == "auto":
         alpha = 0.9 * min(
             safe_alpha(max(m_tilde, 1e-12), probe), saddle_safe_alpha(m_tilde, probe)
         )
-    else:
-        alpha = args.alpha if args.alpha is not None else cfg.alpha_spec
     params = cfg.momentum_params(alpha)
     # report map spectrum at the step size actually used
     analysis = analyze_critical_point(cfg.problem, point, params)
@@ -349,44 +345,27 @@ def cmd_sweep(args) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep: section required for the sweep command")
     out = _out_dir(args)
-    grid = [
-        (a, b, g, s)
-        for a in cfg.sweep["alphas"]
-        for b in cfg.sweep["betas"]
-        for g in cfg.sweep["gammas"]
-        for s in cfg.sweep["seeds"]
-    ]
-
-    def one_cell(cell):
-        a, b, g, s = cell
-        raw = dict(cfg.raw)
-        raw["params"] = dict(raw.get("params", {}), alpha=a if a != "auto" else "auto",
-                             beta=b, gamma=g)
-        raw.pop("sweep", None)
-        from .config import parse_config
-
-        sub = parse_config(raw)
-        sub_args = argparse.Namespace(alpha=None, quiet=True, out=None)
-        trace, cert, results, _, total_length, _ = _run_and_certify(sub, sub_args, seed_offset=s)
+    rows = []
+    for a, b, g, s in cfg.sweep:
+        cell = dataclasses.replace(cfg, alpha_spec=a, beta=b, gamma=g)
+        trace, cert, results, _, total_length, _ = _run_and_certify(cell, None, seed_offset=s)
         descent = cert.per_step.get("descent")
-        return [
+        rows.append([
             _fmt(cert.params.alpha), _fmt(b), _fmt(g), s,
             int(trace.stop_reason == "grad_tol"),
             _fmt(total_length),
             _fmt(descent.min_slack) if descent is not None and descent.n_certified else "",
             _fmt(results["rate"].sup_product) if "rate" in results else "",
-        ]
+        ])
 
-    rows = [one_cell(c) for c in grid]
-
-    meta = f"config_sha256={cfg.config_hash} cells={len(grid)}"
+    meta = f"config_sha256={cfg.config_hash} cells={len(rows)}"
     _write_csv(
         out / "sweep.csv",
         ["alpha", "beta", "gamma", "seed", "converged", "length", "min_slack", "rate_sup"],
         rows,
         meta,
     )
-    _say(args, f"swept {len(grid)} cells; outputs in {out}")
+    _say(args, f"swept {len(rows)} cells; outputs in {out}")
     return EXIT_OK
 
 
@@ -403,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="YAML experiment config")
         sp.add_argument("--out", default=None, help="output directory (default $MOMLAB_OUT)")
         sp.add_argument("--seed", type=int, default=None, help="override problem seed")
-        sp.add_argument("--alpha", type=float, default=None, help="override step size")
+        if fn in (cmd_run, cmd_saddle):  # track and sweep take their step sizes from the config
+            sp.add_argument("--alpha", type=float, default=None, help="override step size")
         sp.add_argument("--quiet", action="store_true")
         sp.set_defaults(fn=fn)
     return parser

@@ -9,12 +9,12 @@ Schema (defaults in parentheses):
     problem:
       kind: quadratic | indefinite_quadratic | quartic |
             matrix_factorization | matrix_sensing | linear_network
-      dim: 2                 # synthetic fixtures
+      dim: 2                 # quadratic only
       m: 3; n: 3; rank: 1    # factorization / sensing shapes
       p: 6                   # sensing measurement count
       widths: [2, 3, 3, 2]   # linear network layer widths
       samples: 4             # data columns for linear networks
-      seed: 0                # instance seed for random data
+      seed: 0                # instance seed for random data (any kind)
     params:
       alpha: auto | float    # auto = 0.9 * safe step bound
       beta: 0.0
@@ -22,7 +22,7 @@ Schema (defaults in parentheses):
       preset: generic | heavy_ball | nesterov
       delta: 0.0
     init:
-      x0: [..] | {random: {radius: r, seed: s}}
+      x0: [..] | {random: {radius: 1.0, seed: 0}}
       x_minus1: [..]         # optional; default respects delta
     lipschitz:
       mode: sampled (default) | analytic
@@ -36,6 +36,14 @@ Schema (defaults in parentheses):
     track: {horizon: 1.0, alphas: [..]}          # cmd_track only
     saddle: {point: origin | [..], radius: 1e-3, trials: 100, seed: 0}
     sweep: {alphas: [..], betas: [..], gammas: [..], seeds: [..]}
+
+Every key a section does not list is rejected, and so are problem keys
+that the chosen kind does not use. Vectors must have problem-dim entries,
+seeds are integers >= 0 and sizes integers >= 1.
+A sweep cell is the config with its (alpha, beta, gamma) replaced; under a
+heavy_ball or nesterov preset each cell's gamma follows the preset (0, or
+the cell's beta), so sweep.gammas may be left out, and a value that
+contradicts the preset is rejected before any cell runs.
 """
 
 from __future__ import annotations
@@ -63,6 +71,16 @@ KNOWN_CHECKS = ("descent", "grad_bounds", "step_bounds", "rate", "length", "kl_f
 GAMMA_CAP = 10.0  # harness limit: extreme gamma blows up the estimation ball
 DEFAULT_M_CRIT = {"quadratic": 1, "indefinite_quadratic": 1, "quartic": 1}
 
+# problem keys beyond kind and seed, by kind; a key the kind does not use is rejected
+PROBLEM_KEYS = {
+    "quadratic": ("dim",),
+    "indefinite_quadratic": (),
+    "quartic": (),
+    "matrix_factorization": ("m", "n", "rank"),
+    "matrix_sensing": ("m", "n", "rank", "p"),
+    "linear_network": ("widths", "samples"),
+}
+
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
@@ -72,6 +90,20 @@ def _need(section: dict, key: str, path: str):
     if key not in section:
         raise ConfigError(f"{path}.{key}: missing required field")
     return section[key]
+
+
+def _mapping(value, path: str, known) -> dict:
+    """value as a mapping whose keys all appear in known; None reads as {}."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {value!r}")
+    for key in value:
+        if key not in known:
+            raise ConfigError(
+                f"{path}.{key}: unknown key; known: {', '.join(known) or 'none'}"
+            )
+    return value
 
 
 def _as_float(v, path):
@@ -85,6 +117,66 @@ def _as_int(v, path):
     if not isinstance(v, int) or isinstance(v, bool):
         raise ConfigError(f"{path}: expected an integer, got {v!r}")
     return v
+
+
+def _int_at_least(v, path, low: int) -> int:
+    v = _as_int(v, path)
+    if v < low:
+        raise ConfigError(f"{path}: must be >= {low}, got {v}")
+    return v
+
+
+def _positive(v, path) -> float:
+    v = _as_float(v, path)
+    if not v > 0:  # NaN fails too
+        raise ConfigError(f"{path}: must be positive, got {v}")
+    return v
+
+
+def _nonnegative(v, path) -> float:
+    v = _as_float(v, path)
+    if not v >= 0:
+        raise ConfigError(f"{path}: must be >= 0, got {v}")
+    return v
+
+
+def _vector(v, dim: int, path: str) -> list:
+    """A list of dim numbers, returned unchanged."""
+    if not isinstance(v, list):
+        raise ConfigError(f"{path}: expected a list of {dim} numbers, got {v!r}")
+    try:
+        shape = np.asarray(v, dtype=float).shape
+    except (TypeError, ValueError):
+        shape = None
+    if shape != (dim,):
+        raise ConfigError(f"{path}: expected a list of {dim} numbers (problem dim), got {v!r}")
+    return v
+
+
+def _cell_gamma(preset: str, beta: float, gamma, beta_path: str, gamma_path: str) -> float:
+    """The gamma of one (beta, gamma) pair, checked against preset.
+
+    Checks params and every sweep cell alike. heavy_ball fixes gamma at 0
+    and nesterov at beta; gamma None takes that value (0 under generic),
+    and a given gamma must agree with it.
+    """
+    if not -1 < beta < 1:
+        raise ConfigError(f"{beta_path}: must lie in (-1, 1), got {beta}")
+    if preset == "generic":
+        gamma = 0.0 if gamma is None else gamma
+    else:
+        fixed = beta if preset == "nesterov" else 0.0
+        if gamma is not None and gamma != fixed:
+            raise ConfigError(
+                f"{gamma_path}: conflicts with preset {preset!r}, which sets gamma = {fixed}"
+            )
+        gamma = fixed
+    if abs(gamma) > GAMMA_CAP:
+        raise ConfigError(
+            f"{gamma_path}: |gamma| capped at {GAMMA_CAP} by this harness "
+            "(estimation balls grow with |gamma|)"
+        )
+    return gamma
 
 
 @dataclass
@@ -108,7 +200,7 @@ class ExperimentConfig:
     notes: list = field(default_factory=list)
     track: Optional[dict] = None
     saddle: Optional[dict] = None
-    sweep: Optional[dict] = None
+    sweep: Optional[list] = None  # cells (alpha_spec, beta, gamma, seed), grid order
 
     @property
     def config_hash(self) -> str:
@@ -125,38 +217,39 @@ class ExperimentConfig:
             radius = float(spec.get("radius", 1.0))
             x0 = rng.uniform(-radius, radius, size=self.problem.dim)
             return x0, {"init_seed": seed, "init_radius": radius}
-        x0 = np.asarray(self.x0_spec, dtype=float)
-        if x0.shape != (self.problem.dim,):
-            raise ConfigError(
-                f"init.x0: length {x0.size} does not match problem dim {self.problem.dim}"
-            )
-        return x0, {}
+        return np.asarray(self.x0_spec, dtype=float), {}
 
     def momentum_params(self, alpha: float) -> MomentumParams:
         return MomentumParams(alpha, self.beta, self.gamma, self.preset, self.delta)
 
 
-def _build_problem(section: dict) -> tuple[Problem, list]:
+def _build_problem(section) -> tuple[Problem, list]:
     notes = []
+    if not isinstance(section, dict):
+        raise ConfigError(f"problem: expected a mapping, got {section!r}")
     kind = _need(section, "kind", "problem")
-    seed = section.get("seed", 0)
+    if kind not in PROBLEM_KEYS:
+        raise ConfigError(f"problem.kind: unknown kind {kind!r}")
+    _mapping(section, "problem", ("kind", "seed") + PROBLEM_KEYS[kind])
+    seed = _int_at_least(section.get("seed", 0), "problem.seed", 0)
     rng = np.random.default_rng(seed)
-    if kind in ("quadratic", "indefinite_quadratic", "quartic"):
-        dim = section.get("dim", 2 if kind != "quartic" else 1)
-        return synthetic(kind, dim=_as_int(dim, "problem.dim")), notes
+    if kind == "quadratic":
+        return synthetic(kind, dim=_int_at_least(section.get("dim", 2), "problem.dim", 1)), notes
+    if kind in ("indefinite_quadratic", "quartic"):
+        return synthetic(kind), notes
     if kind == "matrix_factorization":
-        m = _as_int(section.get("m", 3), "problem.m")
-        n = _as_int(section.get("n", 3), "problem.n")
-        r = _as_int(section.get("rank", 1), "problem.rank")
+        m = _int_at_least(section.get("m", 3), "problem.m", 1)
+        n = _int_at_least(section.get("n", 3), "problem.n", 1)
+        r = _int_at_least(section.get("rank", 1), "problem.rank", 1)
         M = rng.standard_normal((m, n))
         prob = matrix_factorization(M, r)
         prob.info["seed"] = seed
         return prob, notes
     if kind == "matrix_sensing":
-        m = _as_int(section.get("m", 3), "problem.m")
-        n = _as_int(section.get("n", 3), "problem.n")
-        r = _as_int(section.get("rank", 1), "problem.rank")
-        p = _as_int(section.get("p", 6), "problem.p")
+        m = _int_at_least(section.get("m", 3), "problem.m", 1)
+        n = _int_at_least(section.get("n", 3), "problem.n", 1)
+        r = _int_at_least(section.get("rank", 1), "problem.rank", 1)
+        p = _int_at_least(section.get("p", 6), "problem.p", 1)
         A = [rng.standard_normal((m, n)) for _ in range(p)]
         X = rng.standard_normal((m, r))
         Y = rng.standard_normal((n, r))
@@ -169,17 +262,16 @@ def _build_problem(section: dict) -> tuple[Problem, list]:
             "boundedness of gradient trajectories is assumed, not verified"
         )
         return prob, notes
-    if kind == "linear_network":
-        widths = section.get("widths", [2, 3, 3, 2])
-        if not isinstance(widths, list) or len(widths) < 2:
-            raise ConfigError("problem.widths: expected a list of at least two widths")
-        cols = _as_int(section.get("samples", 4), "problem.samples")
-        Xb = rng.standard_normal((int(widths[0]), cols))
-        Yb = rng.standard_normal((int(widths[-1]), cols))
-        prob = linear_network(Xb, Yb, widths)
-        prob.info["seed"] = seed
-        return prob, notes
-    raise ConfigError(f"problem.kind: unknown kind {kind!r}")
+    widths = section.get("widths", [2, 3, 3, 2])
+    if not isinstance(widths, list) or len(widths) < 2:
+        raise ConfigError("problem.widths: expected a list of at least two widths")
+    widths = [_int_at_least(w, "problem.widths", 1) for w in widths]
+    cols = _int_at_least(section.get("samples", 4), "problem.samples", 1)
+    Xb = rng.standard_normal((widths[0], cols))
+    Yb = rng.standard_normal((widths[-1], cols))
+    prob = linear_network(Xb, Yb, widths)
+    prob.info["seed"] = seed
+    return prob, notes
 
 
 def load_config(path, seed: Optional[int] = None) -> ExperimentConfig:
@@ -198,69 +290,89 @@ def load_config(path, seed: Optional[int] = None) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def parse_config(raw: dict) -> ExperimentConfig:
-    problem, notes = _build_problem(_need(raw, "problem", "<top>"))
+def _parse_sweep(sweep, alpha_spec, beta: float, gamma, preset: str) -> list:
+    """Every cell (alpha_spec, beta, gamma, seed) of the grid, each one checked.
 
-    pz = raw.get("params", {})
+    A left-out list holds the params value; gamma None follows the preset.
+    """
+    _mapping(sweep, "sweep", ("alphas", "betas", "gammas", "seeds"))
+
+    def grid_list(key, fallback):
+        v = sweep.get(key, fallback)
+        if not isinstance(v, list) or not v:
+            raise ConfigError(f"sweep.{key}: expected a non-empty list")
+        return v
+
+    alphas = [
+        a if a == "auto" else _positive(a, "sweep.alphas")
+        for a in grid_list("alphas", [alpha_spec])
+    ]
+    betas = [_as_float(b, "sweep.betas") for b in grid_list("betas", [beta])]
+    gammas = [None if g is None else _as_float(g, "sweep.gammas")
+              for g in grid_list("gammas", [gamma])]
+    seeds = [_int_at_least(s, "sweep.seeds", 0) for s in grid_list("seeds", [0])]
+    cells = len(alphas) * len(betas) * len(gammas) * len(seeds)
+    if cells > 10_000:
+        raise ConfigError(f"sweep: grid has {cells} cells, limit is 10000")
+    return [
+        (a, b, _cell_gamma(preset, b, g, "sweep.betas", "sweep.gammas"), s)
+        for a in alphas for b in betas for g in gammas for s in seeds
+    ]
+
+
+def parse_config(raw: dict) -> ExperimentConfig:
+    _mapping(raw, "<top>", ("problem", "params", "init", "lipschitz", "stop", "checks",
+                            "m_crit", "track", "saddle", "sweep"))
+    problem, notes = _build_problem(_need(raw, "problem", "<top>"))
+    dim = problem.dim
+
+    pz = _mapping(raw.get("params"), "params", ("alpha", "beta", "gamma", "preset", "delta"))
     alpha_spec = pz.get("alpha", "auto")
     if alpha_spec != "auto":
-        alpha_spec = _as_float(alpha_spec, "params.alpha")
-        if alpha_spec <= 0:
-            raise ConfigError("params.alpha: must be positive or 'auto'")
+        alpha_spec = _positive(alpha_spec, "params.alpha")
     beta = _as_float(pz.get("beta", 0.0), "params.beta")
-    if not -1 < beta < 1:
-        raise ConfigError(f"params.beta: must lie in (-1, 1), got {beta}")
     preset = pz.get("preset", "generic")
-    if preset == "heavy_ball":
-        gamma = 0.0
-    elif preset == "nesterov":
-        gamma = beta
-    elif preset == "generic":
-        gamma = _as_float(pz.get("gamma", 0.0), "params.gamma")
-    else:
+    if preset not in ("generic", "heavy_ball", "nesterov"):
         raise ConfigError(f"params.preset: unknown preset {preset!r}")
-    if "gamma" in pz and preset in ("heavy_ball", "nesterov"):
-        if _as_float(pz["gamma"], "params.gamma") != gamma:
-            raise ConfigError(f"params.gamma: conflicts with preset {preset!r}")
-    if abs(gamma) > GAMMA_CAP:
-        raise ConfigError(
-            f"params.gamma: |gamma| capped at {GAMMA_CAP} by this harness "
-            "(estimation balls grow with |gamma|)"
-        )
-    delta = _as_float(pz.get("delta", 0.0), "params.delta")
-    if delta < 0:
-        raise ConfigError("params.delta: must be nonnegative")
+    gamma_given = None if "gamma" not in pz else _as_float(pz["gamma"], "params.gamma")
+    gamma = _cell_gamma(preset, beta, gamma_given, "params.beta", "params.gamma")
+    delta = _nonnegative(pz.get("delta", 0.0), "params.delta")
 
-    init = raw.get("init", {})
+    init = _mapping(raw.get("init"), "init", ("x0", "x_minus1"))
     x0_spec = init.get("x0", {"random": {"radius": 1.0, "seed": 0}})
     if isinstance(x0_spec, dict):
+        _mapping(x0_spec, "init.x0", ("random",))
         if "random" not in x0_spec:
             raise ConfigError("init.x0: mapping form must be {random: {radius, seed}}")
-    elif not isinstance(x0_spec, list):
-        raise ConfigError("init.x0: expected a list or {random: ...}")
+        spec = _mapping(x0_spec["random"], "init.x0.random", ("radius", "seed"))
+        _positive(spec.get("radius", 1.0), "init.x0.random.radius")
+        _int_at_least(spec.get("seed", 0), "init.x0.random.seed", 0)
+        x0_spec = {"random": spec}
+    else:
+        _vector(x0_spec, dim, "init.x0")
     x_minus1 = init.get("x_minus1")
-    if x_minus1 is not None and not isinstance(x_minus1, list):
-        raise ConfigError("init.x_minus1: expected a list")
+    if x_minus1 is not None:
+        _vector(x_minus1, dim, "init.x_minus1")
 
-    lz = raw.get("lipschitz", {})
+    lz = _mapping(raw.get("lipschitz"), "lipschitz", ("mode", "radius", "center", "seed"))
     # alpha 'auto' always has a Lipschitz route: mode defaults to sampled
     mode = lz.get("mode", "sampled")
     if mode not in ("sampled", "analytic"):
         raise ConfigError(f"lipschitz.mode: expected sampled|analytic, got {mode!r}")
     radius = lz.get("radius")
-    radius = None if radius is None else _as_float(radius, "lipschitz.radius")
-    if radius is not None and radius <= 0:
-        raise ConfigError("lipschitz.radius: must be positive")
+    if radius is not None:
+        radius = _positive(radius, "lipschitz.radius")
     center = lz.get("center", "x0")
-    if not (center in ("x0", "origin") or isinstance(center, list)):
-        raise ConfigError("lipschitz.center: expected x0|origin|[..]")
+    if center not in ("x0", "origin"):
+        if not isinstance(center, list):
+            raise ConfigError("lipschitz.center: expected x0|origin|[..]")
+        _vector(center, dim, "lipschitz.center")
 
-    sz = raw.get("stop", {})
+    sz = _mapping(raw.get("stop"), "stop", ("max_iters", "grad_tol", "box_radius"))
     stop = StopRules(
-        max_iters=_as_int(sz.get("max_iters", 2000), "stop.max_iters"),
-        grad_tol=_as_float(sz.get("grad_tol", 0.0), "stop.grad_tol"),
-        box_radius=_as_float(sz["box_radius"], "stop.box_radius")
-        if "box_radius" in sz
+        max_iters=_int_at_least(sz.get("max_iters", 2000), "stop.max_iters", 0),
+        grad_tol=_nonnegative(sz.get("grad_tol", 0.0), "stop.grad_tol"),
+        box_radius=_positive(sz["box_radius"], "stop.box_radius") if "box_radius" in sz
         else np.inf,
     )
 
@@ -278,59 +390,38 @@ def parse_config(raw: dict) -> ExperimentConfig:
             f"m_crit defaulted to {default_m} for {kind}: the exact critical-value "
             "count is problem dependent and only finiteness is guaranteed"
         )
-    m_crit = _as_int(raw.get("m_crit", default_m), "m_crit")
-    if m_crit < 1:
-        raise ConfigError("m_crit: must be >= 1")
+    m_crit = _int_at_least(raw.get("m_crit", default_m), "m_crit", 1)
 
     track = raw.get("track")
     if track is not None:
+        _mapping(track, "track", ("horizon", "alphas"))
         alphas = track.get("alphas")
         if not isinstance(alphas, list) or len(alphas) < 2:
             raise ConfigError("track.alphas: need at least two step sizes for a slope")
         track = {
-            "horizon": _as_float(track.get("horizon", 1.0), "track.horizon"),
-            "alphas": [_as_float(a, "track.alphas") for a in alphas],
+            "horizon": _positive(track.get("horizon", 1.0), "track.horizon"),
+            "alphas": [_positive(a, "track.alphas") for a in alphas],
         }
 
     saddle = raw.get("saddle")
     if saddle is not None:
+        _mapping(saddle, "saddle", ("point", "radius", "trials", "seed"))
         point = saddle.get("point", "origin")
-        if not (point == "origin" or isinstance(point, list)):
-            raise ConfigError("saddle.point: expected origin|[..]")
+        if point != "origin":
+            if not isinstance(point, list):
+                raise ConfigError("saddle.point: expected origin|[..]")
+            _vector(point, dim, "saddle.point")
         saddle = {
             "point": point,
-            "radius": _as_float(saddle.get("radius", 1e-3), "saddle.radius"),
-            "trials": _as_int(saddle.get("trials", 100), "saddle.trials"),
-            "seed": _as_int(saddle.get("seed", 0), "saddle.seed"),
+            "radius": _positive(saddle.get("radius", 1e-3), "saddle.radius"),
+            "trials": _int_at_least(saddle.get("trials", 100), "saddle.trials", 1),
+            "seed": _int_at_least(saddle.get("seed", 0), "saddle.seed", 0),
         }
-        if saddle["trials"] < 1:
-            raise ConfigError("saddle.trials: must be >= 1")
 
     sweep = raw.get("sweep")
     if sweep is not None:
-        def grid_list(key, fallback):
-            v = sweep.get(key, fallback)
-            if not isinstance(v, list) or not v:
-                raise ConfigError(f"sweep.{key}: expected a non-empty list")
-            return v
-
-        alphas = [
-            a if a == "auto" else _as_float(a, "sweep.alphas")
-            for a in grid_list("alphas", ["auto"])
-        ]
-        sweep = {
-            "alphas": alphas,
-            "betas": [_as_float(b, "sweep.betas") for b in grid_list("betas", [beta])],
-            "gammas": [_as_float(g, "sweep.gammas") for g in grid_list("gammas", [gamma])],
-            "seeds": [_as_int(s, "sweep.seeds") for s in grid_list("seeds", [0])],
-        }
-        cells = (
-            len(sweep["alphas"]) * len(sweep["betas"]) * len(sweep["gammas"]) * len(sweep["seeds"])
-        )
-        if cells == 0:
-            raise ConfigError("sweep: empty grid")
-        if cells > 10_000:
-            raise ConfigError(f"sweep: grid has {cells} cells, limit is 10000")
+        sweep = _parse_sweep(sweep, alpha_spec, beta,
+                             gamma if preset == "generic" else None, preset)
 
     return ExperimentConfig(
         raw=raw,
@@ -345,7 +436,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         lipschitz_mode=mode,
         lipschitz_radius=radius,
         lipschitz_center=center,
-        lipschitz_seed=_as_int(lz.get("seed", 0), "lipschitz.seed"),
+        lipschitz_seed=_int_at_least(lz.get("seed", 0), "lipschitz.seed", 0),
         stop=stop,
         checks=tuple(checks),
         m_crit=m_crit,

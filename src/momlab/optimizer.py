@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -101,7 +102,9 @@ class Trace:
     """Full iterate history x_{-1}, x_0, ..., x_K with per-step diagnostics.
 
     points[i] is x_{i-1}; f/grad arrays align with points. Step arrays have
-    one entry per executed step k = 0..K-1.
+    one entry per executed step k = 0..K-1. A trace's arrays are not mutated
+    after run() returns it: step_norms is computed on first use and cached
+    (read-only), so a changed trajectory needs a new Trace.
     """
 
     points: np.ndarray          # (K+2, dim)
@@ -128,10 +131,12 @@ class Trace:
     def grad_norms(self) -> np.ndarray:
         return np.linalg.norm(self.grads, axis=1)
 
-    @property
+    @cached_property
     def step_norms(self) -> np.ndarray:
         """||x_{k+1} - x_k|| for k = -1..K-1 (length K+1)."""
-        return _norms_in_place(np.diff(self.points, axis=0))
+        norms = _norms_in_place(np.diff(self.points, axis=0))
+        norms.flags.writeable = False
+        return norms
 
     def replay_residuals(self, problem: Problem) -> np.ndarray:
         """Residual of the update recursion at each stored step.

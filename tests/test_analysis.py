@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import make_problem
@@ -156,8 +158,7 @@ class TestMeasureLength:
         _, trace, _ = quadratic_run(iters=50)
         total, _ = measure_length(trace)
         perm = np.random.default_rng(0).permutation(trace.dim)
-        shuffled = trace
-        shuffled.points = trace.points[:, perm]
+        shuffled = dataclasses.replace(trace, points=trace.points[:, perm])
         total2, _ = measure_length(shuffled)
         assert total2 == pytest.approx(total, rel=1e-15)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from momlab import config as momlab_config
 from momlab.cli import main
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -198,6 +199,16 @@ class TestFlags:
         a = (tmp_path / "a" / "trace.csv").read_bytes()
         assert a == (tmp_path / "b" / "trace.csv").read_bytes()
 
+    @pytest.mark.parametrize("command, config", [
+        ("sweep", "quadratic_sweep.yaml"), ("track", "quadratic_track.yaml")])
+    def test_alpha_flag_rejected_where_config_sets_step_sizes(
+            self, tmp_path, capsys, command, config):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(CONFIG_DIR / config), "--out", str(tmp_path / "out"),
+                  "--alpha", "0.1", "--quiet"])
+        assert exc.value.code == 2
+        assert "--alpha" in capsys.readouterr().err
+
     def test_seed_override_bad_config_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "params: {alpha: 0.1}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
@@ -316,6 +327,16 @@ class TestSweepCommand:
         lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert lines[1] == "alpha,beta,gamma,seed,converged,length,min_slack,rate_sup"
         assert len(lines) == 2 + 9
+
+    def test_one_parse_per_sweep(self, tmp_path, monkeypatch):
+        calls = []
+        parse = momlab_config.parse_config
+        monkeypatch.setattr(momlab_config, "parse_config",
+                            lambda raw: calls.append(raw) or parse(raw))
+        assert main(["sweep", "--config", str(CONFIG_DIR / "quadratic_sweep.yaml"),
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        assert len(calls) == 1
+        assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 2 + 9
 
     def test_empty_grid_rejected(self, tmp_path):
         cfg = write_config(tmp_path, """

@@ -68,3 +68,15 @@ def test_gamma_free_tracking_matches_golden_digest(tmp_path):
     assert sha256(out / "tracking.csv") == (
         "4cb498d33c130855687739f662744c8495f6efee9714b1325d56ff62b13517e7"
     )
+
+
+@pytest.mark.parametrize("command, config, output, digest", [
+    ("sweep", "quadratic_sweep.yaml", "sweep.csv",
+     "eb05ab6e1dc6c0e36a8b172a1d13fe8b0d4b21a984c7627b4c5861f847e8e59f"),
+    ("saddle", "indefinite_saddle.yaml", "escape.json",
+     "fc9a92ab442ea40fba745ee807f0351f80d0dbb3b050b6c6d2356a83826acf6d"),
+])
+def test_shipped_outputs_match_golden_digests(command, config, output, digest, tmp_path):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(CONFIG_DIR / config), "--out", str(out), "--quiet"]) == 0
+    assert sha256(out / output) == digest

@@ -6,6 +6,7 @@ from conftest import make_problem
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momlab import gradient_flow
 from momlab import (
     MomentumParams,
     StopRules,
@@ -170,6 +171,25 @@ class TestTrackingError:
         maxes, slope = tracking_ladder(p, x0, 0.5, alphas=[0.01, 0.005, 0.0025], horizon=1.0)
         assert np.all(np.diff(maxes) < 0)
         assert slope >= 0.9
+
+    def test_ladder_integrates_the_flow_once(self, monkeypatch):
+        calls = []
+        integrate = gradient_flow.integrate_flow
+        monkeypatch.setattr(gradient_flow, "integrate_flow",
+                            lambda *a, **k: calls.append(a) or integrate(*a, **k))
+        p = make_problem("matrix_factorization", seed=8)
+        x0 = np.random.default_rng(0).standard_normal(p.dim) * 0.4
+        alphas, beta, gamma = [0.01, 0.005, 0.0025], 0.5, 0.3
+        maxes, _ = tracking_ladder(p, x0, beta, alphas, horizon=1.0, gamma=gamma)
+        assert len(calls) == 1
+        # each rung equals tracking_error against its own flow, bit for bit
+        g0 = p.gradient(x0)
+        for alpha, m in zip(alphas, maxes):
+            params = MomentumParams(alpha, beta, gamma,
+                                    delta=2.0 * float(np.linalg.norm(g0)) * (1.0 + 1e-9))
+            trace = run(p, x0 + alpha * 2.0 * g0, x0, params,
+                        StopRules(max_iters=int(math.floor(1.0 / alpha)) + 1))
+            assert tracking_error(p, trace, horizon=1.0)[1] == m
 
 
 class TestTrackingConstants:

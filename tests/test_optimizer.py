@@ -187,6 +187,14 @@ class TestRun:
         assert np.array_equal(tr.points, points)
         assert np.array_equal(tr.f, f) and np.array_equal(tr.grads, grads)
 
+    def test_step_norms_computed_once(self):
+        p = synthetic("quadratic")
+        x0 = np.array([1.0, 0.5])
+        tr = run(p, x0, x0, MomentumParams(alpha=0.1, beta=0.2), StopRules(max_iters=20))
+        sn = tr.step_norms
+        assert tr.step_norms is sn and not sn.flags.writeable
+        assert np.array_equal(sn, np.linalg.norm(np.diff(tr.points, axis=0), axis=1))
+
     def test_trace_roundtrip(self, tmp_path):
         p = synthetic("quadratic")
         x0 = np.array([1.0, 0.5])
