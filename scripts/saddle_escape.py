@@ -27,15 +27,15 @@ from momlab import (
 
 def study(problem, saddle, beta, radius, trials, seed, box):
     probe = MomentumParams(1e-6, beta)
-    m_tilde = float(np.max(np.abs(
-        analyze_critical_point(problem, saddle, probe).hessian_eigs
-    )))
+    analysis = analyze_critical_point(problem, saddle, probe)
+    m_tilde = float(np.max(np.abs(analysis.hessian_eigs)))
     _, M = estimate_lipschitz(problem, saddle, 4.0, reach=beta, seed=0)
     alpha = 0.9 * min(safe_alpha(M, probe), saddle_safe_alpha(m_tilde, probe))
-    analysis = analyze_critical_point(problem, saddle, MomentumParams(alpha, beta))
+    params = MomentumParams(alpha, beta)
+    analysis = analysis.for_params(params)
     exp = escape_experiment(
-        problem, saddle, MomentumParams(alpha, beta), radius=radius, trials=trials,
-        seed=seed, stop=StopRules(max_iters=40000, grad_tol=1e-9, box_radius=box),
+        problem, saddle, params, radius=radius, trials=trials, seed=seed,
+        stop=StopRules(max_iters=40000, grad_tol=1e-9, box_radius=box), analysis=analysis,
     )
     print(f"{problem.name:28s} rho(F')={analysis.map_spectral_radius:.4f} alpha={alpha:.2e} "
           f"escape={exp.escape_fraction:.3f} at_saddle={exp.n_at_saddle} "

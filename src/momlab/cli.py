@@ -304,8 +304,9 @@ def cmd_saddle(args) -> int:
             safe_alpha(max(m_tilde, 1e-12), probe), saddle_safe_alpha(m_tilde, probe)
         )
     params = cfg.momentum_params(alpha)
-    # report map spectrum at the step size actually used
-    analysis = analyze_critical_point(cfg.problem, point, params)
+    # report map spectrum at the step size actually used; the Hessian
+    # spectrum does not depend on it
+    analysis = analysis.for_params(params)
 
     report = {
         "meta": {"config_sha256": cfg.config_hash,
@@ -325,6 +326,7 @@ def cmd_saddle(args) -> int:
             seed=cfg.saddle["seed"],
             stop=StopRules(cfg.stop.max_iters, max(cfg.stop.grad_tol, 1e-9),
                            cfg.stop.box_radius if not math.isinf(cfg.stop.box_radius) else 100.0),
+            analysis=analysis,
         )
         exp.to_json(out / "escape.json")
         report["escape_fraction"] = exp.escape_fraction

@@ -43,7 +43,9 @@ seeds are integers >= 0 and sizes integers >= 1.
 A sweep cell is the config with its (alpha, beta, gamma) replaced; under a
 heavy_ball or nesterov preset each cell's gamma follows the preset (0, or
 the cell's beta), so sweep.gammas may be left out, and a value that
-contradicts the preset is rejected before any cell runs.
+contradicts the preset is rejected before any cell runs. A sweep seed
+offsets only the random init.x0 seed, so sweep.seeds must not repeat and
+holds one seed when init.x0 is a list.
 """
 
 from __future__ import annotations
@@ -290,10 +292,12 @@ def load_config(path, seed: Optional[int] = None) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def _parse_sweep(sweep, alpha_spec, beta: float, gamma, preset: str) -> list:
+def _parse_sweep(sweep, alpha_spec, beta: float, gamma, preset: str, random_x0: bool) -> list:
     """Every cell (alpha_spec, beta, gamma, seed) of the grid, each one checked.
 
     A left-out list holds the params value; gamma None follows the preset.
+    A seed moves only the random init.x0, so seeds must differ and, with a
+    list init.x0, there can be only one.
     """
     _mapping(sweep, "sweep", ("alphas", "betas", "gammas", "seeds"))
 
@@ -314,6 +318,11 @@ def _parse_sweep(sweep, alpha_spec, beta: float, gamma, preset: str) -> list:
     cells = len(alphas) * len(betas) * len(gammas) * len(seeds)
     if cells > 10_000:
         raise ConfigError(f"sweep: grid has {cells} cells, limit is 10000")
+    if len(seeds) > 1 and not random_x0:
+        raise ConfigError("sweep.seeds: init.x0 is a list, so every seed would run the "
+                          "same cell; give one seed or a random init.x0")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError("sweep.seeds: a repeated seed would run the same cell twice")
     return [
         (a, b, _cell_gamma(preset, b, g, "sweep.betas", "sweep.gammas"), s)
         for a in alphas for b in betas for g in gammas for s in seeds
@@ -420,8 +429,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     sweep = raw.get("sweep")
     if sweep is not None:
-        sweep = _parse_sweep(sweep, alpha_spec, beta,
-                             gamma if preset == "generic" else None, preset)
+        sweep = _parse_sweep(sweep, alpha_spec, beta, gamma if preset == "generic" else None,
+                             preset, isinstance(x0_spec, dict))
 
     return ExperimentConfig(
         raw=raw,

@@ -2,7 +2,8 @@
 
 Momentum iterates track this flow at the sampling times k * alpha with an
 O(alpha) error over any fixed horizon. This module integrates the flow with
-an adaptive embedded Runge-Kutta 5(4) pair (scipy's solve_ivp), measures
+the adaptive embedded Dormand-Prince 5(4) pair, a numpy port of scipy's
+solve_ivp(method="RK45") that reproduces its numbers bit for bit, measures
 trajectory arc length, computes discrete-vs-continuous tracking errors, and
 evaluates the explicit tracking constants obtained by diagonalizing the
 momentum companion matrix [[1+beta, -beta], [1, 0]] (x) I_n.
@@ -13,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -50,7 +51,7 @@ class FlowTrajectory:
     grad_norms: np.ndarray
     beta: float
     terminated: str                    # "grad_tol" | "horizon"
-    _dense = None                      # scipy OdeSolution over [0, T], all chunks
+    _dense = None                      # _DenseFlow over every accepted step
 
     @property
     def total_length(self) -> float:
@@ -88,6 +89,168 @@ class FlowTrajectory:
                 w.writerow(row)
 
 
+# Dormand-Prince 5(4) with Shampine's quartic dense output (Dormand and Prince,
+# J. Comput. Appl. Math. 6 (1980); Hairer, Norsett and Wanner, Solving ODEs I,
+# Sec. II.4-II.5). The tableau, the step-size control, the initial step, the
+# RMS error norm, the dense output and the segment lookup mirror, operation for
+# operation, scipy.integrate.solve_ivp(method="RK45", dense_output=True) in
+# scipy's integrate/_ivp/rk.py, common.py and ivp.py (BSD-3-Clause, Copyright
+# (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers), so every time, state
+# and dense-output value equals scipy's bit for bit. The right-hand side is
+# autonomous, so the stage times C are not needed.
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+_SAFETY = 0.9          # multiplies the asymptotic step-size factor
+_MIN_FACTOR = 0.2      # largest decrease of the step size
+_MAX_FACTOR = 10       # largest increase of the step size
+_ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
+_EPS = np.finfo(float).eps
+_ATOL = 1e-12
+
+
+def _rms(v: np.ndarray):
+    return np.linalg.norm(v) / v.size ** 0.5
+
+
+def _initial_step(rhs, y0, f0, interval, rtol):
+    """First step size from two derivative samples (Hairer et al., II.4)."""
+    scale = _ATOL + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    d2 = _rms((rhs(y0 + h0 * f0) - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval)
+
+
+def _interpolate(segment, t: np.ndarray) -> np.ndarray:
+    """Quartic dense output of one step at t (0-d or 1-d)."""
+    t_old, h, Q, y_old = segment
+    x = (t - t_old) / h
+    if t.ndim == 0:
+        return h * np.dot(Q, np.cumprod(np.tile(x, 4))) + y_old
+    y = h * np.dot(Q, np.cumprod(np.tile(x, (4, 1)), axis=0))
+    y += y_old[:, None]
+    return y
+
+
+class _DenseFlow:
+    """Piecewise quartic solution over the accepted steps ts[i] -> ts[i+1].
+
+    A time on a step boundary belongs to the earlier step; times outside
+    [ts[0], ts[-1]] use the first or last step's polynomial.
+    """
+
+    def __init__(self, ts, segments):
+        self.ts = np.asarray(ts)
+        self.segments = segments  # (t_old, h, Q, y_old) per step
+
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t)
+        last = len(self.segments) - 1
+        if t.ndim == 0:
+            i = min(max(int(np.searchsorted(self.ts, t, side="left")) - 1, 0), last)
+            return _interpolate(self.segments[i], t)
+        order = np.argsort(t)
+        t_sorted = t[order]
+        seg = np.clip(np.searchsorted(self.ts, t_sorted, side="left") - 1, 0, last)
+        # one evaluation per run of sorted times in the same step
+        bounds = [0, *(np.flatnonzero(np.diff(seg)) + 1), len(seg)]
+        ys = np.hstack([_interpolate(self.segments[seg[a]], t_sorted[a:b])
+                        for a, b in zip(bounds[:-1], bounds[1:])])
+        out = np.empty_like(ys)
+        out[:, order] = ys
+        return out
+
+
+def _dormand_prince(rhs, ts, ys, segments, t_bound, rtol, event=None) -> bool:
+    """Step y' = rhs(y) from (ts[-1], ys[-1]) to t_bound, appending each step.
+
+    Each accepted step appends its end time to ts, its state to ys and its
+    dense-output segment to segments. With an event, integration stops at the
+    first step over which event(y) falls through zero, at the root of the
+    event along that step's dense output; returns whether that happened.
+    """
+    t, y = ts[-1], ys[-1]
+    first = len(ts)
+    f = rhs(y)
+    h_abs = _initial_step(rhs, y, f, abs(t_bound - t), rtol)
+    K = np.empty((7, y.size))
+    g = None if event is None else event(y)
+    while t < t_bound:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # also stops a NaN step size
+                raise RuntimeError("flow integration failed: Required step size "
+                                   "is less than spacing between numbers.")
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = rhs(y + np.dot(K[:s].T, _A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            f_new = rhs(y_new)
+            K[-1] = f_new
+            scale = _ATOL + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        segment = (t, t_new - t, K.T.dot(_P), y)
+        t, y, f = t_new, y_new, f_new
+        if event is not None:
+            g_new = event(y)
+            if g >= 0 and g_new <= 0:
+                # imported here: only the grad_tol stop rule needs a root finder
+                from scipy.optimize import brentq
+                t = np.float64(brentq(lambda s: event(_interpolate(segment, np.asarray(s))),
+                                      segment[0], t, xtol=4 * _EPS, rtol=4 * _EPS))
+                y = _interpolate(segment, t)
+                if len(ts) == first or t != ts[-1]:  # else the previous step ends there
+                    ts.append(t)
+                    ys.append(y)
+                    segments.append(segment)
+                return True
+            g = g_new
+        ts.append(t)
+        ys.append(y)
+        segments.append(segment)
+    return False
+
+
 def integrate_flow(
     problem: Problem,
     x0,
@@ -95,39 +258,35 @@ def integrate_flow(
     horizon: Optional[float] = None,
     grad_tol: float = 0.0,
     rtol: float = 1e-10,
-    t_eval: Optional[Sequence[float]] = None,
 ) -> FlowTrajectory:
     """Integrate x' = -(1-beta)^{-1} grad f from x0.
 
-    At least one stop rule is required: a finite horizon or grad_tol > 0
+    At least one stop rule is required: a positive horizon or grad_tol > 0
     (then integration proceeds in doubling chunks until the gradient norm
     crosses the tolerance). Raises RuntimeError on integrator failure or a
     non-finite state.
     """
-    # imported here so that loading momlab does not load scipy
-    from scipy.integrate import OdeSolution, solve_ivp
-
     if horizon is None and grad_tol <= 0:
         raise ValueError("need a horizon or a positive grad_tol")
+    if horizon is not None and not horizon > 0:
+        raise ValueError("horizon must be positive")
     if not -1 < beta < 1:
         raise ValueError("beta must lie in (-1, 1)")
     x0 = problem.check_point(x0)
     scale = 1.0 / (1.0 - beta)
     dim = problem.dim
+    rtol = max(rtol, 100 * _EPS)  # solve_ivp's floor on rtol
 
-    def rhs(t, z):
+    def rhs(z):
         g = problem.gradient(z[:dim])
         v = -scale * g
         speed = np.linalg.norm(v)
         return np.concatenate([v, [speed, speed**2]])
 
-    events = None
+    event = None
     if grad_tol > 0:
-        def grad_small(t, z):
+        def event(z):
             return np.linalg.norm(problem.gradient(z[:dim])) - grad_tol
-        grad_small.terminal = True
-        grad_small.direction = -1
-        events = [grad_small]
 
     z0 = np.concatenate([x0, [0.0, 0.0]])
     if np.linalg.norm(problem.gradient(x0)) <= grad_tol:
@@ -139,55 +298,35 @@ def integrate_flow(
             np.array([problem.value(x0)]), np.array([np.linalg.norm(problem.gradient(x0))]),
             beta, "grad_tol",
         )
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 must be finite")
 
     T = horizon if horizon is not None else 1.0
     max_horizon = horizon if horizon is not None else 2.0**20
-    t0 = 0.0
-    sols = []
+    ts, zs, segments = [0.0], [z0], []
     while True:
-        sol = solve_ivp(
-            rhs, (t0, T), z0, method="RK45", rtol=rtol, atol=1e-12,
-            dense_output=True, events=events,
-            t_eval=None if t_eval is None else [t for t in t_eval if t0 <= t <= T],
-        )
-        if not sol.success:
-            raise RuntimeError(f"flow integration failed: {sol.message}")
-        if not np.all(np.isfinite(sol.y)):
+        start = len(zs)
+        hit_tol = _dormand_prince(rhs, ts, zs, segments, T, rtol, event)
+        if not np.all(np.isfinite(zs[start:])):
             raise RuntimeError("flow integration produced non-finite state")
-        sols.append(sol)
-        hit_tol = events is not None and len(sol.t_events[0]) > 0
         if hit_tol or horizon is not None or T >= max_horizon:
             terminated = "grad_tol" if hit_tol else "horizon"
             break
-        # extend the horizon, continuing from the chunk end
-        t0 = sol.t[-1]
-        z0 = sol.y[:, -1]
-        T = 2.0 * T
+        T = 2.0 * T  # extend the horizon, continuing from the chunk end
 
-    times = np.concatenate([s.t if i == 0 else s.t[1:] for i, s in enumerate(sols)])
-    ys = np.concatenate([s.y if i == 0 else s.y[:, 1:] for i, s in enumerate(sols)], axis=1)
-    states = np.ascontiguousarray(ys[:dim, :].T)
-    f_vals = problem.value(states)
-    g_norms = _row_norms(problem.gradient(states))
+    zs = np.array(zs)
+    states = np.ascontiguousarray(zs[:, :dim])
     traj = FlowTrajectory(
-        times=times,
+        times=np.array(ts),
         states=states,
-        arc_length=ys[dim, :],
-        energy=ys[dim + 1, :],
-        f_values=f_vals,
-        grad_norms=g_norms,
+        arc_length=zs[:, dim],
+        energy=zs[:, dim + 1],
+        f_values=problem.value(states),
+        grad_norms=_row_norms(problem.gradient(states)),
         beta=beta,
         terminated=terminated,
     )
-    if len(sols) == 1:
-        traj._dense = sols[0].sol
-    else:
-        # one solution over every chunk's steps; a chunk end belongs to the
-        # chunk it ends, as in each chunk's own solution
-        traj._dense = OdeSolution(
-            np.concatenate([s.sol.ts if i == 0 else s.sol.ts[1:] for i, s in enumerate(sols)]),
-            [f for s in sols for f in s.sol.interpolants],
-        )
+    traj._dense = _DenseFlow(ts, segments)
     return traj
 
 

@@ -16,6 +16,7 @@ points, and randomized initializations escape them almost surely.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -117,6 +118,11 @@ class CriticalPointAnalysis:
     unstable_roots: list = field(default_factory=list)  # (eig index, root) with |root| > 1
     eigs_are_extremes_only: bool = False
 
+    def for_params(self, params: MomentumParams) -> "CriticalPointAnalysis":
+        """The same point and Hessian spectrum, with the map's roots at params."""
+        radius, unstable = _map_roots(self.hessian_eigs, params)
+        return dataclasses.replace(self, map_spectral_radius=radius, unstable_roots=unstable)
+
     def to_dict(self) -> dict:
         return {
             "grad_norm": self.grad_norm,
@@ -128,6 +134,19 @@ class CriticalPointAnalysis:
             ],
             "eigs_are_extremes_only": self.eigs_are_extremes_only,
         }
+
+
+def _map_roots(eigs, params: MomentumParams):
+    """Spectral radius of the map and its roots beyond the unit circle."""
+    radius = 0.0
+    unstable = []
+    for i, d in enumerate(eigs):
+        r1, r2 = characteristic_roots(float(d), params)
+        radius = max(radius, abs(r1))
+        for r in (r1, r2):
+            if abs(r) > 1.0 + 1e-12:
+                unstable.append((i, r))
+    return float(radius), unstable
 
 
 def analyze_critical_point(
@@ -177,20 +196,13 @@ def analyze_critical_point(
     else:
         classification = "degenerate"
 
-    radius = 0.0
-    unstable = []
-    for i, d in enumerate(eigs):
-        r1, r2 = characteristic_roots(float(d), params)
-        radius = max(radius, abs(r1))
-        for r in (r1, r2):
-            if abs(r) > 1.0 + 1e-12:
-                unstable.append((i, r))
+    radius, unstable = _map_roots(eigs, params)
     return CriticalPointAnalysis(
         point=x,
         grad_norm=gn,
         hessian_eigs=eigs,
         classification=classification,
-        map_spectral_radius=float(radius),
+        map_spectral_radius=radius,
         unstable_roots=unstable,
         eigs_are_extremes_only=extremes_only,
     )
@@ -298,6 +310,7 @@ def escape_experiment(
     trials: int,
     seed: int = 0,
     stop: Optional[StopRules] = None,
+    analysis: Optional[CriticalPointAnalysis] = None,
 ) -> EscapeExperiment:
     """Run seeded random restarts near a strict saddle and count escapes.
 
@@ -308,12 +321,16 @@ def escape_experiment(
     converges within 10 * radius * 1e-3 of the saddle; raw final distances
     are recorded so outcomes can be re-thresholded. Requires the candidate
     to be a strict saddle, beta != 0, and alpha <= min(safe_alpha,
-    saddle_safe_alpha).
+    saddle_safe_alpha). A caller that has analyzed the saddle already passes
+    that analysis (at any params), so the Hessian is not built again.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     saddle = problem.check_point(saddle)
-    analysis = analyze_critical_point(problem, saddle, params)
+    if analysis is None:
+        analysis = analyze_critical_point(problem, saddle, params)
+    elif not np.array_equal(analysis.point, saddle):
+        raise ValueError("analysis is of another point than saddle")
     if analysis.classification != "strict_saddle":
         raise ValueError(
             f"candidate is classified {analysis.classification}, not strict_saddle"

@@ -152,7 +152,7 @@ print(rc, any(m.split(".")[0] == "scipy" for m in sys.modules))
 
 
 class TestScipyImport:
-    """Only flow integration loads scipy; importing the CLI and `run` do not."""
+    """No command loads scipy on the shipped configs, nor does importing the CLI."""
 
     def in_process(self, *argv):
         res = subprocess.run([sys.executable, "-c", IN_PROCESS, *argv],
@@ -168,11 +168,22 @@ class TestScipyImport:
         assert (out / "trace.csv").exists()
 
     def test_track_loads_scipy_and_works(self, tmp_path):
+        # the name predates the numpy flow integrator: track now loads no scipy
         cfg = CONFIG_DIR / "quadratic_track.yaml"
         out = tmp_path / "out"
         assert self.in_process("track", "--config", str(cfg), "--out", str(out), "--quiet") == [
-            "0", "True"]
+            "0", "False"]
         assert len((out / "tracking.csv").read_text().splitlines()) > 2
+
+    @pytest.mark.parametrize("command, config, output", [
+        ("sweep", "quadratic_sweep.yaml", "sweep.csv"),
+        ("saddle", "indefinite_saddle.yaml", "escape.json"),
+    ], ids=["sweep", "saddle"])
+    def test_command_leaves_scipy_unloaded(self, tmp_path, command, config, output):
+        out = tmp_path / "out"
+        assert self.in_process(command, "--config", str(CONFIG_DIR / config), "--out", str(out),
+                               "--quiet") == ["0", "False"]
+        assert (out / output).exists()
 
 
 class TestFlags:
@@ -284,6 +295,18 @@ saddle: {point: origin, radius: 1.0e-3, trials: 4, seed: 5}
                      *seed_flag]) == 0
         report = json.loads((out / "saddle_report.json").read_text())
         assert report["meta"]["seeds"] == {"problem_seed": problem_seed, "saddle_seed": 5}
+
+    def test_hessian_built_once_per_study(self, tmp_path, monkeypatch):
+        from momlab import saddle
+
+        calls = []
+        build = saddle.dense_hessian
+        monkeypatch.setattr(saddle, "dense_hessian", lambda *a: calls.append(a) or build(*a))
+        cfg = CONFIG_DIR / "indefinite_saddle.yaml"
+        assert main(["saddle", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+        assert (tmp_path / "out" / "escape.json").exists()
+        assert len(calls) == 1
 
     def test_convex_quadratic_no_escape_study(self, tmp_path):
         cfg = write_config(tmp_path, """

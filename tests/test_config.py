@@ -95,6 +95,8 @@ def test_problem_seed_accepted_for_every_kind(tmp_path, kind):
     ("sweep", {"sweep": "{betas: [0.5, 1.5]}"}, "sweep.betas"),
     ("sweep", {"init": "{x0: {random: {radius: 0.5}}}", "sweep": "{seeds: [0, -1]}"},
      "sweep.seeds"),
+    ("sweep", {"init": "{x0: {random: {radius: 0.5}}}", "sweep": "{seeds: [3, 1, 3]}"},
+     "sweep.seeds"),
 ])
 def test_range_and_shape_errors_name_their_field(tmp_path, capsys, command, sections, field):
     rc, err = cli(tmp_path, capsys, command, config_text(**sections))
@@ -129,6 +131,17 @@ def test_sweep_gammas_contradicting_preset_rejected_before_any_cell(
     assert rc == 1
     assert "error: sweep.gammas: conflicts with preset" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_seeds_with_list_x0_rejected(tmp_path, capsys):
+    # a seed moves only a random x0: with a list x0 every seed repeats the cell
+    rc, err = cli(tmp_path, capsys, "sweep", config_text(sweep="{seeds: [0, 1, 2]}"))
+    assert rc == 1
+    assert "error: sweep.seeds: init.x0 is a list" in err
+    assert not (tmp_path / "out").exists()
+    rc, err = cli(tmp_path, capsys, "sweep", config_text(sweep="{seeds: [5]}"))
+    assert rc == 0, err
+    assert [r[3] for r in sweep_rows(tmp_path / "out")] == ["5"]
 
 
 def test_sweep_without_alphas_uses_params_alpha(tmp_path, capsys):

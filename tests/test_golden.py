@@ -70,6 +70,27 @@ def test_gamma_free_tracking_matches_golden_digest(tmp_path):
     )
 
 
+# a non-quadratic flow: heavy ball on a 4x4 rank-2 factorization, whose
+# integration takes many adaptive steps, some of them rejected
+MF_TRACK_CFG = """
+problem: {kind: matrix_factorization, m: 4, n: 4, rank: 2, seed: 5}
+params: {beta: 0.5, preset: heavy_ball}
+init:
+  x0: {random: {radius: 0.5, seed: 2}}
+track: {horizon: 20.0, alphas: [0.01, 0.005, 0.0025]}
+"""
+
+
+def test_factorization_tracking_matches_golden_digest(tmp_path):
+    config = tmp_path / "mf_track.yaml"
+    config.write_text(MF_TRACK_CFG)
+    out = tmp_path / "out"
+    assert main(["track", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    assert sha256(out / "tracking.csv") == (
+        "99fb5f0fa89ea0c5adf257514ea73efc81d66bae17df6a40172a170d4c431d0e"
+    )
+
+
 @pytest.mark.parametrize("command, config, output, digest", [
     ("sweep", "quadratic_sweep.yaml", "sweep.csv",
      "eb05ab6e1dc6c0e36a8b172a1d13fe8b0d4b21a984c7627b4c5861f847e8e59f"),

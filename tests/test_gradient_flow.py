@@ -45,6 +45,12 @@ class TestIntegrateFlow:
         with pytest.raises(ValueError):
             integrate_flow(p, np.ones(2), horizon=None, grad_tol=0.0)
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0])
+    def test_rejects_nonpositive_horizon(self, horizon):
+        p = synthetic("quadratic")
+        with pytest.raises(ValueError, match="horizon"):
+            integrate_flow(p, np.ones(2), horizon=horizon)
+
     def test_f_nonincreasing_along_flow(self):
         p = make_problem("matrix_factorization")
         rng = np.random.default_rng(0)

@@ -127,6 +127,16 @@ class TestAnalyze:
         res = analyze_critical_point(p, np.zeros(p.dim), P_HB)
         assert res.classification == "degenerate"
 
+    @pytest.mark.parametrize("params", [MomentumParams(0.27, 0.5), MomentumParams(0.05, -0.3, 0.2)])
+    def test_for_params_equals_fresh_analysis(self, params):
+        rng = np.random.default_rng(11)
+        p = matrix_factorization(rng.standard_normal((3, 3)), r=1)
+        probe = analyze_critical_point(p, np.zeros(p.dim), MomentumParams(1e-6, 0.5))
+        moved = probe.for_params(params)
+        fresh = analyze_critical_point(p, np.zeros(p.dim), params)
+        assert moved.to_dict() == fresh.to_dict()
+        assert probe.to_dict() != fresh.to_dict()
+
     def test_large_dim_uses_extreme_eigenvalues(self):
         p = synthetic("quadratic", dim=500)  # above the dense-assembly cutoff
         res = analyze_critical_point(p, np.zeros(500), P_HB)
@@ -206,6 +216,17 @@ class TestEscape:
         a = escape_experiment(p, np.zeros(2), params, **kw)
         b = escape_experiment(p, np.zeros(2), params, **kw)
         assert a.outcomes == b.outcomes
+
+    def test_given_analysis_gives_the_same_study(self):
+        p = synthetic("indefinite_quadratic")
+        params = MomentumParams(0.27, 0.5)
+        kw = dict(radius=1e-3, trials=3, seed=12,
+                  stop=StopRules(max_iters=5_000, grad_tol=1e-9, box_radius=10.0))
+        analysis = analyze_critical_point(p, np.zeros(2), MomentumParams(1e-6, 0.5))
+        a = escape_experiment(p, np.zeros(2), params, analysis=analysis, **kw)
+        assert a.outcomes == escape_experiment(p, np.zeros(2), params, **kw).outcomes
+        with pytest.raises(ValueError, match="another point"):
+            escape_experiment(p, np.full(2, 1e-12), params, analysis=analysis, **kw)
 
     def test_rejects_non_saddle(self):
         p = synthetic("quadratic")
