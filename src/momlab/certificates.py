@@ -148,20 +148,55 @@ class Certificate:
         }
 
     def to_json(self, path) -> None:
+        """Write certificate.json: the constants and every check's per-step arrays.
+
+        In each check the per-step certified list takes the place of
+        summary()'s certified count, right after steps.
+        """
         payload = {
             "constants": self.constants(),
             "checks": {
                 name: {
                     **rep.summary(),
-                    "slack": rep.slack.tolist(),
-                    "passed": rep.passed.tolist(),
-                    "certified": rep.certified.tolist(),
+                    "slack": rep.slack,
+                    "passed": rep.passed,
+                    "certified": rep.certified,
                 }
                 for name, rep in self.per_step.items()
             },
         }
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
+            _dump_indent1(payload, fh)
+
+
+def _dump_indent1(obj, fh, level: int = 0) -> None:
+    """json.dump(obj, fh, indent=1), byte for byte, for nested dicts of
+    scalars and of flat sequences (lists or 1-D arrays) of numbers and bools.
+
+    With an indent json.dump encodes every list item in Python; here each
+    sequence is encoded at once by json's C encoder (json.dumps) and only its
+    ", " separators are laid out one item per line. An array is converted to
+    a list only when it is written.
+    """
+    pad = "\n" + " " * (level + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            fh.write("{}")
+            return
+        sep = "{" + pad
+        for key, value in obj.items():
+            fh.write(sep + json.dumps(key) + ": ")
+            _dump_indent1(value, fh, level + 1)
+            sep = "," + pad
+        fh.write("\n" + " " * level + "}")
+    elif isinstance(obj, (list, np.ndarray)):
+        text = json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj)
+        if text == "[]":
+            fh.write(text)
+        else:
+            fh.write("[" + pad + text[1:-1].replace(", ", "," + pad) + "\n" + " " * level + "]")
+    else:
+        fh.write(json.dumps(obj))
 
 
 def lyapunov(problem: Problem, x, y, lam: float) -> float:

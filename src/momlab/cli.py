@@ -153,32 +153,44 @@ def _passed_everything(trace, cert, results) -> bool:
     return ok
 
 
+# rows formatted per write of trace.csv: the text of every row at once would
+# raise a long run's peak memory
+_CSV_BLOCK = 1024
+
+
 def write_trace_csv(path, trace, cert, meta: str) -> None:
     """Write trace.csv: one row per iterate x_k, k = 0..K.
 
     The per-step columns (step_norm and the descent and gradient-bound
     slacks in cert.per_step) are blank on the last row and wherever a check
-    was not run.
+    was not run. Each value is written as "%.17g" % v; rows are formatted a
+    block at a time, one format string per row, and equal the csv.writer
+    rows of those strings.
     """
     rows = trace.num_steps + 1
-
-    def column(values):
-        col = np.full(rows, "", dtype=object)
-        if values is not None:
-            col[:len(values)] = ["%.17g" % v for v in values.tolist()]
-        return col
-
     slack = {name: rep.slack for name, rep in cert.per_step.items()}
+    columns = [
+        trace.f[1:],
+        trace.grad_norms[1:],
+        trace.step_norms[1:],
+        lyapunov_values(trace, cert.lam),
+        slack.get("descent"),
+        slack.get("gradient_bound"),
+    ]
+    # column c fills rows 0..filled[c]-1 and is blank below
+    filled = [0 if c is None else min(len(c), rows) for c in columns]
     header = ["k", "f", "grad_norm", "step_norm", "H_lambda", "descent_slack", "gradbound_slack"]
-    _write_csv(path, header, zip(
-        range(rows),
-        column(trace.f[1:]),
-        column(trace.grad_norms[1:]),
-        column(trace.step_norms[1:]),
-        column(lyapunov_values(trace, cert.lam)),
-        column(slack.get("descent")),
-        column(slack.get("gradient_bound")),
-    ), meta)
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# {meta}\n{','.join(header)}\n")
+        # between consecutive fill lengths every row has the same blank cells
+        edges = sorted({0, rows, *filled})
+        for start, end in zip(edges, edges[1:]):
+            row = "%d" + "".join(",%.17g" if n >= end else "," for n in filled) + "\n"
+            present = [c for c, n in zip(columns, filled) if n >= end]
+            for i in range(start, end, _CSV_BLOCK):
+                j = min(i + _CSV_BLOCK, end)
+                cells = zip(range(i, j), *[c[i:j].tolist() for c in present])
+                fh.write("".join(map(row.__mod__, cells)))
 
 
 def cmd_run(args) -> int:

@@ -258,18 +258,22 @@ def integrate_flow(
     horizon: Optional[float] = None,
     grad_tol: float = 0.0,
     rtol: float = 1e-10,
+    max_horizon: float = 2.0**20,
 ) -> FlowTrajectory:
     """Integrate x' = -(1-beta)^{-1} grad f from x0.
 
     At least one stop rule is required: a positive horizon or grad_tol > 0
     (then integration proceeds in doubling chunks until the gradient norm
-    crosses the tolerance). Raises RuntimeError on integrator failure or a
-    non-finite state.
+    crosses the tolerance, or gives up at t = max_horizon, where the last
+    chunk ends). Raises RuntimeError on integrator failure or a non-finite
+    state.
     """
     if horizon is None and grad_tol <= 0:
         raise ValueError("need a horizon or a positive grad_tol")
     if horizon is not None and not horizon > 0:
         raise ValueError("horizon must be positive")
+    if not max_horizon > 0:
+        raise ValueError("max_horizon must be positive")
     if not -1 < beta < 1:
         raise ValueError("beta must lie in (-1, 1)")
     x0 = problem.check_point(x0)
@@ -301,18 +305,20 @@ def integrate_flow(
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
 
-    T = horizon if horizon is not None else 1.0
-    max_horizon = horizon if horizon is not None else 2.0**20
+    if horizon is not None:
+        T = max_horizon = horizon
+    else:
+        T = min(1.0, max_horizon)
     ts, zs, segments = [0.0], [z0], []
     while True:
         start = len(zs)
         hit_tol = _dormand_prince(rhs, ts, zs, segments, T, rtol, event)
         if not np.all(np.isfinite(zs[start:])):
             raise RuntimeError("flow integration produced non-finite state")
-        if hit_tol or horizon is not None or T >= max_horizon:
+        if hit_tol or T >= max_horizon:
             terminated = "grad_tol" if hit_tol else "horizon"
             break
-        T = 2.0 * T  # extend the horizon, continuing from the chunk end
+        T = min(2.0 * T, max_horizon)  # extend the horizon, continuing from the chunk end
 
     zs = np.array(zs)
     states = np.ascontiguousarray(zs[:, :dim])
@@ -354,11 +360,8 @@ def trajectory_length(
     per = []
     flagged = False
     for x0 in X0_samples:
-        traj = integrate_flow(problem, x0, beta=beta, horizon=None, grad_tol=grad_tol)
+        traj = integrate_flow(problem, x0, beta=beta, grad_tol=grad_tol, max_horizon=max_horizon)
         truncated = traj.terminated != "grad_tol"
-        # the chunked integrator gives up at 2^20; honor max_horizon too
-        if traj.times[-1] >= max_horizon:
-            truncated = True
         flagged = flagged or truncated
         per.append({
             "length": traj.total_length,

@@ -20,6 +20,7 @@ the same stop rules and keeps only where each one stopped.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -103,8 +104,8 @@ class Trace:
 
     points[i] is x_{i-1}; f/grad arrays align with points. Step arrays have
     one entry per executed step k = 0..K-1. A trace's arrays are not mutated
-    after run() returns it: step_norms is computed on first use and cached
-    (read-only), so a changed trajectory needs a new Trace.
+    after run() returns it: step_norms and grad_norms are computed on first
+    use and cached (read-only), so a changed trajectory needs a new Trace.
     """
 
     points: np.ndarray          # (K+2, dim)
@@ -127,9 +128,12 @@ class Trace:
         """Iterate x_k for k in {-1, ..., K}."""
         return self.points[k + 1]
 
-    @property
+    @cached_property
     def grad_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.grads, axis=1)
+        """||grad f(x_k)|| for k = -1..K (length K+2)."""
+        norms = np.linalg.norm(self.grads, axis=1)
+        norms.flags.writeable = False
+        return norms
 
     @cached_property
     def step_norms(self) -> np.ndarray:
@@ -244,34 +248,49 @@ def run(
     x_prev = problem.check_point(x_minus1)
     x_curr = problem.check_point(x_0)
     _warn_velocity(np.linalg.norm(x_curr - x_prev), params)
-    reuse = params.gamma == 0.0
+    gradient = problem.gradient
+    alpha, beta, gamma = params.alpha, params.beta, params.gamma
+    grad_tol, max_iters, radius = stop.grad_tol, stop.max_iters, stop.box_radius
+    reuse = gamma == 0.0
+    check_box = not math.isinf(radius)
     # grad f(x_k) for every point, when the loop needs it
     gs = None
-    if reuse or stop.grad_tol > 0:
-        gs = [problem.gradient(x_prev), problem.gradient(x_curr)]
+    if reuse or grad_tol > 0:
+        gs = [gradient(x_prev), gradient(x_curr)]
 
     pts = [x_prev, x_curr]
     reason = "max_iters"
     x0_ref = x_curr
 
+    # 1-D norms are math.sqrt(v.dot(v)), which is what np.linalg.norm computes
+    # for a contiguous 1-D float array; np.isfinite(x).all() is the cheapest
+    # finiteness test that raises no floating-point warning on inf
     k = 0
     while True:
-        if stop.grad_tol > 0 and np.linalg.norm(gs[-1]) < stop.grad_tol:
-            reason = "grad_tol"
-            break
-        if k >= stop.max_iters:
+        if grad_tol > 0:
+            g = gs[-1]
+            if math.sqrt(g.dot(g)) < grad_tol:
+                reason = "grad_tol"
+                break
+        if k >= max_iters:
             reason = "max_iters"
             break
-        if np.linalg.norm(pts[-1] - x0_ref) > stop.box_radius:
-            reason = "left_box"
-            break
-        x_next, _, _ = step(problem, pts[-2], pts[-1], params, gs[-1] if reuse else None)
-        if not np.all(np.isfinite(x_next)):
+        if check_box:
+            v = x_curr - x0_ref
+            if math.sqrt(v.dot(v)) > radius:
+                reason = "left_box"
+                break
+        # step(), inlined with the same expression order
+        d = x_curr - x_prev
+        g = gs[-1] if reuse else gradient(x_curr + gamma * d)
+        x_next = (x_curr + beta * d) - alpha * g
+        if not np.isfinite(x_next).all():
             reason = "diverged"
             break
         pts.append(x_next)
         if gs is not None:
-            gs.append(problem.gradient(x_next))
+            gs.append(gradient(x_next))
+        x_prev, x_curr = x_curr, x_next
         k += 1
 
     points = np.asarray(pts)
@@ -299,9 +318,9 @@ def _trace_columns(problem: Problem, points: np.ndarray, grads: Optional[np.ndar
 
     f, and grads when they are None, are evaluated in row blocks. If some row
     i >= 1 has a value or gradient that is not finite, the arrays end at the
-    first such row and diverged is True. grads is C-contiguous: the batched
-    gradients of the matrix families are column-major, and their row norms
-    would round differently.
+    first such row and diverged is True. grads is C-contiguous whatever
+    layout a problem's batched gradient has: the row norms of a column-major
+    stack would round differently.
     """
     n = len(points)
     f = np.empty(n)

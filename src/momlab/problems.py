@@ -102,8 +102,25 @@ def _flat_size(a):
 
 
 def _join(*blocks):
-    """Flatten each block column-major and concatenate, per point."""
-    return np.concatenate([b.reshape(_flat_size(b), order="F") for b in blocks], -1)
+    """Flatten each block column-major and concatenate, per point.
+
+    A single point is one concatenate of the transposed blocks, which it
+    flattens in row-major order, that is, each block column-major. For a
+    stack, each block is copied once into its column-major view of a
+    preallocated output.
+    """
+    if blocks[0].ndim == 2:
+        return np.concatenate([b.T for b in blocks], axis=None)
+    out = np.empty(blocks[0].shape[:-2] + (sum(_flat_size(b)[-1] for b in blocks),))
+    start = 0
+    for b in blocks:
+        rows, cols = b.shape[-2:]
+        view = _block(out, start, start + rows * cols, rows, cols)
+        if view.base is not out:  # a copying reshape would drop the assignment
+            raise RuntimeError("_join: block target is not a view of the output")
+        view[...] = b
+        start += rows * cols
+    return out
 
 
 def _per_point(v):
@@ -132,9 +149,8 @@ def _row_norms(V):
 
     np.linalg.norm(V, axis=1) sums differently and can be 1 ulp off, which
     would let a row stop one step apart from its run() replay. A strided
-    stack (such as the column-major batched gradients of the matrix
-    families) would take another matmul path, so rows are made contiguous
-    first.
+    stack (such as a column-major gradient stack) would take another matmul
+    path, so rows are made contiguous first.
     """
     return np.sqrt(_dot_self(np.ascontiguousarray(V)))
 

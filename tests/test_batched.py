@@ -20,6 +20,7 @@ from momlab import (
     saddle_safe_alpha,
     synthetic,
 )
+from momlab import problems
 from momlab.optimizer import _row_norms
 from momlab.saddle import _sample_ball, classify_limit
 
@@ -42,6 +43,31 @@ def test_batched_rows_equal_single_points(kind, B, seed, scale):
         assert np.array_equal(grads[b], p.gradient(Z[b]))
 
 
+@pytest.mark.parametrize("kind", ["matrix_factorization", "matrix_sensing", "linear_network"])
+def test_stacked_join_writes_into_views_of_its_output(kind, monkeypatch):
+    # every block target of a stacked _join is a view of the returned array
+    p = make_problem(kind)
+    block, targets = problems._block, []
+
+    def recording_block(z, *args):
+        view = block(z, *args)
+        targets.append((z, view))
+        return view
+
+    monkeypatch.setattr(problems, "_block", recording_block)
+    Z = np.random.default_rng(0).standard_normal((3, p.dim))
+    out = p.gradient(Z)
+    written = [view for z, view in targets if z is out]
+    assert len(written) == (len(p.info["widths"]) - 1 if kind == "linear_network" else 2)
+    assert all(np.shares_memory(view, out) for view in written)
+    monkeypatch.undo()
+    assert np.array_equal(out, p.gradient(Z))
+    # a target that is a copy would lose its block: _join refuses it
+    monkeypatch.setattr(problems, "_block", lambda z, *args: block(z, *args).copy())
+    with pytest.raises(RuntimeError, match="not a view"):
+        p.gradient(Z)
+
+
 @given(dim=st.integers(1, 97), seed=st.integers(0, 2**32 - 1), scale=SCALES)
 @settings(max_examples=60, deadline=None)
 def test_row_norms_equal_vector_norms(dim, seed, scale):
@@ -50,7 +76,7 @@ def test_row_norms_equal_vector_norms(dim, seed, scale):
     for W in (V, np.asfortranarray(V)):
         norms = _row_norms(W)
         assert all(norms[b] == np.linalg.norm(V[b]) for b in range(5))
-    # the matrix families return column-major (B, dim) gradient stacks
+    # every family's batched (B, dim) gradient stack
     for kind in ALL_KINDS:
         p = make_problem(kind)
         Z = rng.standard_normal((50, p.dim)) * scale

@@ -117,6 +117,19 @@ class TestTrajectoryLength:
         assert est.sigma_hat == pytest.approx(2.0, abs=1e-6)
         assert len(est.per_sample) == 3
 
+    def test_max_horizon_bounds_the_integration(self):
+        # the quartic's gradient falls below 1e-12 only after t ~ 1e7
+        p = synthetic("quartic")
+        est = trajectory_length(p, [np.array([0.5])], grad_tol=1e-12, max_horizon=10.0)
+        (sample,) = est.per_sample
+        assert sample["time"] == 10.0 and sample["truncated"] and est.lower_bound_only
+        ref = integrate_flow(p, [0.5], horizon=10.0)
+        assert sample["length"] == pytest.approx(ref.total_length, rel=1e-8)
+
+    def test_max_horizon_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_horizon"):
+            integrate_flow(synthetic("quartic"), [0.5], grad_tol=1e-3, max_horizon=0.0)
+
     def test_cauchy_schwarz_bound(self):
         # arc length <= sqrt(T * (1/(1-beta)) * (f(x0) - inf f)) over the run
         p = make_problem("matrix_factorization", seed=5)

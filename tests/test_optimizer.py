@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,56 @@ class TestRun:
         sn = tr.step_norms
         assert tr.step_norms is sn and not sn.flags.writeable
         assert np.array_equal(sn, np.linalg.norm(np.diff(tr.points, axis=0), axis=1))
+
+    def test_grad_norms_computed_once(self):
+        p = synthetic("quadratic")
+        x0 = np.array([1.0, 0.5])
+        tr = run(p, x0, x0, MomentumParams(alpha=0.1, beta=0.2), StopRules(max_iters=20))
+        gn = tr.grad_norms
+        assert tr.grad_norms is gn and not gn.flags.writeable
+        assert np.array_equal(gn, np.linalg.norm(tr.grads, axis=1))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("params", [MomentumParams(0.5, 0.5, 0.3),
+                                        MomentumParams.heavy_ball(0.5, 0.5)],
+                             ids=["generic", "heavy_ball"])
+    def test_non_finite_component_stops_at_the_reference_step(self, bad, params):
+        # ascent on ||x||^2 / 2 whose gradient's second component turns `bad`
+        # once the first coordinate passes 3: x_next turns non-finite in that
+        # one component, with no floating-point warning on the way (the
+        # finiteness test adds none)
+        p = Problem(
+            name="blow_up", dim=2,
+            value=lambda z: 0.5 * (z[..., 0] ** 2 + z[..., 1] ** 2),
+            gradient=lambda z: np.stack(
+                [-z[..., 0], np.where(z[..., 0] > 3.0, bad, -z[..., 1])], axis=-1),
+        )
+        x0 = np.array([1.0, 0.5])
+        stop = StopRules(max_iters=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = run(p, x0, x0, params, stop)
+        points, f, grads, reason = reference_run(p, x0, x0, params, stop)
+        assert tr.stop_reason == reason == "diverged" and 0 < tr.num_steps < 100
+        assert np.array_equal(tr.points, points)
+        assert np.array_equal(tr.f, f) and np.array_equal(tr.grads, grads, equal_nan=True)
+
+    def test_finite_component_near_overflow_does_not_stop(self):
+        # the first coordinate sits at 1.5e308 and never moves: finite, so the
+        # run goes on
+        p = Problem(
+            name="far_out", dim=2,
+            value=lambda z: 0.5 * z[..., 1] ** 2,
+            gradient=lambda z: np.stack([0.0 * z[..., 1], z[..., 1]], axis=-1),
+        )
+        x0 = np.array([1.5e308, 0.5])
+        params, stop = MomentumParams(0.1, 0.5, 0.2), StopRules(max_iters=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = run(p, x0, x0, params, stop)
+        points, _, _, reason = reference_run(p, x0, x0, params, stop)
+        assert tr.stop_reason == reason == "max_iters" and tr.num_steps == 10
+        assert np.array_equal(tr.points, points) and np.all(tr.points[:, 0] == 1.5e308)
 
     def test_trace_roundtrip(self, tmp_path):
         p = synthetic("quadratic")

@@ -1,0 +1,92 @@
+"""trace.csv and certificate.json equal their csv.writer / json.dump references byte for byte."""
+
+import json
+
+import numpy as np
+import pytest
+from oracles import reference_certificate_json, reference_trace_csv
+
+from momlab import MomentumParams, StopRules, run, synthetic
+from momlab.certificates import (
+    PerStepReport,
+    build_certificate,
+    check_descent,
+    check_gradient_bound,
+    check_step_bound,
+)
+from momlab.cli import write_trace_csv
+
+CHECKS = {
+    "descent": check_descent,
+    "gradient_bound": check_gradient_bound,
+    "step_bound": check_step_bound,
+}
+META = 'config_sha256=abc seeds={"x0_seed": 0}'
+
+
+def _certified_run(steps, checks=tuple(CHECKS)):
+    # the iterates escape the saddle along x_2 and leave the trust ball, so
+    # the certified and passed lists mix true and false
+    p = synthetic("indefinite_quadratic")
+    x0 = np.array([0.5, 0.01])
+    params = MomentumParams(0.1, 0.5, 0.2)
+    trace = run(p, x0, x0, params, StopRules(max_iters=steps))
+    cert = build_certificate(1.0, 2.0, params, np.zeros(2), 2.0, strict=False)
+    for name in checks:
+        cert.per_step[name] = CHECKS[name](trace, cert)
+    return trace, cert
+
+
+def _assert_writers_match(tmp_path, trace, cert):
+    write_trace_csv(tmp_path / "trace.csv", trace, cert, META)
+    reference_trace_csv(tmp_path / "ref_trace.csv", trace, cert, META)
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "ref_trace.csv").read_bytes()
+    cert.to_json(tmp_path / "certificate.json")
+    reference_certificate_json(cert, tmp_path / "ref_certificate.json")
+    assert ((tmp_path / "certificate.json").read_bytes()
+            == (tmp_path / "ref_certificate.json").read_bytes())
+
+
+@pytest.mark.parametrize("steps", [0, 1, 1023, 1024, 1025])
+def test_writers_at_block_edges(tmp_path, steps):
+    trace, cert = _certified_run(steps)
+    assert trace.num_steps == steps
+    if steps > 100:
+        certified = cert.per_step["descent"].certified
+        assert certified.any() and not certified.all()
+    _assert_writers_match(tmp_path, trace, cert)
+
+
+@pytest.mark.parametrize("checks", [(), ("step_bound",), ("descent",), ("gradient_bound",),
+                                    ("gradient_bound", "descent")])
+def test_writers_with_checks_missing(tmp_path, checks):
+    trace, cert = _certified_run(5, checks)
+    _assert_writers_match(tmp_path, trace, cert)
+
+
+def test_writers_with_non_finite_slack(tmp_path):
+    trace, cert = _certified_run(6)
+    for rep in cert.per_step.values():
+        rep.slack[1:4] = [np.nan, np.inf, -np.inf]
+    cert.per_step["descent"].slack[:] = np.nan  # min_slack is NaN as well
+    _assert_writers_match(tmp_path, trace, cert)
+    assert "NaN" in (tmp_path / "certificate.json").read_text()
+    assert ",nan," in (tmp_path / "trace.csv").read_text()
+
+
+def test_writers_with_empty_per_step_lists(tmp_path):
+    trace, cert = _certified_run(4)
+    for name in CHECKS:
+        cert.per_step[name] = PerStepReport(name, np.empty(0), np.empty(0, dtype=bool),
+                                            np.empty(0, dtype=bool))
+    _assert_writers_match(tmp_path, trace, cert)
+    assert '"slack": []' in (tmp_path / "certificate.json").read_text()
+
+
+def test_certified_list_replaces_the_count_after_steps(tmp_path):
+    trace, cert = _certified_run(3, ("descent",))
+    cert.to_json(tmp_path / "certificate.json")
+    check = json.loads((tmp_path / "certificate.json").read_text())["checks"]["descent"]
+    assert list(check) == ["name", "steps", "certified", "pass", "fail", "min_slack",
+                           "first_failure", "slack", "passed"]
+    assert check["certified"] == cert.per_step["descent"].certified.tolist()
