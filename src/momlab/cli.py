@@ -40,7 +40,7 @@ from .certificates import (
 )
 from .config import ConfigError, ExperimentConfig, load_config
 from .gradient_flow import tracking_ladder
-from .optimizer import StopRules, run, safe_alpha
+from .optimizer import StopRules, run, run_lockstep, safe_alpha
 from .problems import estimate_lipschitz
 from .saddle import analyze_critical_point, escape_experiment, saddle_safe_alpha
 
@@ -73,10 +73,14 @@ def _say(args, msg: str) -> None:
         print(msg, file=sys.stderr)
 
 
-def _prepare(cfg: ExperimentConfig, alpha: float | None, seed_offset: int = 0):
-    """Resolve init, Lipschitz constants, and the final step size.
+def _prepare(cfg: ExperimentConfig, alpha: float | None, seed_offset: int = 0,
+             lipschitz: dict | None = None):
+    """Resolve init, Lipschitz constants, step size and stop rules of one run.
 
-    alpha, when given, overrides the config's step size.
+    alpha, when given, overrides the config's step size. lipschitz, when
+    given, memoizes the constants by everything estimate_lipschitz reads
+    besides the problem, so runs that share a ball estimate it once.
+    Returns (x0, x_{-1}, params, stop, certificate, seeds).
     """
     x0, seeds = cfg.resolve_x0(seed_offset)
     if cfg.x_minus1_spec is not None:
@@ -92,10 +96,14 @@ def _prepare(cfg: ExperimentConfig, alpha: float | None, seed_offset: int = 0):
         center = np.asarray(cfg.lipschitz_center, dtype=float)
     radius = cfg.lipschitz_radius or cfg.problem.suggested_box
     reach = max(abs(cfg.beta), abs(cfg.gamma))
-    L, M = estimate_lipschitz(
-        cfg.problem, center, radius,
-        mode=cfg.lipschitz_mode, reach=reach, seed=cfg.lipschitz_seed,
-    )
+    lipschitz = {} if lipschitz is None else lipschitz
+    key = (center.tobytes(), radius, cfg.lipschitz_mode, reach, cfg.lipschitz_seed)
+    if key not in lipschitz:
+        lipschitz[key] = estimate_lipschitz(
+            cfg.problem, center, radius,
+            mode=cfg.lipschitz_mode, reach=reach, seed=cfg.lipschitz_seed,
+        )
+    L, M = lipschitz[key]
     seeds["lipschitz_seed"] = cfg.lipschitz_seed
 
     if alpha is None:
@@ -103,21 +111,20 @@ def _prepare(cfg: ExperimentConfig, alpha: float | None, seed_offset: int = 0):
     if alpha == "auto":
         alpha = 0.9 * safe_alpha(M, cfg.momentum_params(1e-6))
     params = cfg.momentum_params(alpha)
-    return x0, x_m1, center, radius, L, M, params, seeds
-
-
-def _run_and_certify(cfg: ExperimentConfig, alpha: float | None, seed_offset: int = 0):
-    x0, x_m1, center, radius, L, M, params, seeds = _prepare(cfg, alpha, seed_offset)
     stop = cfg.stop
     if math.isinf(stop.box_radius):
         # keep iterates inside the certified ball by default
         slack = radius - float(np.linalg.norm(x0 - center))
         stop = StopRules(stop.max_iters, stop.grad_tol, max(slack, 1e-6))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        trace = run(cfg.problem, x_m1, x0, params, stop)
     cert = build_certificate(M, L, params, center, radius, cfg.m_crit, strict=False)
+    return x0, x_m1, params, stop, cert, seeds
 
+
+def _certify(cfg: ExperimentConfig, trace, cert):
+    """Run cfg's checks on trace; returns (results, psi, total_length).
+
+    The per-step checks are stored in cert.per_step.
+    """
     results = {}
     if "descent" in cfg.checks:
         cert.per_step["descent"] = check_descent(trace, cert)
@@ -137,7 +144,7 @@ def _run_and_certify(cfg: ExperimentConfig, alpha: float | None, seed_offset: in
             results["kl_fit_error"] = str(e)
     if "length" in cfg.checks and psi is not None:
         results["length"] = check_length_formula(trace, cert, psi)
-    return trace, cert, results, psi, total_length, seeds
+    return results, psi, total_length
 
 
 def _passed_everything(trace, cert, results) -> bool:
@@ -194,9 +201,13 @@ def write_trace_csv(path, trace, cert, meta: str) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config, args.seed)
+    cfg = load_config(args.config, args.seed, command="run")
     out = _out_dir(args)
-    trace, cert, results, psi, total_length, seeds = _run_and_certify(cfg, args.alpha)
+    x0, x_m1, params, stop, cert, seeds = _prepare(cfg, args.alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        trace = run(cfg.problem, x_m1, x0, params, stop)
+    results, psi, total_length = _certify(cfg, trace, cert)
     meta = f"config_sha256={cfg.config_hash} seeds={json.dumps(seeds, sort_keys=True)}"
 
     write_trace_csv(out / "trace.csv", trace, cert, meta)
@@ -257,7 +268,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_track(args) -> int:
-    cfg = load_config(args.config, args.seed)
+    cfg = load_config(args.config, args.seed, command="track")
     if cfg.track is None:
         raise ConfigError("track: section required for the track command")
     out = _out_dir(args)
@@ -291,7 +302,7 @@ def cmd_track(args) -> int:
 
 
 def cmd_saddle(args) -> int:
-    cfg = load_config(args.config, args.seed)
+    cfg = load_config(args.config, args.seed, command="saddle")
     if cfg.saddle is None:
         raise ConfigError("saddle: section required for the saddle command")
     if cfg.beta == 0.0:
@@ -354,23 +365,40 @@ def cmd_saddle(args) -> int:
     return EXIT_OK
 
 
+# bytes of recorded iterates per group of sweep cells stepped in lockstep:
+# enough cells to amortize each stacked gradient call, few enough that the
+# group's iterates stay a few MB (a cell longer than this runs alone)
+_SWEEP_GROUP_BYTES = 1 << 23
+
+
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config, args.seed)
+    cfg = load_config(args.config, args.seed, command="sweep")
     if cfg.sweep is None:
         raise ConfigError("sweep: section required for the sweep command")
     out = _out_dir(args)
+    problem = cfg.problem
+    group = max(1, _SWEEP_GROUP_BYTES // ((cfg.stop.max_iters + 2) * problem.dim * 8))
+    lipschitz = {}
     rows = []
-    for a, b, g, s in cfg.sweep:
-        cell = dataclasses.replace(cfg, alpha_spec=a, beta=b, gamma=g)
-        trace, cert, results, _, total_length, _ = _run_and_certify(cell, None, seed_offset=s)
-        descent = cert.per_step.get("descent")
-        rows.append([
-            _fmt(cert.params.alpha), _fmt(b), _fmt(g), s,
-            int(trace.stop_reason == "grad_tol"),
-            _fmt(total_length),
-            _fmt(descent.min_slack) if descent is not None and descent.n_certified else "",
-            _fmt(results["rate"].sup_product) if "rate" in results else "",
+    for i in range(0, len(cfg.sweep), group):
+        chunk = cfg.sweep[i:i + group]
+        cells = [dataclasses.replace(cfg, alpha_spec=a, beta=b, gamma=g) for a, b, g, _ in chunk]
+        x0s, x_m1s, params, stops, certs, _ = zip(*[
+            _prepare(cell, None, s, lipschitz) for cell, (_, _, _, s) in zip(cells, chunk)
         ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            traces = run_lockstep(problem, x_m1s, x0s, params, stops, record=True).traces
+        for (_, b, g, s), cell, cert, trace in zip(chunk, cells, certs, traces):
+            results, _, total_length = _certify(cell, trace, cert)
+            descent = cert.per_step.get("descent")
+            rows.append([
+                _fmt(cert.params.alpha), _fmt(b), _fmt(g), s,
+                int(trace.stop_reason == "grad_tol"),
+                _fmt(total_length),
+                _fmt(descent.min_slack) if descent is not None and descent.n_certified else "",
+                _fmt(results["rate"].sup_product) if "rate" in results else "",
+            ])
 
     meta = f"config_sha256={cfg.config_hash} cells={len(rows)}"
     _write_csv(

@@ -33,12 +33,16 @@ Schema (defaults in parentheses):
       max_iters: 2000; grad_tol: 0.0; box_radius: lipschitz.radius
     checks: [descent, grad_bounds, step_bounds, rate, length, kl_fit]
     m_crit: int              # critical-value count bound (problem default)
-    track: {horizon: 1.0, alphas: [..]}          # cmd_track only
+    track: {horizon: 1.0, alphas: [..]}
     saddle: {point: origin | [..], radius: 1e-3, trials: 100, seed: 0}
     sweep: {alphas: [..], betas: [..], gammas: [..], seeds: [..]}
 
 Every key a section does not list is rejected, and so are problem keys
-that the chosen kind does not use. Vectors must have problem-dim entries,
+that the chosen kind does not use and, by load_config, keys the command
+it loads for does not read (COMMAND_KEYS): track reads only
+problem, params.beta/gamma/preset, init.x0 and track; saddle only problem,
+params, stop and saddle; run everything but track, saddle and sweep; sweep
+everything but track and saddle. Vectors must have problem-dim entries,
 seeds are integers >= 0 and sizes integers >= 1.
 A sweep cell is the config with its (alpha, beta, gamma) replaced; under a
 heavy_ball or nesterov preset each cell's gamma follows the preset (0, or
@@ -81,6 +85,15 @@ PROBLEM_KEYS = {
     "matrix_factorization": ("m", "n", "rank"),
     "matrix_sensing": ("m", "n", "rank", "p"),
     "linear_network": ("widths", "samples"),
+}
+
+# the config keys each command reads: a whole section, or "section.key" when
+# it reads only some keys of that section; load_config rejects the others
+COMMAND_KEYS = {
+    "run": ("problem", "params", "init", "lipschitz", "stop", "checks", "m_crit"),
+    "sweep": ("problem", "params", "init", "lipschitz", "stop", "checks", "m_crit", "sweep"),
+    "track": ("problem", "params.beta", "params.gamma", "params.preset", "init.x0", "track"),
+    "saddle": ("problem", "params", "stop", "saddle"),
 }
 
 
@@ -276,8 +289,28 @@ def _build_problem(section) -> tuple[Problem, list]:
     return prob, notes
 
 
-def load_config(path, seed: Optional[int] = None) -> ExperimentConfig:
-    """Read and validate a YAML config; seed, when given, replaces problem.seed."""
+def _check_command_keys(raw: dict, command: str) -> None:
+    """Reject every key of raw that command does not read, naming both."""
+    known = COMMAND_KEYS[command]
+    for section, value in raw.items():
+        if section in known:
+            continue
+        keys = [k.split(".", 1)[1] for k in known if k.startswith(section + ".")]
+        if not keys:
+            raise ConfigError(f"{section}: not used by the {command} command")
+        for key in value if isinstance(value, dict) else ():
+            if key not in keys:
+                raise ConfigError(f"{section}.{key}: not used by the {command} command")
+
+
+def load_config(path, seed: Optional[int] = None, *, command: str) -> ExperimentConfig:
+    """Read and validate a YAML config for command; seed, when given, replaces problem.seed.
+
+    command is one of COMMAND_KEYS; once the config itself is valid, every
+    key that command does not read is rejected.
+    """
+    if command not in COMMAND_KEYS:
+        raise ValueError(f"unknown command {command!r}; known: {', '.join(COMMAND_KEYS)}")
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -289,7 +322,9 @@ def load_config(path, seed: Optional[int] = None) -> ExperimentConfig:
         raise ConfigError(f"{path}: top level must be a mapping")
     if seed is not None:
         raw["problem"] = dict(_need(raw, "problem", "<top>"), seed=seed)
-    return parse_config(raw)
+    cfg = parse_config(raw)
+    _check_command_keys(raw, command)
+    return cfg
 
 
 def _parse_sweep(sweep, alpha_spec, beta: float, gamma, preset: str, random_x0: bool) -> list:

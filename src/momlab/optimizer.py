@@ -13,8 +13,11 @@ objective values and gradients: enough to replay the recursion bit-for-bit
 the certificate checks without re-evaluating the objective. run() records
 one trajectory: its loop makes one single-point gradient call per step for
 every preset, and the f and grads columns of the trace are evaluated in
-batch once it stops. run_lockstep() steps a stack of starts together under
-the same stop rules and keeps only where each one stopped.
+batch once it stops. run_lockstep() is the shared lockstep core for stacks
+of starts: it steps them together under the same stop rules, with one
+params and stop rules for all rows or one per row. Escape studies keep only
+where each row stopped; sweeps pass record=True and get each row's Trace,
+equal to run()'s.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -212,11 +215,19 @@ def step(problem: Problem, x_prev, x_curr, params: MomentumParams, grad=None):
     return x_next, y_beta, y_gamma
 
 
-def _warn_velocity(v0: float, params: MomentumParams) -> None:
-    if v0 > params.delta * params.alpha * (1.0 + 1e-12):
+def _warn_velocity(v0, limit) -> None:
+    """Warn if an initial velocity ||x_0 - x_{-1}|| exceeds its limit delta * alpha.
+
+    v0 and limit are numbers or per-row arrays; the first row over its limit
+    is named.
+    """
+    v0, limit = np.atleast_1d(v0, limit)
+    over = np.flatnonzero(v0 > limit * (1.0 + 1e-12))
+    if over.size:
+        b = over[0]
         warnings.warn(
-            f"initial velocity {v0:.3g} exceeds delta*alpha = "
-            f"{params.delta * params.alpha:.3g}; certificate bounds that use "
+            f"initial velocity {v0[b]:.3g} exceeds delta*alpha = "
+            f"{limit[b]:.3g}; certificate bounds that use "
             "delta may not apply",
             stacklevel=3,
         )
@@ -247,7 +258,7 @@ def run(
     stop = stop or StopRules()
     x_prev = problem.check_point(x_minus1)
     x_curr = problem.check_point(x_0)
-    _warn_velocity(np.linalg.norm(x_curr - x_prev), params)
+    _warn_velocity(np.linalg.norm(x_curr - x_prev), params.delta * params.alpha)
     gradient = problem.gradient
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
     grad_tol, max_iters, radius = stop.grad_tol, stop.max_iters, stop.box_radius
@@ -296,15 +307,7 @@ def run(
     points = np.asarray(pts)
     grads = None if gs is None else np.asarray(gs)
     del pts, gs  # return the per-step arrays' memory before the columns are filled
-    points, f, grads, diverged = _trace_columns(problem, points, grads)
-    return Trace(
-        points=points,
-        f=f,
-        grads=grads,
-        params=params,
-        stop_reason="diverged" if diverged else reason,
-        problem_name=problem.name,
-    )
+    return _trace(problem, points, grads, params, reason)
 
 
 # rows per batched value / gradient call when a trace's columns are filled:
@@ -341,32 +344,87 @@ def _trace_columns(problem: Problem, points: np.ndarray, grads: Optional[np.ndar
     return points, f, grads, False
 
 
+def _trace(problem: Problem, points, grads, params: MomentumParams, reason: str) -> Trace:
+    """The Trace of a run that stopped for reason, its columns filled by _trace_columns."""
+    points, f, grads, diverged = _trace_columns(problem, points, grads)
+    return Trace(
+        points=points,
+        f=f,
+        grads=grads,
+        params=params,
+        stop_reason="diverged" if diverged else reason,
+        problem_name=problem.name,
+    )
+
+
 @dataclass
 class LockstepResult:
-    """Where each row of a lockstep run stopped (row b is start b)."""
+    """Where each row of a lockstep run stopped (row b is start b).
+
+    A recorded run reads x, grad, iters and stop_reason off its traces.
+    """
 
     x: np.ndarray               # (B, dim) last iterate x_K
     grad: np.ndarray            # (B, dim) gradient at x
     iters: np.ndarray           # (B,) steps taken, K
     stop_reason: list           # (B,) the stop rule that fired, as in run()
+    traces: Optional[list] = None  # (B,) with record=True: the Trace run() returns per row
+
+
+def _each_row(given, kind, n: int) -> list:
+    """given as n instances of kind: one shared by every row, or a sequence of n."""
+    rows = [given] * n if isinstance(given, kind) else list(given)
+    if len(rows) != n:
+        raise ValueError(f"expected one {kind.__name__} per start ({n}), got {len(rows)}")
+    return rows
+
+
+def _grown(hist, cap):
+    """hist, (B, T, dim), copied into a buffer of min(2T, cap) points per row."""
+    grown = np.empty((hist.shape[0], int(min(2 * hist.shape[1], cap)), hist.shape[2]))
+    grown[:, :hist.shape[1]] = hist
+    return grown
+
+
+def _select(coef, live):
+    """(alpha, beta, gamma, hb) restricted to the live rows.
+
+    hb marks the heavy-ball rows (gamma == 0), which step with grad f(x_k):
+    True for every row, else a row mask, or None for no row.
+    """
+    alpha, beta, gamma = (v[live] if isinstance(v, np.ndarray) else v for v in coef)
+    hb = np.asarray(gamma == 0.0)
+    hb = True if hb.all() else hb[:, 0] if hb.any() else None
+    return alpha, beta, gamma, hb
 
 
 def run_lockstep(
     problem: Problem,
     x_minus1,
     x_0,
-    params: MomentumParams,
-    stop: Optional[StopRules] = None,
+    params: MomentumParams | Sequence[MomentumParams],
+    stop: StopRules | Sequence[StopRules] | None = None,
+    record: bool = False,
 ) -> LockstepResult:
     """Iterate every row of (B, dim) starts in lockstep until each one stops.
 
-    Row b follows exactly the iterates, stop rule and step count of
-    run(problem, x_minus1[b], x_0[b], params, stop); a row freezes once a
-    rule fires. Only the current and previous iterates are kept, so memory
-    does not grow with the step count. Heavy ball reuses grad f(x_k) as in
-    run().
+    params and stop are one MomentumParams and one StopRules for every row,
+    or sequences of B, one per row. Row b follows exactly the iterates, stop
+    rule and step count of run(problem, x_minus1[b], x_0[b], params[b],
+    stop[b]): one params gives scalar coefficients, a sequence gives (B, 1)
+    columns in the same elementwise expressions, and a heavy-ball row
+    (gamma == 0) steps with grad f(x_k), as run() does. A row freezes once a
+    rule fires.
+
+    Without record, only the current and previous iterates are kept, so
+    memory does not grow with the step count, and f(x_k) and grad f(x_k) are
+    checked at every step. With record=True, each row's iterates are kept,
+    and so are their gradients when a grad_tol rule or a heavy-ball row
+    makes the loop evaluate grad f(x_k); no other gradient at x_k and no
+    value is evaluated per step. traces[b] is the Trace run() returns for
+    row b: its remaining columns are filled once the rows stop, and it is
+    cut where they stop being finite.
     """
-    stop = stop or StopRules()
     prev = np.array(x_minus1, dtype=float, ndmin=2)
     cur = np.array(x_0, dtype=float, ndmin=2)
     if cur.ndim != 2 or not cur.size or cur.shape[1] != problem.dim or prev.shape != cur.shape:
@@ -374,51 +432,117 @@ def run_lockstep(
             f"{problem.name}: expected two (B, {problem.dim}) arrays of starts with B >= 1, "
             f"got shapes {prev.shape} and {cur.shape}"
         )
-    _warn_velocity(float(np.max(_row_norms(cur - prev))), params)
-    reuse = params.gamma == 0.0
-    check_box = not np.isinf(stop.box_radius)
+    n, dim = cur.shape
+    row_params = _each_row(params, MomentumParams, n)
+    _warn_velocity(_row_norms(cur - prev), np.array([p.delta * p.alpha for p in row_params]))
+    # one params: scalar coefficients; one per row: (B, 1) columns
+    coef = [
+        getattr(params, a) if isinstance(params, MomentumParams)
+        else np.array([getattr(p, a) for p in row_params], dtype=float)[:, None]
+        for a in ("alpha", "beta", "gamma")
+    ]
+    alpha, beta, gamma, hb = _select(coef, slice(None))
+    # per-row stop rules, filtered with the rows: max_iters, grad_tol, box_radius
+    rules = np.array([[s.max_iters, s.grad_tol, s.box_radius]
+                      for s in _each_row(stop or StopRules(), StopRules, n)])
+    check_box = not np.isinf(rules[:, 2]).all()
+    check_tol = bool((rules[:, 1] > 0).any())
+    first_cap = rules[:, 0].min()
+    # recorded runs check f and grad f when their trace columns are filled
+    check_values = not record
+    # grad f(x_k) of every live row, at every step: for the checks, the
+    # grad_tol rule or the heavy-ball rows' step
+    need_g = check_values or check_tol or hb is not None
+    gradient = problem.gradient
 
-    n = cur.shape[0]
-    out_x, out_g = np.empty_like(cur), np.empty_like(cur)
     iters = np.zeros(n, dtype=int)
     reasons = np.full(n, "", dtype=object)
-    rows, x0 = np.arange(n), cur
-    f, g = problem.value(cur), problem.gradient(cur)
-    k = 0
+    ghist = None
+    if record:
+        # the iterates and, when the loop evaluates them, their gradients
+        hist = np.empty((n, int(min(rules[:, 0].max() + 2, 64)), dim))
+        hist[:, 0], hist[:, 1] = prev, cur
+        if need_g:
+            ghist = np.empty_like(hist)
+            ghist[:, 0] = gradient(prev)
+    else:
+        out_x, out_g = np.empty_like(cur), np.empty_like(cur)
+    rows, x0, k = np.arange(n), cur, 0
 
     def freeze(stopped, why):
         """Record the stopped rows at x_k, where run() leaves them; return the live mask."""
         idx = rows[stopped]
-        out_x[idx], out_g[idx], iters[idx], reasons[idx] = cur[stopped], g[stopped], k, why
+        iters[idx], reasons[idx] = k, why
+        if not record:
+            out_x[idx], out_g[idx] = cur[stopped], g[stopped]
         return ~stopped
 
     while True:
-        # run()'s stop rules, lowest precedence first: later assignments win
-        why = np.full(rows.size, "", dtype=object)
-        if k >= stop.max_iters:
-            why[:] = "max_iters"
-        elif check_box:
-            why[_row_norms(cur - x0) > stop.box_radius] = "left_box"
-        if stop.grad_tol > 0:
-            why[_row_norms(g) < stop.grad_tol] = "grad_tol"
-        why[~(np.isfinite(f) & np.isfinite(g).all(axis=1))] = "diverged"
-        done = why != ""
-        if done.any():
+        if check_values:
+            f = problem.value(cur)
+        g = gradient(cur) if need_g else None
+        if ghist is not None:
+            ghist[rows, k + 1] = g
+        # run()'s stop rules, lowest precedence first: a later rule wins
+        hits = []
+        if check_box:
+            hits.append(("left_box", _row_norms(cur - x0) > rules[:, 2]))
+        if k >= first_cap:
+            hits.append(("max_iters", k >= rules[:, 0]))
+        if check_tol:
+            hits.append(("grad_tol", _row_norms(g) < rules[:, 1]))
+        if check_values:
+            hits.append(("diverged", ~(np.isfinite(f) & np.isfinite(g).all(axis=1))))
+        if any(hit.any() for _, hit in hits):
+            why = np.full(rows.size, "", dtype=object)
+            for reason, hit in hits:
+                why[hit] = reason
+            done = why != ""
             live = freeze(done, why[done])
             if not live.any():
                 break
-            rows, prev, cur, x0, g = rows[live], prev[live], cur[live], x0[live], g[live]
-        x_next, _, _ = step(problem, prev, cur, params, g if reuse else None)
-        done = ~np.isfinite(x_next).all(axis=1)
-        if done.any():
-            live = freeze(done, "diverged")
+            rows, prev, cur, x0, rules = rows[live], prev[live], cur[live], x0[live], rules[live]
+            alpha, beta, gamma, hb = _select((alpha, beta, gamma), live)
+            if need_g:
+                g = g[live]
+        # step(), with heavy-ball rows stepping along grad f(x_k)
+        d = cur - prev
+        if hb is None:
+            g_step = gradient(cur + gamma * d)
+        elif hb is True:
+            g_step = g
+        else:
+            g_step = g.copy()
+            gen = ~hb
+            g_step[gen] = gradient(cur[gen] + gamma[gen] * d[gen])
+        x_next = (cur + beta * d) - alpha * g_step
+        if not np.isfinite(x_next).all():
+            live = freeze(~np.isfinite(x_next).all(axis=1), "diverged")
             if not live.any():
                 break
-            rows, cur, x0, x_next = rows[live], cur[live], x0[live], x_next[live]
+            rows, cur, x0, x_next, rules = rows[live], cur[live], x0[live], x_next[live], rules[live]
+            alpha, beta, gamma, hb = _select((alpha, beta, gamma), live)
+        if record:
+            if k + 2 == hist.shape[1]:
+                hist, ghist = (None if h is None else _grown(h, rules[:, 0].max() + 2)
+                               for h in (hist, ghist))
+            hist[rows, k + 2] = x_next
         prev, cur = cur, x_next
-        f, g = problem.value(cur), problem.gradient(cur)
         k += 1
-    return LockstepResult(out_x, out_g, iters, reasons.tolist())
+
+    if not record:
+        return LockstepResult(out_x, out_g, iters, reasons.tolist())
+    traces = [_trace(problem, hist[b, :iters[b] + 2],
+                     None if ghist is None else ghist[b, :iters[b] + 2],
+                     row_params[b], reasons[b])
+              for b in range(n)]
+    return LockstepResult(
+        np.array([tr.points[-1] for tr in traces]),
+        np.array([tr.grads[-1] for tr in traces]),
+        np.array([tr.num_steps for tr in traces]),
+        [tr.stop_reason for tr in traces],
+        traces,
+    )
 
 
 def safe_alpha(M: float, params: MomentumParams) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -45,6 +46,31 @@ ALL_KINDS = [
 @pytest.fixture(params=ALL_KINDS)
 def any_problem(request):
     return make_problem(request.param)
+
+
+@pytest.fixture
+def counted():
+    """counted(problem) -> (problem', counts): problem' counts its evaluations.
+
+    counts["value"] and counts["gradient"] are [single-point calls, rows of
+    stacked (B, dim) calls], so batched work is told apart from per-point work.
+    """
+    def wrap(problem):
+        counts = {"value": [0, 0], "gradient": [0, 0]}
+
+        def counting(name, fn):
+            def call(x):
+                if np.ndim(x) == 1:
+                    counts[name][0] += 1
+                else:
+                    counts[name][1] += len(x)
+                return fn(x)
+            return call
+
+        return dataclasses.replace(problem, value=counting("value", problem.value),
+                                   gradient=counting("gradient", problem.gradient)), counts
+
+    return wrap
 
 
 def reference_run(problem, x_minus1, x_0, params, stop):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import ALL_KINDS, make_problem
+from conftest import ALL_KINDS, make_problem, reference_run
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -193,3 +193,127 @@ def test_escape_mixed_stops_replay_run():
     assert {o["stop_reason"] for o in exp.outcomes} == {"grad_tol", "left_box", "max_iters"}
     assert exp.n_inconclusive > 0
     assert exp.outcomes == _replay(p, saddle, params, **kw)
+
+
+def _row_params(preset, alpha, beta, gamma):
+    return _params(preset, alpha, beta, gamma, 1.0)
+
+
+ROW = st.tuples(
+    PRESETS,
+    st.sampled_from([1e-3, 0.02, 0.1, 1.0, 50.0]),   # 50 diverges on every family
+    st.floats(-0.8, 0.8),
+    st.floats(-1.0, 1.0),
+    st.integers(0, 60),
+    st.sampled_from([0.0, 1e-3]),
+    st.sampled_from([0.5, 3.0, np.inf]),
+)
+
+
+def _assert_trace_equals_run(p, rec, xm1, x0, params, stop):
+    tr = run(p, xm1, x0, params, stop)
+    points, f, grads, reason = reference_run(p, xm1, x0, params, stop)
+    assert rec.stop_reason == tr.stop_reason == reason
+    assert rec.params == params and rec.problem_name == tr.problem_name
+    # bit for bit: the sign of a zero and a NaN's payload count
+    for got, want, ref in ((rec.points, tr.points, points), (rec.f, tr.f, f),
+                           (rec.grads, tr.grads, grads)):
+        assert got.shape == want.shape == ref.shape
+        assert got.tobytes() == want.tobytes() == ref.tobytes()
+    return tr
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.lists(ROW, min_size=1, max_size=7))
+@settings(max_examples=12, deadline=None)
+def test_recorded_lockstep_rows_equal_run(kind, seed, rows):
+    # a sweep grid: per-row alpha, beta, gamma, presets and stop rules, so
+    # heavy-ball rows step beside generic ones and rows stop at different steps
+    p = make_problem(kind)
+    params = [_row_params(*r[:4]) for r in rows]
+    stops = [StopRules(*r[4:]) for r in rows]
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal((len(rows), p.dim))
+    xm1 = x0 + rng.uniform(-0.5, 0.5, x0.shape) * [[q.alpha] for q in params]
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        rec = run_lockstep(p, xm1, x0, params, stops, record=True)
+        res = run_lockstep(p, xm1, x0, params, stops)
+        for b in range(len(rows)):
+            tr = _assert_trace_equals_run(p, rec.traces[b], xm1[b], x0[b], params[b], stops[b])
+            for r in (rec, res):
+                assert r.stop_reason[b] == tr.stop_reason
+                assert r.iters[b] == tr.num_steps
+                assert np.array_equal(r.x[b], tr.x(tr.num_steps))
+                assert np.array_equal(r.grad[b], tr.grads[-1], equal_nan=True)
+
+
+def test_recorded_rows_cut_where_values_overflow():
+    # f overflows (grad f stays finite) on some rows only: a recorded row is
+    # cut there as 'diverged', as run() cuts its trace; the others run on
+    base = synthetic("quadratic")
+    p = problems.Problem(name="overflowing", dim=2, value=lambda z: base.value(z) * 2.0**1000,
+                         gradient=base.gradient)
+    x0 = np.array([[1.0, 0.0], [1e-160, 0.0], [3.0, -2.0], [1e-170, 1e-170]])
+    xm1 = x0 + [[2e4, 0.0], [0.0, 0.0], [-5e4, 2e4], [0.0, 0.0]]
+    params = [MomentumParams(0.1, 0.5, 0.2, delta=1e6), MomentumParams.heavy_ball(0.1, 0.5),
+              MomentumParams(0.3, 0.2, 0.0, delta=1e6), MomentumParams.nesterov(0.05, 0.4)]
+    stops = [StopRules(max_iters=k) for k in (5, 40, 7, 40)]
+    with np.errstate(over="ignore"):
+        rec = run_lockstep(p, xm1, x0, params, stops, record=True)
+        for b in range(4):
+            _assert_trace_equals_run(p, rec.traces[b], xm1[b], x0[b], params[b], stops[b])
+    assert rec.stop_reason == ["diverged", "max_iters", "diverged", "max_iters"]
+    assert rec.iters.tolist() == [1, 40, 1, 40]
+
+
+def test_recorded_mixed_grid_keeps_heavy_ball_bits():
+    # a heavy-ball row steps with grad f(x_k), as run() does, not with
+    # grad f(x_k + 0 * (x_k - x_{k-1})): at x_k = -0.0 that point is +0.0, and
+    # with beta < 0 the sign of the quartic's gradient reaches x_{k+1}
+    p = synthetic("quartic")
+    x0 = np.array([[-0.0], [-0.0]])
+    params = [MomentumParams.heavy_ball(0.1, -0.5), MomentumParams(0.1, -0.5, 0.3)]
+    stop = StopRules(max_iters=3)
+    rec = run_lockstep(p, x0, x0, params, stop, record=True)
+    for b in range(2):
+        _assert_trace_equals_run(p, rec.traces[b], x0[b], x0[b], params[b], stop)
+    assert np.signbit(rec.traces[0].points[:, 0]).tolist() == [True, True, False, False, False]
+
+
+def test_mixed_grid_reports_the_gradient_where_a_row_diverged():
+    # the generic row's x_1 overflows while f and grad f at x_0 are finite:
+    # it stops at x_0 with grad f(x_0), not the grad f(y_0) it stepped with
+    p = synthetic("quadratic")
+    x0 = np.array([[1.0, -2.0], [1e150, 1e150]])
+    xm1 = x0 - [[0.0, 0.0], [1e149, 0.0]]
+    params = [MomentumParams.heavy_ball(0.1, 0.5), MomentumParams(1e200, 0.5, 0.5, delta=1.0)]
+    stop = StopRules(max_iters=5)
+    with np.errstate(over="ignore"):
+        res = run_lockstep(p, xm1, x0, params, stop)
+        tr = run(p, xm1[1], x0[1], params[1], stop)
+    assert res.stop_reason == ["max_iters", "diverged"] == ["max_iters", tr.stop_reason]
+    assert res.iters.tolist() == [5, 0]
+    assert np.array_equal(res.grad[1], tr.grads[-1])
+
+
+def test_rows_whose_beta_differs_in_the_sign_of_zero():
+    # beta = -0.0 and 0.0 compare equal, but x_1 = (x_0 - 0.0 * d) - alpha * g
+    # keeps the -0.0 components of the factorization's origin and
+    # (x_0 + 0.0 * d) - alpha * g does not: each row keeps its own beta
+    p = make_problem("matrix_factorization")
+    x0 = np.full((2, p.dim), -0.0)
+    params = [MomentumParams(0.1, -0.0), MomentumParams(0.1, 0.0)]
+    rec = run_lockstep(p, x0, x0, params, StopRules(max_iters=3), record=True)
+    for b in range(2):
+        _assert_trace_equals_run(p, rec.traces[b], x0[b], x0[b], params[b], StopRules(max_iters=3))
+    assert np.signbit(rec.traces[0].points[2]).all() and not np.signbit(rec.traces[1].points[2]).any()
+
+
+def test_lockstep_params_per_row_must_match_the_starts():
+    p = synthetic("quadratic")
+    x0 = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="one MomentumParams per start"):
+        run_lockstep(p, x0, x0, [MomentumParams(0.1)] * 2)
+    with pytest.raises(ValueError, match="one StopRules per start"):
+        run_lockstep(p, x0, x0, MomentumParams(0.1), [StopRules()] * 4)

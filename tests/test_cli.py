@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from momlab import cli as momlab_cli
 from momlab import config as momlab_config
 from momlab.cli import main
 
@@ -360,6 +361,54 @@ class TestSweepCommand:
                      "--out", str(tmp_path / "out"), "--quiet"]) == 0
         assert len(calls) == 1
         assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 2 + 9
+
+    # a generic grid with random starts: the Lipschitz ball is centred at each
+    # cell's x0 and its reach is max(|beta|, |gamma|), so the 24 cells share
+    # 4 seeds x 4 reaches (0, 0.3, 0.5, 0.6) = 16 distinct estimates
+    GENERIC_GRID_CFG = """
+problem: {kind: matrix_factorization, m: 3, n: 3, rank: 1, seed: 5}
+params: {alpha: auto, beta: 0.3, preset: generic}
+init: {x0: {random: {radius: 0.4, seed: 2}}}
+lipschitz: {mode: sampled, center: x0, radius: 3.0, seed: 1}
+stop: {max_iters: 60}
+checks: [descent, rate]
+sweep: {alphas: [auto], betas: [0.0, 0.3, 0.6], gammas: [0.0, 0.5], seeds: [0, 1, 2, 3]}
+"""
+
+    def test_one_lipschitz_estimate_per_distinct_ball(self, tmp_path, monkeypatch):
+        calls = []
+        estimate = momlab_cli.estimate_lipschitz
+        monkeypatch.setattr(momlab_cli, "estimate_lipschitz",
+                            lambda *args, **kw: calls.append(kw["reach"]) or estimate(*args, **kw))
+        cfg = write_config(tmp_path, self.GENERIC_GRID_CFG)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+        assert len(calls) == 16
+        assert sorted(set(calls)) == [0.0, 0.3, 0.5, 0.6]
+        assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 2 + 24
+
+    def test_stepping_makes_no_single_point_gradient_calls(self, tmp_path, monkeypatch,
+                                                           counted):
+        # every cell steps in one stacked call per step, recorded in lockstep
+        seen = []
+        lockstep = momlab_cli.run_lockstep
+
+        def counting_lockstep(problem, *args, **kw):
+            problem, counts = counted(problem)
+            seen.append(counts)
+            return lockstep(problem, *args, **kw)
+
+        monkeypatch.setattr(momlab_cli, "run_lockstep", counting_lockstep)
+        cfg = write_config(tmp_path, self.GENERIC_GRID_CFG)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+        assert len(seen) == 1
+        assert seen[0]["gradient"][0] == 0 and seen[0]["value"][0] == 0
+        # the grid has heavy-ball cells, so the loop takes grad f(x_k) of every
+        # row at all 62 points and keeps it for the traces; the 12 cells with
+        # gamma = 0.5 add grad f(y_k) at each of their 60 steps
+        assert seen[0]["gradient"][1] == 62 * 24 + 60 * 12
+        assert seen[0]["value"][1] == 62 * 24
 
     def test_empty_grid_rejected(self, tmp_path):
         cfg = write_config(tmp_path, """

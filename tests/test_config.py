@@ -61,7 +61,16 @@ def test_problem_seed_accepted_for_every_kind(tmp_path, kind):
     # saddle_report.json echoes problem.seed, so it is meaningful for any kind
     path = tmp_path / "cfg.yaml"
     path.write_text(f"problem: {{kind: {kind}, seed: 4}}\n")
-    assert load_config(path).raw["problem"]["seed"] == 4
+    assert load_config(path, command="run").raw["problem"]["seed"] == 4
+
+
+def test_load_config_needs_a_known_command(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("problem: {kind: quadratic}\n")
+    with pytest.raises(TypeError):
+        load_config(path)
+    with pytest.raises(ValueError, match="unknown command 'plot'"):
+        load_config(path, command="plot")
 
 
 @pytest.mark.parametrize("command, sections, field", [
@@ -149,3 +158,59 @@ def test_sweep_without_alphas_uses_params_alpha(tmp_path, capsys):
     rc, err = cli(tmp_path, capsys, "sweep", text)
     assert rc == 0, err
     assert [r[0] for r in sweep_rows(tmp_path / "out")] == ["0.070000000000000007"] * 2
+
+
+# valid configs of the two commands that read only part of a run config
+TRACK = {
+    "problem": "{kind: quadratic, dim: 2}",
+    "params": "{beta: 0.5}",
+    "init": "{x0: [1.0, 0.0]}",
+    "track": "{horizon: 1.0, alphas: [0.1, 0.05]}",
+}
+SADDLE = {
+    "problem": "{kind: indefinite_quadratic}",
+    "params": "{alpha: auto, beta: 0.5, preset: heavy_ball}",
+    "stop": "{max_iters: 200, grad_tol: 1.0e-9, box_radius: 10.0}",
+    "saddle": "{point: origin, trials: 3}",
+}
+
+
+@pytest.mark.parametrize("command, sections, field", [
+    # the ladder sets its own alphas, x_{-1}, delta and step counts
+    ("track", {**TRACK, "params": "{alpha: 0.3, beta: 0.5}"}, "params.alpha"),
+    ("track", {**TRACK, "params": "{beta: 0.5, delta: 7}"}, "params.delta"),
+    ("track", {**TRACK, "init": "{x0: [1.0, 0.0], x_minus1: [1.0, 0.0]}"}, "init.x_minus1"),
+    ("track", {**TRACK, "stop": "{max_iters: 3, grad_tol: 0.5}"}, "stop"),
+    ("track", {**TRACK, "checks": "[descent, length]"}, "checks"),
+    ("track", {**TRACK, "lipschitz": "{mode: analytic}"}, "lipschitz"),
+    # an escape study samples its own starts and certifies nothing
+    ("saddle", {**SADDLE, "init": "{x0: [0.1, 0.2]}"}, "init"),
+    ("saddle", {**SADDLE, "checks": "[descent]"}, "checks"),
+    ("saddle", {**SADDLE, "lipschitz": "{mode: analytic}"}, "lipschitz"),
+    ("saddle", {**SADDLE, "m_crit": "2"}, "m_crit"),
+    ("run", {**BASE, "track": "{horizon: 1.0, alphas: [0.1, 0.05]}"}, "track"),
+    ("run", {**BASE, "saddle": "{point: origin, trials: 3}"}, "saddle"),
+    ("run", {**BASE, "sweep": "{betas: [0.1, 0.2]}"}, "sweep"),
+    ("sweep", {**BASE, "sweep": "{betas: [0.1]}", "track": "{horizon: 1.0, alphas: [0.1, 0.05]}"},
+     "track"),
+    ("sweep", {**BASE, "sweep": "{betas: [0.1]}", "saddle": "{point: origin, trials: 3}"},
+     "saddle"),
+])
+def test_key_the_command_does_not_read_rejected(tmp_path, capsys, command, sections, field):
+    text = "".join(f"{key}: {body}\n" for key, body in sections.items())
+    rc, err = cli(tmp_path, capsys, command, text)
+    assert rc == 1
+    assert f"error: {field}: not used by the {command} command" in err
+    assert not (tmp_path / "out").exists()  # rejected before anything ran
+
+
+@pytest.mark.parametrize("command, sections", [
+    ("track", TRACK),
+    ("saddle", SADDLE),
+    ("run", BASE),
+    ("sweep", {**BASE, "sweep": "{betas: [0.1]}"}),
+])
+def test_keys_the_command_reads_accepted(tmp_path, capsys, command, sections):
+    text = "".join(f"{key}: {body}\n" for key, body in sections.items())
+    rc, err = cli(tmp_path, capsys, command, text)
+    assert rc == 0, err

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from momlab import cli
 from momlab.cli import main
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -101,3 +102,44 @@ def test_shipped_outputs_match_golden_digests(command, config, output, digest, t
     out = tmp_path / "out"
     assert main([command, "--config", str(CONFIG_DIR / config), "--out", str(out), "--quiet"]) == 0
     assert sha256(out / output) == digest
+
+
+# a generic sweep over heavy-ball (gamma 0) and gamma 0.5 cells, three random
+# starts and auto step sizes; its cells stop on grad_tol, left_box and
+# max_iters. The digest was taken from the cell-by-cell implementation.
+MIXED_SWEEP_CFG = """
+problem: {kind: matrix_factorization, m: 3, n: 3, rank: 1, seed: 4}
+params: {alpha: auto, beta: 0.0, preset: generic}
+init:
+  x0: {random: {radius: 1.0, seed: 5}}
+lipschitz: {mode: sampled, center: x0, radius: 3.0, seed: 2}
+stop: {max_iters: 1500, grad_tol: 1.0e-3, box_radius: 2.2}
+checks: [descent, rate]
+sweep: {alphas: [auto], betas: [0.0, 0.3, 0.6], gammas: [0.0, 0.5], seeds: [0, 1, 2]}
+"""
+MIXED_SWEEP_DIGEST = "bc352300a19bade7d773ae97907fd30fd77c635a570ce6a38708a8e9743be95a"
+
+
+def _mixed_sweep(tmp_path) -> str:
+    config = tmp_path / "mixed_sweep.yaml"
+    config.write_text(MIXED_SWEEP_CFG)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    return sha256(out / "sweep.csv")
+
+
+def test_mixed_sweep_matches_golden_digest(tmp_path):
+    assert _mixed_sweep(tmp_path) == MIXED_SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("group_bytes, groups", [(None, 1), (1, 18)])
+def test_sweep_groups_write_the_same_bytes(group_bytes, groups, tmp_path, monkeypatch):
+    # all 18 cells in one lockstep group, or one cell per group
+    if group_bytes is not None:
+        monkeypatch.setattr(cli, "_SWEEP_GROUP_BYTES", group_bytes)
+    calls = []
+    lockstep = cli.run_lockstep
+    monkeypatch.setattr(cli, "run_lockstep",
+                        lambda *args, **kw: calls.append(len(args[1])) or lockstep(*args, **kw))
+    assert _mixed_sweep(tmp_path) == MIXED_SWEEP_DIGEST
+    assert len(calls) == groups and sum(calls) == 18

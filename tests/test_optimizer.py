@@ -145,22 +145,11 @@ class TestRun:
         # grad_tol needs grad f(x_k) at every iterate as well
         (MomentumParams(0.01, 0.5, 0.3), 1e-12, lambda K: 2 * K + 2, lambda K: 0),
     ], ids=["generic", "nesterov", "heavy_ball", "generic_grad_tol"])
-    def test_evaluated_rows_per_step(self, params, grad_tol, single_grads, stacked_grads):
+    def test_evaluated_rows_per_step(self, params, grad_tol, single_grads, stacked_grads,
+                                     counted):
         base = make_problem("matrix_factorization")
         # [single-point calls, rows of stacked calls]
-        counts = {"value": [0, 0], "gradient": [0, 0]}
-
-        def counted(name, fn):
-            def call(x):
-                if x.ndim == 1:
-                    counts[name][0] += 1
-                else:
-                    counts[name][1] += x.shape[0]
-                return fn(x)
-            return call
-
-        p = Problem(name="counted", dim=base.dim, value=counted("value", base.value),
-                    gradient=counted("gradient", base.gradient))
+        p, counts = counted(base)
         x0 = np.random.default_rng(3).standard_normal(base.dim) * 0.3
         stop = StopRules(max_iters=40, grad_tol=grad_tol)
         tr = run(p, x0, x0, params, stop)
