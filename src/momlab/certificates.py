@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .optimizer import MomentumParams, Trace, safe_alpha
+from .optimizer import MomentumParams, Trace, _by_row_block, safe_alpha
 from .problems import Problem, _dot_self, _norms_in_place, _row_norms
 
 __all__ = [
@@ -121,6 +121,8 @@ class Certificate:
     ball_radius: float
     certified_params: bool      # alpha <= alpha_bar
     per_step: dict = field(default_factory=dict)  # name -> PerStepReport
+    # (trace, ball, certified steps) of the last trace checked: see _certified_steps
+    _certified: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def constants(self) -> dict:
         return {
@@ -319,9 +321,18 @@ def build_certificate(
 
 
 def _certified_steps(trace: Trace, cert: Certificate) -> np.ndarray:
-    """certified[k] for step k = 0..K-1; False from the first ball exit on."""
-    K = trace.num_steps
-    dist = _norms_in_place(trace.points - cert.ball_center)
+    """certified[k] for step k = 0..K-1; False from the first ball exit on.
+
+    The (read-only) array is kept on cert, so the checks of one trace
+    against one ball measure its points once, a row block at a time.
+    """
+    ball = (cert.ball_center.tobytes(), cert.ball_radius)
+    held = cert._certified
+    if held is not None and held[0] is trace and held[1] == ball:
+        return held[2]
+    K, points = trace.num_steps, trace.points
+    dist = _by_row_block(len(points),
+                         lambda i, j: _norms_in_place(points[i:j] - cert.ball_center))
     inside = dist <= cert.ball_radius * (1.0 + 1e-12)
     certified = np.ones(K, dtype=bool)
     out = np.nonzero(~inside)[0]
@@ -329,6 +340,8 @@ def _certified_steps(trace: Trace, cert: Certificate) -> np.ndarray:
         # point index i is iterate x_{i-1}; step k touches points k, k+1, k+2
         first_bad_step = max(int(out[0]) - 2, 0)
         certified[first_bad_step:] = False
+    certified.flags.writeable = False
+    cert._certified = (trace, ball, certified)
     return certified
 
 
@@ -373,15 +386,20 @@ def _first_min(a, b):
 
 
 def _grad_H_norms(trace: Trace, lam: float) -> np.ndarray:
-    """||grad H_lam(z_k)|| for k = 0..K, built in one (K+1, dim) buffer.
+    """||grad H_lam(z_k)|| for k = 0..K, a row block at a time.
 
     grad H(x, y) = (grad f(x) + 2 lam (x - y), 2 lam (y - x)) at z_k = (x_k, x_{k-1}).
     """
-    d = trace.points[1:] - trace.points[:-1]
-    d *= 2.0 * lam
-    d_sq = _dot_self(d)
-    d += trace.grads[1:]
-    return np.sqrt(_dot_self(d) + d_sq)
+    points, grads = trace.points, trace.grads
+
+    def rows(i, j):
+        d = points[i + 1:j + 1] - points[i:j]
+        d *= 2.0 * lam
+        d_sq = _dot_self(d)
+        d += grads[i + 1:j + 1]
+        return np.sqrt(_dot_self(d) + d_sq)
+
+    return _by_row_block(len(points) - 1, rows)
 
 
 def check_gradient_bound(trace: Trace, cert: Certificate) -> PerStepReport:
@@ -391,7 +409,9 @@ def check_gradient_bound(trace: Trace, cert: Certificate) -> PerStepReport:
     The reported slack is the smaller of the two normalized slacks.
     """
     z_gap = _z_gaps(trace.step_norms)
-    slack_b = cert.b_alpha * z_gap - _row_norms(trace.grads[1:-1])
+    grads = trace.grads
+    slack_b = cert.b_alpha * z_gap - _by_row_block(
+        trace.num_steps, lambda i, j: _row_norms(grads[i + 1:j + 1]))
     gH = _grad_H_norms(trace, cert.lam)
     slack_c2 = cert.c2 * z_gap - _first_max(gH[:-1], gH[1:])
 

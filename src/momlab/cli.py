@@ -204,13 +204,14 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config, args.seed, command="run")
     out = _out_dir(args)
     x0, x_m1, params, stop, cert, seeds = _prepare(cfg, args.alpha)
+    meta = f"config_sha256={cfg.config_hash} seeds={json.dumps(seeds, sort_keys=True)}"
+    # a diverging run overflows in its checks and its trace.csv columns as
+    # well as in its steps; its report says so
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         trace = run(cfg.problem, x_m1, x0, params, stop)
-    results, psi, total_length = _certify(cfg, trace, cert)
-    meta = f"config_sha256={cfg.config_hash} seeds={json.dumps(seeds, sort_keys=True)}"
-
-    write_trace_csv(out / "trace.csv", trace, cert, meta)
+        results, psi, total_length = _certify(cfg, trace, cert)
+        write_trace_csv(out / "trace.csv", trace, cert, meta)
     cert.to_json(out / "certificate.json")
     report = {
         "meta": {
@@ -386,19 +387,20 @@ def cmd_sweep(args) -> int:
         x0s, x_m1s, params, stops, certs, _ = zip(*[
             _prepare(cell, None, s, lipschitz) for cell, (_, _, _, s) in zip(cells, chunk)
         ])
+        # a diverging cell overflows in its checks as well as in its steps
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             traces = run_lockstep(problem, x_m1s, x0s, params, stops, record=True).traces
-        for (_, b, g, s), cell, cert, trace in zip(chunk, cells, certs, traces):
-            results, _, total_length = _certify(cell, trace, cert)
-            descent = cert.per_step.get("descent")
-            rows.append([
-                _fmt(cert.params.alpha), _fmt(b), _fmt(g), s,
-                int(trace.stop_reason == "grad_tol"),
-                _fmt(total_length),
-                _fmt(descent.min_slack) if descent is not None and descent.n_certified else "",
-                _fmt(results["rate"].sup_product) if "rate" in results else "",
-            ])
+            for (_, b, g, s), cell, cert, trace in zip(chunk, cells, certs, traces):
+                results, _, total_length = _certify(cell, trace, cert)
+                descent = cert.per_step.get("descent")
+                rows.append([
+                    _fmt(cert.params.alpha), _fmt(b), _fmt(g), s,
+                    int(trace.stop_reason == "grad_tol"),
+                    _fmt(total_length),
+                    _fmt(descent.min_slack) if descent is not None and descent.n_certified else "",
+                    _fmt(results["rate"].sup_product) if "rate" in results else "",
+                ])
 
     meta = f"config_sha256={cfg.config_hash} cells={len(rows)}"
     _write_csv(

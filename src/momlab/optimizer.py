@@ -134,14 +134,16 @@ class Trace:
     @cached_property
     def grad_norms(self) -> np.ndarray:
         """||grad f(x_k)|| for k = -1..K (length K+2)."""
-        norms = np.linalg.norm(self.grads, axis=1)
+        g = self.grads
+        norms = _by_row_block(len(g), lambda i, j: np.linalg.norm(g[i:j], axis=1))
         norms.flags.writeable = False
         return norms
 
     @cached_property
     def step_norms(self) -> np.ndarray:
         """||x_{k+1} - x_k|| for k = -1..K-1 (length K+1)."""
-        norms = _norms_in_place(np.diff(self.points, axis=0))
+        p = self.points
+        norms = _by_row_block(len(p) - 1, lambda i, j: _norms_in_place(p[i + 1:j + 1] - p[i:j]))
         norms.flags.writeable = False
         return norms
 
@@ -249,7 +251,9 @@ def run(
 
     The loop evaluates one single-point gradient per step, grad f(y_k^gamma),
     which heavy ball (gamma == 0) reads from the stored grad f(x_k); it also
-    evaluates grad f(x_k) when grad_tol > 0, and never the objective. The
+    evaluates grad f(x_k) when grad_tol > 0, and never the objective. It
+    records the iterates, and the gradients it holds, in buffers that double
+    up to max_iters + 2 points; the trace's arrays are their prefixes. The
     trace's f column, and its grads column when the loop did not hold it, are
     then evaluated in batch; the trace is cut at the first point (x_0 or
     later) whose value or gradient is not finite, as a per-step check of
@@ -264,12 +268,15 @@ def run(
     grad_tol, max_iters, radius = stop.grad_tol, stop.max_iters, stop.box_radius
     reuse = gamma == 0.0
     check_box = not math.isinf(radius)
-    # grad f(x_k) for every point, when the loop needs it
-    gs = None
+    cap = max_iters + 2
+    # the iterates and, when the loop needs them, grad f(x_k) for every point
+    pts = _history((), cap, problem.dim)
+    pts[0], pts[1] = x_prev, x_curr
+    gs = g_curr = None
     if reuse or grad_tol > 0:
-        gs = [gradient(x_prev), gradient(x_curr)]
-
-    pts = [x_prev, x_curr]
+        gs = np.empty_like(pts)
+        gs[0] = gradient(x_prev)
+        gs[1] = g_curr = gradient(x_curr)
     reason = "max_iters"
     x0_ref = x_curr
 
@@ -278,11 +285,9 @@ def run(
     # finiteness test that raises no floating-point warning on inf
     k = 0
     while True:
-        if grad_tol > 0:
-            g = gs[-1]
-            if math.sqrt(g.dot(g)) < grad_tol:
-                reason = "grad_tol"
-                break
+        if grad_tol > 0 and math.sqrt(g_curr.dot(g_curr)) < grad_tol:
+            reason = "grad_tol"
+            break
         if k >= max_iters:
             reason = "max_iters"
             break
@@ -293,27 +298,44 @@ def run(
                 break
         # step(), inlined with the same expression order
         d = x_curr - x_prev
-        g = gs[-1] if reuse else gradient(x_curr + gamma * d)
+        g = g_curr if reuse else gradient(x_curr + gamma * d)
         x_next = (x_curr + beta * d) - alpha * g
         if not np.isfinite(x_next).all():
             reason = "diverged"
             break
-        pts.append(x_next)
+        if k + 2 == len(pts):
+            # one buffer at a time, so at most one old buffer is alive
+            pts = _grown(pts, cap)
+            if gs is not None:
+                gs = _grown(gs, cap)
+        pts[k + 2] = x_next
         if gs is not None:
-            gs.append(gradient(x_next))
+            gs[k + 2] = g_curr = gradient(x_next)
         x_prev, x_curr = x_curr, x_next
         k += 1
 
-    points = np.asarray(pts)
-    grads = None if gs is None else np.asarray(gs)
-    del pts, gs  # return the per-step arrays' memory before the columns are filled
-    return _trace(problem, points, grads, params, reason)
+    n = k + 2
+    return _trace(problem, pts[:n], None if gs is None else gs[:n], params, reason)
 
 
 # rows per batched value / gradient call when a trace's columns are filled:
 # large enough to amortize the call, small enough that the per-call
 # temporaries stay a few MB
 _ROW_BLOCK = 1024
+
+
+def _by_row_block(n: int, rows) -> np.ndarray:
+    """The (n,) array whose entries i..j-1 are rows(i, j), _ROW_BLOCK rows at a time.
+
+    For per-row results (norms, row dot products) of (n, dim) arrays: a
+    block gives the same bits as the whole array, and the temporaries stay
+    one block in size.
+    """
+    out = np.empty(n)
+    for i in range(0, n, _ROW_BLOCK):
+        j = min(i + _ROW_BLOCK, n)
+        out[i:j] = rows(i, j)
+    return out
 
 
 def _trace_columns(problem: Problem, points: np.ndarray, grads: Optional[np.ndarray]):
@@ -379,10 +401,20 @@ def _each_row(given, kind, n: int) -> list:
     return rows
 
 
+def _history(lead: tuple, cap, dim: int) -> np.ndarray:
+    """An empty recording buffer, lead + (T, dim), of T = min(cap, 64) points per row.
+
+    A run grows it with _grown as it records, never beyond cap points: a
+    grad_tol run may allow far more steps than it takes.
+    """
+    return np.empty(lead + (int(min(cap, 64)), dim))
+
+
 def _grown(hist, cap):
-    """hist, (B, T, dim), copied into a buffer of min(2T, cap) points per row."""
-    grown = np.empty((hist.shape[0], int(min(2 * hist.shape[1], cap)), hist.shape[2]))
-    grown[:, :hist.shape[1]] = hist
+    """hist, (..., T, dim), copied into a buffer of min(2T, cap) points per row."""
+    T = hist.shape[-2]
+    grown = np.empty(hist.shape[:-2] + (int(min(2 * T, cap)), hist.shape[-1]))
+    grown[..., :T, :] = hist
     return grown
 
 
@@ -460,7 +492,7 @@ def run_lockstep(
     ghist = None
     if record:
         # the iterates and, when the loop evaluates them, their gradients
-        hist = np.empty((n, int(min(rules[:, 0].max() + 2, 64)), dim))
+        hist = _history((n,), rules[:, 0].max() + 2, dim)
         hist[:, 0], hist[:, 1] = prev, cur
         if need_g:
             ghist = np.empty_like(hist)
@@ -524,8 +556,10 @@ def run_lockstep(
             alpha, beta, gamma, hb = _select((alpha, beta, gamma), live)
         if record:
             if k + 2 == hist.shape[1]:
-                hist, ghist = (None if h is None else _grown(h, rules[:, 0].max() + 2)
-                               for h in (hist, ghist))
+                # one buffer at a time, so at most one old buffer is alive
+                hist = _grown(hist, rules[:, 0].max() + 2)
+                if ghist is not None:
+                    ghist = _grown(ghist, rules[:, 0].max() + 2)
             hist[rows, k + 2] = x_next
         prev, cur = cur, x_next
         k += 1
@@ -551,9 +585,11 @@ def safe_alpha(M: float, params: MomentumParams) -> float:
     With beta = gamma = 0 the second constraint is vacuous and 1/M is
     returned.
     """
+    # Python floats: a numpy scalar M would warn where the second bound
+    # overflows to inf, which min() then discards
+    M, b, g = float(M), float(params.beta), float(params.gamma)
     if M <= 0:
         raise ValueError(f"M must be positive, got {M}")
-    b, g = params.beta, params.gamma
     denom = b * b + 2.0 * abs(b - g)
     if denom == 0.0:
         return 1.0 / M

@@ -323,12 +323,13 @@ def linear_network(Xbar: np.ndarray, Ybar: np.ndarray, widths: Sequence[int]) ->
         Ws = split(z)
         acts = forward(Ws)
         E = acts[-1] - Ybar
-        # back[j] = (W_l ... W_{j+1})^T E, back[l] = E
+        # back[j] = (W_l ... W_{j+1})^T E, back[l] = E; back[0] is not needed
         back = E
         grads = [None] * l
         for j in range(l - 1, -1, -1):
             grads[j] = 2.0 * back @ _T(acts[j])
-            back = _T(Ws[j]) @ back
+            if j:
+                back = _T(Ws[j]) @ back
         return _join(*grads)
 
     def hessian_vec(z, v):
@@ -344,8 +345,9 @@ def linear_network(Xbar: np.ndarray, Ybar: np.ndarray, widths: Sequence[int]) ->
         grads = [None] * l
         for j in range(l - 1, -1, -1):
             grads[j] = 2.0 * (dback @ acts[j].T + back @ dacts[j].T)
-            dback = Ws[j].T @ dback + Vs[j].T @ back
-            back = Ws[j].T @ back
+            if j:
+                dback = Ws[j].T @ dback + Vs[j].T @ back
+                back = Ws[j].T @ back
         return _join(*grads)
 
     return Problem(

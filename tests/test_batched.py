@@ -267,6 +267,20 @@ def test_recorded_rows_cut_where_values_overflow():
     assert rec.iters.tolist() == [1, 40, 1, 40]
 
 
+def test_recorded_rows_across_buffer_growths():
+    # the recording buffers start at 64 points and double, one at a time,
+    # up to the longest row's max_iters + 2: rows stop on either side of a
+    # growth, heavy-ball rows beside generic ones
+    p = make_problem("matrix_factorization")
+    x0 = np.random.default_rng(5).standard_normal((6, p.dim)) * 0.3
+    params = [MomentumParams.heavy_ball(0.02, 0.5), MomentumParams(0.02, 0.5, 0.3)] * 3
+    stops = [StopRules(max_iters=k) for k in (62, 63, 126, 127, 128, 300)]
+    rec = run_lockstep(p, x0, x0, params, stops, record=True)
+    for b in range(6):
+        _assert_trace_equals_run(p, rec.traces[b], x0[b], x0[b], params[b], stops[b])
+    assert rec.iters.tolist() == [62, 63, 126, 127, 128, 300]
+
+
 def test_recorded_mixed_grid_keeps_heavy_ball_bits():
     # a heavy-ball row steps with grad f(x_k), as run() does, not with
     # grad f(x_k + 0 * (x_k - x_{k-1})): at x_k = -0.0 that point is +0.0, and

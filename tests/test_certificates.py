@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,11 +22,17 @@ from momlab import (
     lyapunov,
     lyapunov_interval,
     lyapunov_values,
+    matrix_factorization,
     run,
     safe_alpha,
     step_bound_delta1,
     synthetic,
 )
+
+from momlab.analysis import check_rate
+from momlab.certificates import _certified_steps, _grad_H_norms
+from momlab.optimizer import Trace
+from momlab.problems import _dot_self
 
 SQRT2 = math.sqrt(2.0)
 
@@ -271,3 +279,80 @@ class TestCertificateSerialization:
         assert data["checks"]["descent"]["fail"] == 0
         assert len(data["checks"]["descent"]["slack"]) == trace.num_steps
         assert "min_slack" in data["checks"]["descent"]
+
+
+def long_factorization_run(iters=20_000):
+    """A 20,000-step heavy-ball run of the 8x8 rank-3 factorization, certified
+    as perfbench's certify workload sets it up."""
+    p = matrix_factorization(np.random.default_rng(0).standard_normal((8, 8)), r=3)
+    x0 = 0.5 * np.random.default_rng(1).uniform(-1.0, 1.0, p.dim) / math.sqrt(p.dim)
+    L, M = estimate_lipschitz(p, x0, 10.0, reach=0.5)
+    params = MomentumParams.heavy_ball(0.9 * safe_alpha(M, MomentumParams(1e-6, 0.5)), 0.5)
+    cert = build_certificate(M, L, params, x0, 10.0, strict=False)
+    return run(p, x0, x0, params, StopRules(max_iters=iters)), cert
+
+
+@pytest.fixture(scope="module")
+def long_run():
+    return long_factorization_run()
+
+
+class TestBoundedMemory:
+    """Every per-step check takes its per-row norms a row block at a time, so
+    none allocates a (K, dim) temporary."""
+
+    @pytest.mark.parametrize("check", [
+        check_descent,
+        check_gradient_bound,
+        check_step_bound,
+        lambda tr, cert: check_rate(tr, cert, 1.0),
+        lambda tr, cert: tr.step_norms,
+        lambda tr, cert: tr.grad_norms,
+    ], ids=["descent", "gradient_bound", "step_bound", "rate", "step_norms", "grad_norms"])
+    def test_check_peaks_below_half_the_points(self, long_run, check):
+        trace, cert = long_run
+        assert trace.num_steps == 20_000
+        # a fresh trace and certificate: nothing cached
+        fresh = Trace(trace.points, trace.f, trace.grads, trace.params, trace.stop_reason)
+        cert = dataclasses.replace(cert, per_step={})
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            check(fresh, cert)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 0.5 * trace.points.nbytes
+
+    def test_blocked_norms_equal_whole_array_norms(self):
+        # 2,500 steps: two full row blocks and a partial one
+        trace, cert = long_factorization_run(iters=2_500)
+        pts, grads = trace.points, trace.grads
+        assert np.array_equal(trace.step_norms, np.linalg.norm(np.diff(pts, axis=0), axis=1))
+        assert np.array_equal(trace.grad_norms, np.linalg.norm(grads, axis=1))
+        d = 2.0 * cert.lam * (pts[1:] - pts[:-1])
+        whole = np.sqrt(_dot_self(d + grads[1:]) + _dot_self(d))
+        assert np.array_equal(_grad_H_norms(trace, cert.lam), whole)
+        # the distance from x_0 grows along this run: the first ball exit in
+        # the second row block, in the last one, and no exit at all
+        dist = np.linalg.norm(pts - cert.ball_center, axis=1)
+        for radius in (dist[1500], dist[-1] * (1 - 1e-9), cert.ball_radius):
+            ball = dataclasses.replace(cert, ball_radius=float(radius))
+            out = np.flatnonzero(~(dist <= ball.ball_radius * (1 + 1e-12)))
+            first_bad = max(int(out[0]) - 2, 0) if out.size else trace.num_steps
+            certified = _certified_steps(trace, ball)
+            assert np.array_equal(certified, np.arange(trace.num_steps) < first_bad)
+        assert out.size == 0 and first_bad == trace.num_steps
+
+    def test_ball_exits_found_once_per_trace_and_ball(self):
+        _, trace, cert = certified_quadratic_run(iters=200)
+        reports = [check(trace, cert)
+                   for check in (check_descent, check_gradient_bound, check_step_bound)]
+        assert reports[0].certified is reports[1].certified is reports[2].certified
+        assert not reports[0].certified.flags.writeable
+        # another trace, or the same trace in another ball, gets its own steps
+        _, other, _ = certified_quadratic_run(iters=200)
+        assert check_descent(other, cert).certified is not reports[0].certified
+        cert.ball_radius = 0.05
+        shrunk = check_descent(trace, cert)
+        assert shrunk.n_certified < reports[0].n_certified

@@ -446,3 +446,40 @@ sweep: {alphas: [auto], betas: [0.0, 0.3], gammas: [0.0], seeds: [0, 1]}
         momlab("sweep", "--config", str(cfg), "--out", str(tmp_path / "a"), "--quiet")
         momlab("sweep", "--config", str(cfg), "--out", str(tmp_path / "b"), "--quiet")
         assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
+
+
+class TestDivergedRunWarnings:
+    """A diverging run overflows in its checks and its trace.csv columns as well
+    as in its steps; the commands print no numpy warning for any of them."""
+
+    # the quartic from x0 = 1 at alpha = 1 overflows within a few steps; the
+    # box is as large as a float allows, so the run stops as 'diverged'
+    RUN_CFG = """problem: {kind: quartic}
+params: {alpha: 1.0, beta: 0.5, preset: heavy_ball}
+init: {x0: [1.0]}
+stop: {max_iters: 2000, box_radius: 1.0e308}
+"""
+    SWEEP_CFG = RUN_CFG + "sweep: {alphas: [0.01, 1.0, 10.0, 100.0, 500.0]}\n"
+    # sha256 of the outputs, as written before the warnings were silenced
+    DIGESTS = {
+        "trace.csv": "abce8ae3a2afb195b80245f082a8ee1e42fec17debc7baa80a636c797072cb03",
+        "certificate.json": "eccec59b78f48505ca4dcc400a4bfec5424fde81020adaed1438d31687aed4e8",
+        "sweep.csv": "ca8c745ab83da88a64b8f096e1fd5707bd70197ea426d9fc554b1deef63b628f",
+    }
+
+    @pytest.mark.parametrize("command, text, code, outputs", [
+        ("run", RUN_CFG, 2, ["trace.csv", "certificate.json"]),
+        ("sweep", SWEEP_CFG, 0, ["sweep.csv"]),
+    ], ids=["run", "sweep"])
+    def test_no_runtime_warning(self, tmp_path, command, text, code, outputs):
+        import hashlib
+
+        cfg = write_config(tmp_path, text)
+        res = momlab(command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet",
+                     env_extra={"PYTHONWARNINGS": "default"})
+        assert res.returncode == code, res.stderr
+        assert "RuntimeWarning" not in res.stderr
+        assert res.stderr == ""
+        for name in outputs:
+            digest = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            assert digest == self.DIGESTS[name], name

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -7,7 +8,17 @@ from conftest import make_problem, reference_run
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momlab import MomentumParams, Problem, StopRules, Trace, run, safe_alpha, step, synthetic
+from momlab import (
+    MomentumParams,
+    Problem,
+    StopRules,
+    Trace,
+    matrix_factorization,
+    run,
+    safe_alpha,
+    step,
+    synthetic,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -259,7 +270,96 @@ class TestRun:
         assert np.array_equal(again.points, tr.points) and np.array_equal(again.grads, tr.grads)
 
 
+class TestRecordingBuffer:
+    """run() records into a buffer of 64 points that doubles up to max_iters + 2;
+    its traces must not depend on where the buffer grew."""
+
+    PARAMS = {"generic": MomentumParams(0.05, 0.5, 0.3),
+              "heavy_ball": MomentumParams.heavy_ball(0.05, 0.5)}
+
+    @pytest.mark.parametrize("preset", ["generic", "heavy_ball"])
+    @pytest.mark.parametrize("max_iters", [0, 1, 61, 62, 63, 64, 126, 127, 128, 254, 255, 300])
+    def test_max_iters_at_growth_boundaries(self, preset, max_iters):
+        p = make_problem("matrix_factorization")
+        x0 = np.random.default_rng(4).standard_normal(p.dim) * 0.3
+        stop = StopRules(max_iters=max_iters)
+        tr = run(p, x0, x0, self.PARAMS[preset], stop)
+        points, f, grads, reason = reference_run(p, x0, x0, self.PARAMS[preset], stop)
+        assert tr.num_steps == max_iters and tr.stop_reason == reason
+        assert np.array_equal(tr.points, points)
+        assert np.array_equal(tr.f, f) and np.array_equal(tr.grads, grads)
+
+    @pytest.mark.parametrize("preset", ["generic", "heavy_ball"])
+    @pytest.mark.parametrize("steps", [61, 62, 63, 126, 127])
+    def test_grad_tol_stop_around_a_growth(self, preset, steps):
+        # gradient descent on ||x||^2 / 2 shrinks ||grad f(x_k)|| = ||x_k||
+        # every step: a tolerance between two norms stops at a chosen step
+        p = synthetic("quadratic", dim=3)
+        x0 = np.array([1.0, -0.5, 0.25])
+        params = MomentumParams(0.05, 0.0, 0.1 if preset == "generic" else 0.0, preset)
+        _, _, grads, _ = reference_run(p, x0, x0, params, StopRules(max_iters=200))
+        norms = np.linalg.norm(grads, axis=1)
+        stop = StopRules(max_iters=10**12, grad_tol=0.5 * (norms[steps] + norms[steps + 1]))
+        tr = run(p, x0, x0, params, stop)
+        points, f, grads, reason = reference_run(p, x0, x0, params, stop)
+        assert tr.stop_reason == reason == "grad_tol" and tr.num_steps == steps
+        assert np.array_equal(tr.points, points)
+        assert np.array_equal(tr.f, f) and np.array_equal(tr.grads, grads)
+
+    @pytest.mark.parametrize("params", [MomentumParams(0.5, 0.2, 0.3),
+                                        MomentumParams.heavy_ball(0.5, 0.2)],
+                             ids=["generic", "heavy_ball"])
+    @pytest.mark.parametrize("steps", [62, 63, 64, 127])
+    def test_divergence_right_after_a_growth(self, params, steps):
+        # ascent on ||x||^2 / 2 whose gradient turns infinite past a limit on
+        # the first coordinate, set between y_{steps-1}^gamma and y_steps^gamma:
+        # x_{steps+1} is the first non-finite iterate
+        def problem(limit):
+            return Problem(
+                name="blow_up", dim=2,
+                value=lambda z: 0.5 * (z[..., 0] ** 2 + z[..., 1] ** 2),
+                gradient=lambda z: np.stack(
+                    [-z[..., 0], np.where(z[..., 0] > limit, np.inf, -z[..., 1])], axis=-1),
+            )
+
+        x0 = np.array([1.0, 0.5])
+        stop = StopRules(max_iters=1000)
+        pts, _, _, _ = reference_run(problem(np.inf), x0, x0, params, StopRules(max_iters=200))
+        y = pts[1:] + params.gamma * (pts[1:] - pts[:-1])  # y[k] = y_k^gamma
+        p = problem(0.5 * (y[steps - 1, 0] + y[steps, 0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = run(p, x0, x0, params, stop)
+        points, f, grads, reason = reference_run(p, x0, x0, params, stop)
+        assert tr.stop_reason == reason == "diverged" and tr.num_steps == steps
+        assert np.array_equal(tr.points, points)
+        assert np.array_equal(tr.f, f) and np.array_equal(tr.grads, grads)
+
+    def test_heavy_ball_run_peaks_near_its_trace(self):
+        # the recorded points and gradients of 20,000 steps, plus one old
+        # buffer while the last growth copies it, and row blocks
+        p = matrix_factorization(np.random.default_rng(0).standard_normal((8, 8)), r=3)
+        x0 = np.random.default_rng(1).standard_normal(p.dim) * 0.05
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tr = run(p, x0, x0, MomentumParams.heavy_ball(1e-3, 0.5), StopRules(max_iters=20_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tr.num_steps == 20_000 and tr.stop_reason == "max_iters"
+        assert peak - before < 1.6 * (tr.points.nbytes + tr.grads.nbytes)
+
+
 class TestSafeAlpha:
+    def test_numpy_m_with_subnormal_beta_does_not_warn(self):
+        # the second bound overflows to inf, which min() discards; with a
+        # numpy M the division used to warn
+        params = MomentumParams.heavy_ball(1e-6, 5e-324)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert safe_alpha(np.float64(2.0), params) == safe_alpha(2.0, params) == 0.5
+
     def test_golden_values(self):
         assert safe_alpha(2.0, MomentumParams(0.5, 0.5, 0.5)) == pytest.approx(0.5)
         assert safe_alpha(1.0, MomentumParams(0.3, 0.5, 0.0)) == pytest.approx(0.3)
