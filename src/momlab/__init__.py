@@ -9,6 +9,7 @@ exponent fitting, and strict-saddle escape experiments, plus a batch CLI.
 from .analysis import Desingularizer, FitError, RateReport, check_rate, fit_desingularizer, measure_length
 from .certificates import (
     Certificate,
+    Columns,
     LengthReport,
     PerStepReport,
     build_certificate,

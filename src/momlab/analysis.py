@@ -13,8 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .certificates import SLACK_RTOL, Certificate
-from .optimizer import Trace
+from .certificates import SLACK_RTOL, Certificate, Columns
 
 __all__ = [
     "Desingularizer",
@@ -149,15 +148,16 @@ class RateReport:
         }
 
 
-def check_rate(trace: Trace, cert: Certificate, length_bound: float) -> RateReport:
+def check_rate(trace, cert: Certificate, length_bound: float) -> RateReport:
     """Verify sup_k (k+1) * min_{i<=k} ||grad f(x_i)|| <= b_alpha (delta*alpha + 2c).
 
-    length_bound c is the measured total length (or a certified bound on
-    it). The check runs over k = 0..K-1, the steps whose successor pair is
-    stored.
+    trace is a Trace or its Columns. length_bound c is the measured total
+    length (or a certified bound on it). The check runs over k = 0..K-1, the
+    steps whose successor pair is stored.
     """
-    gn = trace.grad_norms[1:]  # at x_0..x_K
-    K = trace.num_steps
+    cols = Columns.of(trace, cert)
+    gn = cols.grad_norms[1:]  # at x_0..x_K
+    K = cols.num_steps
     ks = np.arange(K)
     running_min = np.minimum.accumulate(gn[:K])
     products = (ks + 1) * running_min
@@ -169,8 +169,11 @@ def check_rate(trace: Trace, cert: Certificate, length_bound: float) -> RateRepo
     return RateReport(products, running_min, c_alpha, sup_product, bool(passed), telescope_ok)
 
 
-def measure_length(trace: Trace):
-    """Total and per-k partial sums of ||x_{k+1} - x_k|| over steps 0..K-1."""
+def measure_length(trace):
+    """Total and per-k partial sums of ||x_{k+1} - x_k|| over steps 0..K-1.
+
+    trace is a Trace or Columns: the step_norms of either.
+    """
     sn = trace.step_norms[1:]  # exclude the x_{-1} -> x_0 gap
     partial = np.cumsum(sn)
     total = float(partial[-1]) if partial.size else 0.0

@@ -3,9 +3,12 @@
 Computes the closed-form constants that make the Lyapunov decrease
 inequality, the gradient-norm bounds, the per-step length bound, and the
 iterate length formula executable, then verifies each inequality iterate by
-iterate on a stored trace. All constant formulas are pure functions of
-(M, L, alpha, beta, gamma, delta, m); the golden values are pinned in the
-test suite.
+iterate. The inequalities read only per-step scalars, which Columns reduces
+a block of rows at a time: as run()'s sink while a trajectory is stepped,
+so that it is never held, or from a stored Trace's own arrays. Columns is
+the one implementation of every per-row quantity the checks and trace.csv
+read. All constant formulas are pure functions of (M, L, alpha, beta,
+gamma, delta, m); the golden values are pinned in the test suite.
 """
 
 from __future__ import annotations
@@ -13,15 +16,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .optimizer import MomentumParams, Trace, _by_row_block, safe_alpha
+from .optimizer import _ROW_BLOCK, MomentumParams, _by_row_block, _filled, safe_alpha
 from .problems import Problem, _dot_self, _norms_in_place, _row_norms
 
 __all__ = [
     "Certificate",
+    "Columns",
     "PerStepReport",
     "lyapunov",
     "lyapunov_interval",
@@ -121,8 +126,8 @@ class Certificate:
     ball_radius: float
     certified_params: bool      # alpha <= alpha_bar
     per_step: dict = field(default_factory=dict)  # name -> PerStepReport
-    # (trace, ball, certified steps) of the last trace checked: see _certified_steps
-    _certified: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # (trace, key, Columns) of the last stored trace checked: see Columns.of
+    _columns: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def constants(self) -> dict:
         return {
@@ -320,59 +325,167 @@ def build_certificate(
     )
 
 
-def _certified_steps(trace: Trace, cert: Certificate) -> np.ndarray:
-    """certified[k] for step k = 0..K-1; False from the first ball exit on.
+class Columns:
+    """The per-row columns of one trajectory that the checks and trace.csv read.
 
-    The (read-only) array is kept on cert, so the checks of one trace
-    against one ball measure its points once, a row block at a time.
+    A run() sink: take() reduces each block of recorded rows to per-row
+    scalars and drops the block, so a trajectory of K steps is held as
+    O(K) scalars whatever its dim. The columns, for points x_{-1}..x_K:
+
+    - f and grad_norms (||grad f(x_k)||, as np.linalg.norm rounds it), one
+      per point; f, and grads when a block carries none, are evaluated in
+      batch, and the rows end at the first point (x_0 or later) whose value
+      or gradient is not finite, with stop_reason 'diverged', by the rule
+      run() cuts its Trace with (optimizer._filled);
+    - grad_row_norms, the same norms as per-row dot products
+      (problems._row_norms), which the gradient bound reads;
+    - step_norms, ||x_k - x_{k-1}|| for k = 0..K;
+    - grad_H_norms, ||grad H_lam(z_k)|| for k = 0..K at cert.lam;
+    - certified, per step k = 0..K-1: False from the first step whose
+      iterates leave cert's trust ball on;
+    - z_gaps, ||z_{k+1} - z_k|| for k = 0..K-1, built on first use.
+
+    Each per-row expression is evaluated on a block exactly as on the whole
+    array, so the columns do not depend on where the blocks end. A stored
+    Trace is certified through the same reducer: see Columns.of.
     """
-    ball = (cert.ball_center.tobytes(), cert.ball_radius)
-    held = cert._certified
-    if held is not None and held[0] is trace and held[1] == ball:
-        return held[2]
-    K, points = trace.num_steps, trace.points
-    dist = _by_row_block(len(points),
-                         lambda i, j: _norms_in_place(points[i:j] - cert.ball_center))
-    inside = dist <= cert.ball_radius * (1.0 + 1e-12)
-    certified = np.ones(K, dtype=bool)
-    out = np.nonzero(~inside)[0]
-    if out.size:
-        # point index i is iterate x_{i-1}; step k touches points k, k+1, k+2
-        first_bad_step = max(int(out[0]) - 2, 0)
-        certified[first_bad_step:] = False
-    certified.flags.writeable = False
-    cert._certified = (trace, ball, certified)
-    return certified
+
+    _NAMES = ("f", "grad_norms", "grad_row_norms", "step_norms", "grad_H_norms")
+
+    def __init__(self, problem: Optional[Problem], cert: Certificate):
+        self._problem = problem
+        self._lam2 = 2.0 * cert.lam
+        self._center = cert.ball_center
+        self._limit = cert.ball_radius * (1.0 + 1e-12)
+        self._parts = {name: [] for name in self._NAMES}
+        # the joined (read-only) columns, set by finish
+        self.f = self.grad_norms = self.grad_row_norms = None
+        self.step_norms = self.grad_H_norms = None
+        self._last = None     # the last point taken
+        self._n = 0           # points taken
+        self._exit = None     # index of the first point outside the ball
+        self._cut = False
+        self.stop_reason = None
+
+    @classmethod
+    def of(cls, trace, cert: Certificate) -> "Columns":
+        """The columns of trace for cert: trace itself if it is Columns.
+
+        A stored Trace passes its own points, grads and f through take, a
+        row block at a time. The result is kept on cert, so the checks of
+        one trace against one ball and weight reduce it once.
+        """
+        if isinstance(trace, Columns):
+            return trace
+        key = (cert.lam, cert.ball_center.tobytes(), cert.ball_radius)
+        held = cert._columns
+        if held is not None and held[0] is trace and held[1] == key:
+            return held[2]
+        cols = cls(None, cert)
+        n = len(trace.points)
+        for i in range(0, n, _ROW_BLOCK):
+            j = min(i + _ROW_BLOCK, n)
+            cols.take(trace.points[i:j], trace.grads[i:j], trace.f[i:j])
+        cols.finish(trace.stop_reason)
+        cert._columns = (trace, key, cols)
+        return cols
+
+    def take(self, points: np.ndarray, grads: Optional[np.ndarray], f=None) -> None:
+        """Reduce the next block of points (with their gradients and values,
+        each evaluated here when None); rows after a cut are ignored."""
+        if self._cut:
+            return
+        first = self._last is None
+        if f is None:
+            f, grads, end = _filled(self._problem, points, grads, first)
+            if end is not None:
+                points, grads, f = points[:end], grads[:end], f[:end]
+                self._cut = True
+        if self._exit is None:
+            out = np.flatnonzero(~(_norms_in_place(points - self._center) <= self._limit))
+            if out.size:
+                self._exit = self._n + int(out[0])
+        # x_k - x_{k-1} for every point of the block that has a predecessor
+        if first:
+            d = points[1:] - points[:-1]
+        else:
+            d = np.empty_like(points)
+            np.subtract(points[:1], self._last, out=d[:1])
+            np.subtract(points[1:], points[:-1], out=d[1:])
+        # grad H(x, y) = (grad f(x) + 2 lam (x - y), 2 lam (y - x)) at (x_k, x_{k-1})
+        h = d * self._lam2
+        h_sq = _dot_self(h)
+        h += grads[len(grads) - len(d):]
+        columns = (f, np.linalg.norm(grads, axis=1), _row_norms(grads),
+                   _norms_in_place(d), np.sqrt(_dot_self(h) + h_sq))
+        for name, column in zip(self._NAMES, columns):
+            self._parts[name].append(column)
+        self._last = points[-1].copy()
+        self._n += len(points)
+
+    def finish(self, reason: str) -> "Columns":
+        """Join the columns of a run that stopped for reason; returns self."""
+        self.stop_reason = "diverged" if self._cut else reason
+        for name, parts in self._parts.items():
+            column = np.concatenate(parts)
+            column.flags.writeable = False
+            setattr(self, name, column)
+        del self._parts
+        return self
+
+    @property
+    def num_steps(self) -> int:
+        return self._n - 2
+
+    @cached_property
+    def certified(self) -> np.ndarray:
+        """certified[k] for step k = 0..K-1; False from the first ball exit on."""
+        certified = np.ones(self.num_steps, dtype=bool)
+        if self._exit is not None:
+            # point index i is iterate x_{i-1}; step k touches points k, k+1, k+2
+            certified[max(self._exit - 2, 0):] = False
+        certified.flags.writeable = False
+        return certified
+
+    @cached_property
+    def z_gaps(self) -> np.ndarray:
+        """||z_{k+1} - z_k|| = hypot(||x_{k+1}-x_k||, ||x_k-x_{k-1}||) for k = 0..K-1."""
+        gaps = _z_gaps(self.step_norms)
+        gaps.flags.writeable = False
+        return gaps
 
 
-def lyapunov_values(trace: Trace, lam: float) -> np.ndarray:
-    """H_lam(z_k) = f(x_k) + lam * ||x_k - x_{k-1}||^2 for k = 0..K."""
+def _z_gaps(sn: np.ndarray) -> np.ndarray:
+    """hypot(sn[k+1], sn[k]) for k = 0..len(sn)-2 by math.hypot, which np.hypot
+    does not match in the last bit, a row block at a time."""
+    return _by_row_block(len(sn) - 1, lambda i, j: list(map(
+        math.hypot, sn[i + 1:j + 1].tolist(), sn[i:j].tolist())))
+
+
+def lyapunov_values(trace, lam: float) -> np.ndarray:
+    """H_lam(z_k) = f(x_k) + lam * ||x_k - x_{k-1}||^2 for k = 0..K.
+
+    trace is a Trace or Columns: the f and step_norms of either.
+    """
     sn = trace.step_norms  # sn[i] = ||x_i - x_{i-1}||, i = 0..K
     return trace.f[1:] + lam * sn**2
 
 
-def check_descent(trace: Trace, cert: Certificate) -> PerStepReport:
+def check_descent(trace, cert: Certificate) -> PerStepReport:
     """Per-step Lyapunov decrease with margin c1.
 
     slack_k = H(z_k) - H(z_{k+1}) - c1 (||x_{k+1}-x_k||^2 + ||x_k-x_{k-1}||^2);
-    a step passes iff slack_k >= -SLACK_RTOL * (1 + |H(z_k)|).
+    a step passes iff slack_k >= -SLACK_RTOL * (1 + |H(z_k)|). trace is a
+    Trace or its Columns, as for every check.
     """
-    H = lyapunov_values(trace, cert.lam)
+    cols = Columns.of(trace, cert)
+    H = lyapunov_values(cols, cert.lam)
     # float_power squares with pow(), as a float64 scalar ** 2 does; the
     # array ** 2 multiplies and can differ in the last bit
-    sq = np.float_power(trace.step_norms, 2.0)
+    sq = np.float_power(cols.step_norms, 2.0)
     slack = H[:-1] - H[1:] - cert.c1 * (sq[1:] + sq[:-1])
     passed = slack >= -SLACK_RTOL * (1.0 + np.abs(H[:-1]))
-    return PerStepReport("descent", slack, passed, _certified_steps(trace, cert))
-
-
-# math.hypot per element: np.hypot rounds differently in the last bit
-_hypot = np.frompyfunc(math.hypot, 2, 1)
-
-
-def _z_gaps(sn: np.ndarray) -> np.ndarray:
-    """||z_{k+1} - z_k|| = hypot(||x_{k+1}-x_k||, ||x_k-x_{k-1}||) for k = 0..K-1."""
-    return _hypot(sn[1:], sn[:-1]).astype(float)
+    return PerStepReport("descent", slack, passed, cols.certified)
 
 
 def _first_max(a, b):
@@ -385,44 +498,26 @@ def _first_min(a, b):
     return np.where(b < a, b, a)
 
 
-def _grad_H_norms(trace: Trace, lam: float) -> np.ndarray:
-    """||grad H_lam(z_k)|| for k = 0..K, a row block at a time.
-
-    grad H(x, y) = (grad f(x) + 2 lam (x - y), 2 lam (y - x)) at z_k = (x_k, x_{k-1}).
-    """
-    points, grads = trace.points, trace.grads
-
-    def rows(i, j):
-        d = points[i + 1:j + 1] - points[i:j]
-        d *= 2.0 * lam
-        d_sq = _dot_self(d)
-        d += grads[i + 1:j + 1]
-        return np.sqrt(_dot_self(d) + d_sq)
-
-    return _by_row_block(len(points) - 1, rows)
-
-
-def check_gradient_bound(trace: Trace, cert: Certificate) -> PerStepReport:
+def check_gradient_bound(trace, cert: Certificate) -> PerStepReport:
     """Both per-step gradient bounds: ||grad f(x_k)|| <= b_alpha ||z_{k+1}-z_k||
     and max(||grad H(z_k)||, ||grad H(z_{k+1})||) <= c2 ||z_{k+1}-z_k||.
 
     The reported slack is the smaller of the two normalized slacks.
     """
-    z_gap = _z_gaps(trace.step_norms)
-    grads = trace.grads
-    slack_b = cert.b_alpha * z_gap - _by_row_block(
-        trace.num_steps, lambda i, j: _row_norms(grads[i + 1:j + 1]))
-    gH = _grad_H_norms(trace, cert.lam)
+    cols = Columns.of(trace, cert)
+    z_gap = cols.z_gaps
+    slack_b = cert.b_alpha * z_gap - cols.grad_row_norms[1:-1]
+    gH = cols.grad_H_norms
     slack_c2 = cert.c2 * z_gap - _first_max(gH[:-1], gH[1:])
 
     tol_b = SLACK_RTOL * (1.0 + cert.b_alpha * z_gap)
     tol_c = SLACK_RTOL * (1.0 + cert.c2 * z_gap)
     passed = (slack_b >= -tol_b) & (slack_c2 >= -tol_c)
     slack = _first_min(slack_b, slack_c2)
-    return PerStepReport("gradient_bound", slack, passed, _certified_steps(trace, cert))
+    return PerStepReport("gradient_bound", slack, passed, cols.certified)
 
 
-def check_step_bound(trace: Trace, cert: Certificate) -> PerStepReport:
+def check_step_bound(trace, cert: Certificate) -> PerStepReport:
     """Per-step velocity bounds from the geometric decay of momentum.
 
     Checks ||x_k - x_{k-1}|| <= delta1 * alpha, the sharper decaying form
@@ -431,19 +526,20 @@ def check_step_bound(trace: Trace, cert: Certificate) -> PerStepReport:
     beta < 0 the printed constant is optimistic and the report says so via
     its slack.
     """
+    cols = Columns.of(trace, cert)
     p = cert.params
-    sn = trace.step_norms
+    sn = cols.step_norms
     L_scaled = cert.L / (1.0 - p.beta)
     # sn[k+1] = ||x_{k+1} - x_k||, the result of step k
     flat = cert.delta1 * p.alpha - sn[1:]
     # float_power is the scalar pow of |beta| ** (k+1); np.power is not
-    powers = np.float_power(abs(p.beta), np.arange(1, trace.num_steps + 1))
+    powers = np.float_power(abs(p.beta), np.arange(1, cols.num_steps + 1))
     decay = (p.delta * powers + L_scaled) * p.alpha - sn[1:]
-    z_bound = math.sqrt(2.0) * cert.delta1 * p.alpha - _z_gaps(sn)
+    z_bound = math.sqrt(2.0) * cert.delta1 * p.alpha - cols.z_gaps
     tol = SLACK_RTOL * (1.0 + cert.delta1 * p.alpha)
     passed = (flat >= -tol) & (decay >= -tol) & (z_bound >= -tol)
     slack = _first_min(_first_min(flat, decay), z_bound)
-    return PerStepReport("step_bound", slack, passed, _certified_steps(trace, cert))
+    return PerStepReport("step_bound", slack, passed, cols.certified)
 
 
 @dataclass
@@ -456,7 +552,7 @@ class LengthReport:
     kappa_alpha: float
 
 
-def check_length_formula(trace: Trace, cert: Certificate, psi) -> LengthReport:
+def check_length_formula(trace, cert: Certificate, psi) -> LengthReport:
     """Iterate length against psi(f(x_0) - f(x_K) + eta*alpha) + kappa*alpha.
 
     psi may be a Desingularizer (its sample-covering inflation is applied)
@@ -464,9 +560,9 @@ def check_length_formula(trace: Trace, cert: Certificate, psi) -> LengthReport:
     with psi(0) = 0 on a sample grid and rejected otherwise.
     """
     fn = _as_majorant(psi)
-    sn = trace.step_norms
-    total = float(np.sum(sn[1:]))  # steps k = 0..K-1
-    gap = trace.f[1] - trace.f[-1] + cert.eta * cert.params.alpha
+    cols = Columns.of(trace, cert)
+    total = float(np.sum(cols.step_norms[1:]))  # steps k = 0..K-1
+    gap = cols.f[1] - cols.f[-1] + cert.eta * cert.params.alpha
     psi_val = float(fn(max(gap, 0.0)))
     bound = psi_val + cert.kappa * cert.params.alpha
     ratio = total / bound if bound > 0 else math.inf

@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .analysis import FitError, check_rate, fit_desingularizer, measure_length
 from .certificates import (
+    Columns,
     build_certificate,
     check_descent,
     check_gradient_bound,
@@ -121,29 +122,30 @@ def _prepare(cfg: ExperimentConfig, alpha: float | None, seed_offset: int = 0,
 
 
 def _certify(cfg: ExperimentConfig, trace, cert):
-    """Run cfg's checks on trace; returns (results, psi, total_length).
+    """Run cfg's checks on a Trace or its Columns; returns (results, psi, total_length).
 
     The per-step checks are stored in cert.per_step.
     """
+    cols = Columns.of(trace, cert)
     results = {}
     if "descent" in cfg.checks:
-        cert.per_step["descent"] = check_descent(trace, cert)
+        cert.per_step["descent"] = check_descent(cols, cert)
     if "grad_bounds" in cfg.checks:
-        cert.per_step["gradient_bound"] = check_gradient_bound(trace, cert)
+        cert.per_step["gradient_bound"] = check_gradient_bound(cols, cert)
     if "step_bounds" in cfg.checks:
-        cert.per_step["step_bound"] = check_step_bound(trace, cert)
-    total_length, _ = measure_length(trace)
+        cert.per_step["step_bound"] = check_step_bound(cols, cert)
+    total_length, _ = measure_length(cols)
     if "rate" in cfg.checks:
-        results["rate"] = check_rate(trace, cert, total_length)
+        results["rate"] = check_rate(cols, cert, total_length)
     psi = None
     if "kl_fit" in cfg.checks or "length" in cfg.checks:
         f_star = cfg.problem.info.get("f_star")
         try:
-            psi = fit_desingularizer(trace.f[1:], trace.grad_norms[1:], f_star=f_star)
+            psi = fit_desingularizer(cols.f[1:], cols.grad_norms[1:], f_star=f_star)
         except FitError as e:
             results["kl_fit_error"] = str(e)
     if "length" in cfg.checks and psi is not None:
-        results["length"] = check_length_formula(trace, cert, psi)
+        results["length"] = check_length_formula(cols, cert, psi)
     return results, psi, total_length
 
 
@@ -166,7 +168,7 @@ _CSV_BLOCK = 1024
 
 
 def write_trace_csv(path, trace, cert, meta: str) -> None:
-    """Write trace.csv: one row per iterate x_k, k = 0..K.
+    """Write trace.csv: one row per iterate x_k, k = 0..K, of a Trace or its Columns.
 
     The per-step columns (step_norm and the descent and gradient-bound
     slacks in cert.per_step) are blank on the last row and wherever a check
@@ -174,13 +176,14 @@ def write_trace_csv(path, trace, cert, meta: str) -> None:
     block at a time, one format string per row, and equal the csv.writer
     rows of those strings.
     """
-    rows = trace.num_steps + 1
+    cols = Columns.of(trace, cert)
+    rows = cols.num_steps + 1
     slack = {name: rep.slack for name, rep in cert.per_step.items()}
     columns = [
-        trace.f[1:],
-        trace.grad_norms[1:],
-        trace.step_norms[1:],
-        lyapunov_values(trace, cert.lam),
+        cols.f[1:],
+        cols.grad_norms[1:],
+        cols.step_norms[1:],
+        lyapunov_values(cols, cert.lam),
         slack.get("descent"),
         slack.get("gradient_bound"),
     ]
@@ -209,9 +212,11 @@ def cmd_run(args) -> int:
     # well as in its steps; its report says so
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        trace = run(cfg.problem, x_m1, x0, params, stop)
-        results, psi, total_length = _certify(cfg, trace, cert)
-        write_trace_csv(out / "trace.csv", trace, cert, meta)
+        # the run hands its rows to the checks' columns a block at a time
+        # and never holds its trajectory
+        cols = run(cfg.problem, x_m1, x0, params, stop, sink=Columns(cfg.problem, cert))
+        results, psi, total_length = _certify(cfg, cols, cert)
+        write_trace_csv(out / "trace.csv", cols, cert, meta)
     cert.to_json(out / "certificate.json")
     report = {
         "meta": {
@@ -221,10 +226,10 @@ def cmd_run(args) -> int:
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         },
         "problem": cfg.problem.name,
-        "stop_reason": trace.stop_reason,
-        "iterations": trace.num_steps,
-        "final_f": float(trace.f[-1]),
-        "final_grad_norm": float(trace.grad_norms[-1]),
+        "stop_reason": cols.stop_reason,
+        "iterations": cols.num_steps,
+        "final_f": float(cols.f[-1]),
+        "final_grad_norm": float(cols.grad_norms[-1]),
         "total_length": total_length,
         "constants": cert.constants(),
         "checks": {name: rep.summary() for name, rep in cert.per_step.items()},
@@ -254,7 +259,7 @@ def cmd_run(args) -> int:
     with open(out / "report.json", "w") as fh:
         json.dump(report, fh, indent=1)
 
-    ok = _passed_everything(trace, cert, results)
+    ok = _passed_everything(cols, cert, results)
     for name, rep in cert.per_step.items():
         _say(args, f"{name}: {rep.n_pass}/{rep.n_certified} certified steps pass"
                    f" (min slack {rep.min_slack:.3e})")

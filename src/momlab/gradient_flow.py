@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .optimizer import MomentumParams, StopRules, Trace, run
+from .optimizer import MomentumParams, StopRules, Trace, _History, run
 from .problems import Problem, _row_norms
 
 __all__ = [
@@ -372,11 +372,14 @@ def trajectory_length(
     return TrajectoryLengthEstimate(float(sigma), per, flagged)
 
 
-def _tracking_errors(traj: FlowTrajectory, trace: Trace, horizon: float) -> np.ndarray:
-    """e_k = ||x_k - x(k alpha)|| for k <= floor(T/alpha) against the flow traj."""
-    alpha = trace.params.alpha
-    k_max = min(int(math.floor(horizon / alpha)), trace.num_steps)
-    return _row_norms(trace.points[1:k_max + 2] - traj.at(np.arange(k_max + 1) * alpha))
+def _tracking_errors(traj: FlowTrajectory, points: np.ndarray, alpha: float,
+                     horizon: float) -> np.ndarray:
+    """e_k = ||x_k - x(k alpha)|| for k <= floor(T/alpha) against the flow traj.
+
+    points are a run's iterates x_{-1}, x_0, ..., x_K.
+    """
+    k_max = min(int(math.floor(horizon / alpha)), len(points) - 2)
+    return _row_norms(points[1:k_max + 2] - traj.at(np.arange(k_max + 1) * alpha))
 
 
 def tracking_error(problem: Problem, trace: Trace, horizon: float):
@@ -386,7 +389,7 @@ def tracking_error(problem: Problem, trace: Trace, horizon: float):
     (errors, max_error).
     """
     traj = integrate_flow(problem, trace.x(0), beta=trace.params.beta, horizon=horizon)
-    errors = _tracking_errors(traj, trace, horizon)
+    errors = _tracking_errors(traj, trace.points, trace.params.alpha, horizon)
     return errors, float(np.max(errors))
 
 
@@ -399,7 +402,9 @@ def tracking_ladder(problem: Problem, x0, beta: float, alphas, horizon: float,
     matched to the rescaled flow, x_{-1} = x_0 + alpha / (1 - beta) * grad f(x_0),
     so the measured error reflects the O(alpha) tracking regime instead of
     the from-rest startup transient (for beta = 0 the recurrence ignores
-    x_{-1} entirely). Returns (max_errors, slope).
+    x_{-1} entirely). A run keeps only its iterates: no objective value
+    is evaluated, and its points end where its loop stops. Returns
+    (max_errors, slope).
     """
     alphas = [float(a) for a in alphas]
     if len(alphas) < 2:
@@ -413,9 +418,10 @@ def tracking_ladder(problem: Problem, x0, beta: float, alphas, horizon: float,
         x_m1 = x0 + alpha * scale * g0
         delta = scale * float(np.linalg.norm(g0)) * (1.0 + 1e-9)
         params = MomentumParams(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
-        trace = run(problem, x_m1, x0, params,
-                    StopRules(max_iters=int(math.floor(horizon / alpha)) + 1))
-        maxes.append(float(np.max(_tracking_errors(traj, trace, horizon))))
+        steps = int(math.floor(horizon / alpha)) + 1
+        points = run(problem, x_m1, x0, params, StopRules(max_iters=steps),
+                     sink=_History(steps + 2, keep_grads=False)).points
+        maxes.append(float(np.max(_tracking_errors(traj, points, alpha, horizon))))
     if any(m <= 0 for m in maxes):
         slope = math.inf  # exact tracking; steeper than any requirement
     else:

@@ -10,14 +10,17 @@ which reduces to the heavy-ball method for gamma = 0 and to Nesterov's
 accelerated gradient for gamma = beta. Traces store the iterates with their
 objective values and gradients: enough to replay the recursion bit-for-bit
 (y_k^beta and y_k^gamma follow from the iterates and the params) and to run
-the certificate checks without re-evaluating the objective. run() records
-one trajectory: its loop makes one single-point gradient call per step for
-every preset, and the f and grads columns of the trace are evaluated in
-batch once it stops. run_lockstep() is the shared lockstep core for stacks
-of starts: it steps them together under the same stop rules, with one
-params and stop rules for all rows or one per row. Escape studies keep only
-where each row stopped; sweeps pass record=True and get each row's Trace,
-equal to run()'s.
+the certificate checks without re-evaluating the objective. run() is the
+one loop for a single trajectory: it makes one single-point gradient call
+per step for every preset and hands its recorded rows to a sink a block of
+_ROW_BLOCK rows at a time. By default the blocks are kept and run returns
+the Trace, whose f and grads columns are evaluated in batch once it stops;
+a sink such as certificates.Columns reduces each block and drops it, so
+the trajectory is never held. run_lockstep() is the shared lockstep core
+for stacks of starts: it steps them together under the same stop rules,
+with one params and stop rules for all rows or one per row. Escape studies
+keep only where each row stopped; sweeps pass record=True and get each
+row's Trace, equal to run()'s.
 """
 
 from __future__ import annotations
@@ -241,7 +244,8 @@ def run(
     x_0,
     params: MomentumParams,
     stop: Optional[StopRules] = None,
-) -> Trace:
+    sink=None,
+):
     """Iterate the momentum update until a stop rule fires.
 
     Stops on ||grad f(x_k)|| < grad_tol, k == max_iters, the iterate
@@ -252,12 +256,17 @@ def run(
     The loop evaluates one single-point gradient per step, grad f(y_k^gamma),
     which heavy ball (gamma == 0) reads from the stored grad f(x_k); it also
     evaluates grad f(x_k) when grad_tol > 0, and never the objective. It
-    records the iterates, and the gradients it holds, in buffers that double
-    up to max_iters + 2 points; the trace's arrays are their prefixes. The
-    trace's f column, and its grads column when the loop did not hold it, are
-    then evaluated in batch; the trace is cut at the first point (x_0 or
-    later) whose value or gradient is not finite, as a per-step check of
-    both would have stopped there.
+    records the iterates, and the gradients it holds, in a buffer of
+    _ROW_BLOCK rows and hands each full block, and the last partial one, to
+    sink.take(points, grads) (grads None when the loop holds none); the
+    block is reused once take returns. With a sink, run returns
+    sink.finish(stop_reason).
+
+    Without one, run keeps the blocks in buffers that double up to
+    max_iters + 2 points and returns the Trace: its f column, and its grads
+    column when the loop did not hold it, are evaluated in batch, and it is
+    cut at the first point (x_0 or later) whose value or gradient is not
+    finite, as a per-step check of both would have stopped there.
     """
     stop = stop or StopRules()
     x_prev = problem.check_point(x_minus1)
@@ -269,14 +278,18 @@ def run(
     reuse = gamma == 0.0
     check_box = not math.isinf(radius)
     cap = max_iters + 2
-    # the iterates and, when the loop needs them, grad f(x_k) for every point
-    pts = _history((), cap, problem.dim)
+    keep = _History(cap) if sink is None else sink
+    # one block of iterates and, when the loop needs them, grad f(x_k); r of
+    # its rows are filled
+    size = min(cap, _ROW_BLOCK)
+    pts = np.empty((size, problem.dim))
     pts[0], pts[1] = x_prev, x_curr
     gs = g_curr = None
     if reuse or grad_tol > 0:
         gs = np.empty_like(pts)
         gs[0] = gradient(x_prev)
         gs[1] = g_curr = gradient(x_curr)
+    r = 2
     reason = "max_iters"
     x0_ref = x_curr
 
@@ -303,25 +316,71 @@ def run(
         if not np.isfinite(x_next).all():
             reason = "diverged"
             break
-        if k + 2 == len(pts):
-            # one buffer at a time, so at most one old buffer is alive
-            pts = _grown(pts, cap)
-            if gs is not None:
-                gs = _grown(gs, cap)
-        pts[k + 2] = x_next
+        if r == size:
+            keep.take(pts, gs)
+            r = 0
+        pts[r] = x_next
         if gs is not None:
-            gs[k + 2] = g_curr = gradient(x_next)
+            gs[r] = g_curr = gradient(x_next)
+        r += 1
         x_prev, x_curr = x_curr, x_next
         k += 1
 
-    n = k + 2
-    return _trace(problem, pts[:n], None if gs is None else gs[:n], params, reason)
+    keep.take(pts[:r], None if gs is None else gs[:r])
+    if sink is not None:
+        return sink.finish(reason)
+    return _trace(problem, keep.points, keep.grads, params, reason)
 
 
-# rows per batched value / gradient call when a trace's columns are filled:
-# large enough to amortize the call, small enough that the per-call
-# temporaries stay a few MB
+# rows per recorded block and per batched value / gradient call when a
+# trace's columns are filled: large enough to amortize the call, small
+# enough that the per-call temporaries stay a few MB
 _ROW_BLOCK = 1024
+
+
+class _History:
+    """A run() sink that keeps every recorded row.
+
+    The rows go into buffers that start at the first block's size and double
+    up to cap points, one buffer at a time, so at most one old buffer is
+    alive. points and grads are the filled prefixes; grads is None when the
+    loop held no gradients or keep_grads is False. finish returns the
+    history itself.
+    """
+
+    def __init__(self, cap: int, keep_grads: bool = True):
+        self.cap, self.keep_grads, self.n = cap, keep_grads, 0
+        self._pts = self._gs = None
+
+    def take(self, points, grads) -> None:
+        self._pts = self._kept(self._pts, points)
+        if grads is not None and self.keep_grads:
+            self._gs = self._kept(self._gs, grads)
+        self.n += len(points)
+
+    def _kept(self, buf, rows):
+        if buf is None:
+            return rows.copy()
+        end = self.n + len(rows)
+        while len(buf) < end:
+            buf = _grown(buf, self.cap)
+        buf[self.n:end] = rows
+        return buf
+
+    def finish(self, reason: str) -> "_History":
+        return self
+
+    @property
+    def num_steps(self) -> int:
+        return self.n - 2
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._pts[:self.n]
+
+    @property
+    def grads(self) -> Optional[np.ndarray]:
+        return None if self._gs is None else self._gs[:self.n]
 
 
 def _by_row_block(n: int, rows) -> np.ndarray:
@@ -338,14 +397,32 @@ def _by_row_block(n: int, rows) -> np.ndarray:
     return out
 
 
+def _filled(problem: Problem, points: np.ndarray, grads: Optional[np.ndarray], first: bool):
+    """(f, grads, end) of one block of a run's points.
+
+    f, and grads when they are None, are evaluated in one batched call
+    each; grads is C-contiguous whatever layout a problem's batched gradient
+    has, since the row norms of a column-major stack would round
+    differently. end is None when every value and gradient is finite, and
+    otherwise counts the rows a trace keeps: up to and including the first
+    row with one that is not. The block's first row is exempt when first is
+    set: x_{-1} is never checked.
+    """
+    f = problem.value(points)
+    if grads is None:
+        grads = np.ascontiguousarray(problem.gradient(points))
+    bad = ~(np.isfinite(f) & np.isfinite(grads).all(axis=1))
+    if first:
+        bad[0] = False
+    return f, grads, int(np.argmax(bad)) + 1 if bad.any() else None
+
+
 def _trace_columns(problem: Problem, points: np.ndarray, grads: Optional[np.ndarray]):
     """(points, f, grads, diverged): the trace arrays of a run's points.
 
-    f, and grads when they are None, are evaluated in row blocks. If some row
+    The columns are filled by _filled a row block at a time. If some row
     i >= 1 has a value or gradient that is not finite, the arrays end at the
-    first such row and diverged is True. grads is C-contiguous whatever
-    layout a problem's batched gradient has: the row norms of a column-major
-    stack would round differently.
+    first such row and diverged is True.
     """
     n = len(points)
     f = np.empty(n)
@@ -354,15 +431,11 @@ def _trace_columns(problem: Problem, points: np.ndarray, grads: Optional[np.ndar
         grads = np.empty_like(points)
     for i in range(0, n, _ROW_BLOCK):
         j = min(i + _ROW_BLOCK, n)
-        f[i:j] = problem.value(points[i:j])
+        f[i:j], g, end = _filled(problem, points[i:j], None if batched else grads[i:j], i == 0)
         if batched:
-            grads[i:j] = problem.gradient(points[i:j])
-        bad = ~(np.isfinite(f[i:j]) & np.isfinite(grads[i:j]).all(axis=1))
-        if i == 0:
-            bad[0] = False  # x_{-1} is never checked
-        if bad.any():
-            end = i + int(np.argmax(bad)) + 1
-            return points[:end], f[:end], grads[:end], True
+            grads[i:j] = g
+        if end is not None:
+            return points[:i + end], f[:i + end], grads[:i + end], True
     return points, f, grads, False
 
 
@@ -404,7 +477,7 @@ def _each_row(given, kind, n: int) -> list:
 def _history(lead: tuple, cap, dim: int) -> np.ndarray:
     """An empty recording buffer, lead + (T, dim), of T = min(cap, 64) points per row.
 
-    A run grows it with _grown as it records, never beyond cap points: a
+    A recording lockstep run grows it with _grown, never beyond cap points: a
     grad_tol run may allow far more steps than it takes.
     """
     return np.empty(lead + (int(min(cap, 64)), dim))

@@ -458,12 +458,16 @@ def estimate_lipschitz(
         s *= 0.5
     max_grad = np.linalg.norm(problem.gradient(center))
     max_quot = 0.0
+    n = len(a)
+    pq = np.empty((2 * n, problem.dim))
+    p, q = pq[:n], pq[n:]
     for s in scales:
-        # one batched call per rung; rows are bit-equal to single points
-        p = center + s * a
-        q = center + s * b
-        gp = problem.gradient(p)
-        gq = problem.gradient(q)
+        # one stacked call per rung, for its p and q rows together; rows are
+        # bit-equal to single points
+        p[...] = center + s * a
+        q[...] = center + s * b
+        g = problem.gradient(pq)
+        gp, gq = g[:n], g[n:]
         max_grad = max(max_grad, np.max(_row_norms(gp)), np.max(_row_norms(gq)))
         gap = _row_norms(p - q)
         apart = gap > 1e-12 * (1.0 + s)

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from momlab import linear_network, matrix_factorization, matrix_sensing, step, synthetic
+from momlab import Problem, linear_network, matrix_factorization, matrix_sensing, step, synthetic
 
 
 def make_problem(kind, seed=0):
@@ -31,6 +31,12 @@ def make_problem(kind, seed=0):
         Yb = rng.standard_normal((2, 4))
         return linear_network(Xb, Yb, widths=(2, 3, 3, 2))
     raise ValueError(kind)
+
+
+def overflowing(p):
+    """p with its value scaled by 2^1000: inf from f > ~1.7e7 on, while grad f stays finite."""
+    return Problem(name=p.name, dim=p.dim, value=lambda z: p.value(z) * 2.0**1000,
+                   gradient=p.gradient)
 
 
 ALL_KINDS = [

@@ -30,7 +30,7 @@ from momlab import (
 )
 
 from momlab.analysis import check_rate
-from momlab.certificates import _certified_steps, _grad_H_norms
+from momlab.certificates import Columns
 from momlab.optimizer import Trace
 from momlab.problems import _dot_self
 
@@ -332,7 +332,7 @@ class TestBoundedMemory:
         assert np.array_equal(trace.grad_norms, np.linalg.norm(grads, axis=1))
         d = 2.0 * cert.lam * (pts[1:] - pts[:-1])
         whole = np.sqrt(_dot_self(d + grads[1:]) + _dot_self(d))
-        assert np.array_equal(_grad_H_norms(trace, cert.lam), whole)
+        assert np.array_equal(Columns.of(trace, cert).grad_H_norms, whole)
         # the distance from x_0 grows along this run: the first ball exit in
         # the second row block, in the last one, and no exit at all
         dist = np.linalg.norm(pts - cert.ball_center, axis=1)
@@ -340,7 +340,7 @@ class TestBoundedMemory:
             ball = dataclasses.replace(cert, ball_radius=float(radius))
             out = np.flatnonzero(~(dist <= ball.ball_radius * (1 + 1e-12)))
             first_bad = max(int(out[0]) - 2, 0) if out.size else trace.num_steps
-            certified = _certified_steps(trace, ball)
+            certified = Columns.of(trace, ball).certified
             assert np.array_equal(certified, np.arange(trace.num_steps) < first_bad)
         assert out.size == 0 and first_bad == trace.num_steps
 

@@ -211,6 +211,19 @@ class TestTrackingError:
             assert tracking_error(p, trace, horizon=1.0)[1] == m
 
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    def test_ladder_rungs_keep_only_their_points(self, counted, gamma):
+        # the rungs' f and grads columns are never filled: every value row
+        # and every stacked gradient row of a ladder is its flow's own
+        p, counts = counted(make_problem("matrix_factorization", seed=8))
+        flow_p, flow_counts = counted(make_problem("matrix_factorization", seed=8))
+        x0 = np.random.default_rng(0).standard_normal(p.dim) * 0.4
+        tracking_ladder(p, x0, 0.5, [0.01, 0.005, 0.0025], horizon=1.0, gamma=gamma)
+        integrate_flow(flow_p, x0, beta=0.5, horizon=1.0)
+        assert counts["value"] == flow_counts["value"]
+        assert counts["gradient"][1] == flow_counts["gradient"][1]
+
+
 class TestTrackingConstants:
     @given(beta=st.floats(-0.95, 0.95))
     @settings(max_examples=40, deadline=None)

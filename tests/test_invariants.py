@@ -15,13 +15,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ALL_KINDS, make_problem, reference_run
+from conftest import ALL_KINDS, make_problem, overflowing, reference_run
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from momlab import (
     MomentumParams,
-    Problem,
     StopRules,
     build_certificate,
     check_descent,
@@ -127,12 +126,6 @@ def test_checks_equal_step_by_step_reference(kind, preset, seed, beta, gamma, sc
         assert np.array_equal(rep.passed, np.array(passed, dtype=bool)), rep.name
 
 
-def _overflowing(p):
-    """p with its value scaled by 2^1000: inf from f > ~1.7e7 on, while grad f stays finite."""
-    return Problem(name=p.name, dim=p.dim, value=lambda z: p.value(z) * 2.0**1000,
-                   gradient=p.gradient)
-
-
 @pytest.mark.parametrize("grad_tol", [0.0, 1e-3])
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -146,7 +139,7 @@ def test_run_equals_per_step_reference(kind, preset, grad_tol, seed, beta, gamma
     with np.errstate(all="ignore"):
         p, x0, params, _, _ = sampled_setup(kind, preset, seed, beta, gamma, scale)
         if overflow:
-            p = _overflowing(p)
+            p = overflowing(p)
         trace = run(p, x0, x0, params, stop)
         points, f, grads, reason = reference_run(p, x0, x0, params, stop)
     event(reason)

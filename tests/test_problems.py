@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from conftest import make_problem
+from conftest import ALL_KINDS, make_problem
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momlab import (
+    Problem,
     estimate_lipschitz,
     linear_network,
     matrix_factorization,
@@ -10,6 +15,8 @@ from momlab import (
     synthetic,
 )
 from oracles import fd_gradient, fd_hessian_vec, rel_err
+
+from momlab.problems import _row_norms, _unit_ball
 
 
 def test_matrix_factorization_zero_target_origin_critical():
@@ -201,3 +208,72 @@ class TestEstimateLipschitz:
         p = make_problem("matrix_sensing")
         with pytest.raises(ValueError, match="analytic"):
             estimate_lipschitz(p, np.zeros(p.dim), 1.0, mode="analytic")
+
+
+def per_rung_lipschitz(problem, center, radius, reach=0.0, pairs=1000, seed=0, safety=2.0):
+    """The sampled estimate with two stacked gradient calls per rung, one for
+    its p rows and one for its q rows: the reference for the estimate's
+    bits, NaN included."""
+    r_infl = (1.0 + 2.0 * max(reach, 0.0)) * radius
+    rng = np.random.default_rng(seed)
+    per_scale = max(int(math.ceil(pairs / 7)), 8)
+    a = _unit_ball(rng, per_scale, problem.dim)
+    b = _unit_ball(rng, per_scale, problem.dim)
+    floor = min(2.0**-10, r_infl * 2.0**-6)
+    scales, s = [], r_infl
+    while s >= floor * (1.0 - 1e-12):
+        scales.append(s)
+        s *= 0.5
+    max_grad = np.linalg.norm(problem.gradient(center))
+    max_quot = 0.0
+    for s in scales:
+        p, q = center + s * a, center + s * b
+        gp, gq = problem.gradient(p), problem.gradient(q)
+        max_grad = max(max_grad, np.max(_row_norms(gp)), np.max(_row_norms(gq)))
+        gap = _row_norms(p - q)
+        apart = gap > 1e-12 * (1.0 + s)
+        if apart.any():
+            max_quot = max(max_quot, np.max(_row_norms(gp - gq)[apart] / gap[apart]))
+    return safety * max_grad, safety * max_quot, len(scales), per_scale
+
+
+def _nan_beyond(p, limit):
+    """p whose gradient is NaN at every point farther than limit from the origin."""
+    def gradient(z):
+        g = np.array(p.gradient(z), dtype=float)
+        g[np.linalg.norm(z, axis=-1) > limit] = np.nan
+        return g
+    return Problem(name=p.name, dim=p.dim, value=p.value, gradient=gradient)
+
+
+class TestLipschitzCalls:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @given(seed=st.integers(0, 2**16), radius=st.sampled_from([0.5, 2.0, 10.0]),
+           reach=st.sampled_from([0.0, 0.6]), nan_beyond=st.sampled_from([None, 1.0, 4.0]))
+    @settings(max_examples=6, deadline=None)
+    def test_estimate_equals_per_rung_reference(self, kind, seed, radius, reach, nan_beyond):
+        p = make_problem(kind, seed)
+        if nan_beyond is not None:
+            p = _nan_beyond(p, nan_beyond)
+        center = np.random.default_rng(seed).uniform(-0.5, 0.5, p.dim)
+        with np.errstate(all="ignore"):
+            L, M = estimate_lipschitz(p, center, radius, reach=reach, seed=seed)
+            L_ref, M_ref, _, _ = per_rung_lipschitz(p, center, radius, reach=reach, seed=seed)
+        assert np.array_equal([L, M], [L_ref, M_ref], equal_nan=True)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_one_stacked_call_per_rung(self, kind):
+        p = make_problem(kind)
+        calls = []
+
+        def gradient(z):
+            calls.append(np.shape(z))
+            return p.gradient(z)
+
+        counted = Problem(name=p.name, dim=p.dim, value=p.value, gradient=gradient)
+        center = np.zeros(p.dim)
+        estimate_lipschitz(counted, center, 10.0, reach=0.6)
+        _, _, rungs, per_scale = per_rung_lipschitz(p, center, 10.0, reach=0.6)
+        assert rungs == 15
+        # the center, then each rung's p and q rows in one stacked call
+        assert calls == [(p.dim,)] + [(2 * per_scale, p.dim)] * rungs
