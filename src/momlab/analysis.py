@@ -26,7 +26,8 @@ __all__ = [
 
 
 class FitError(ValueError):
-    """Raised when the power-law fit is refused (too few usable samples)."""
+    """Raised when the power-law fit is refused (too few usable samples, or no
+    concave power law with a finite positive scale fits them)."""
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,8 @@ def fit_desingularizer(
     psi(t) = c t^theta. When f_star is None it defaults to the minimum over
     the last ten samples; gaps below 100x the float round-off floor are
     discarded as noise. Raises FitError when fewer than min_samples usable
-    samples remain.
+    samples remain, or when the fit gives no theta in (0, 1] or no finite
+    positive c.
     """
     f_values = np.asarray(f_values, dtype=float).ravel()
     grad_norms = np.asarray(grad_norms, dtype=float).ravel()
@@ -113,7 +115,17 @@ def fit_desingularizer(
             "power law majorizes these samples"
         )
     theta = min(1.0 - slope, 1.0)
-    c = math.exp(-intercept) / theta
+    # samples spanning hundreds of orders of magnitude put exp(-intercept)
+    # beyond a float: math.exp raises, or c underflows to 0
+    try:
+        c = math.exp(-intercept) / theta
+    except OverflowError:
+        c = math.inf
+    if not (math.isfinite(c) and c > 0):
+        raise FitError(
+            f"fitted intercept {intercept:.4g} gives c = {c:.3g}; "
+            "the scale c of psi must be finite and positive"
+        )
 
     # inflate so the KL inequality psi'(gap) * ||grad|| >= 1 holds at every sample
     ratios = gaps[keep] ** (1.0 - theta) / (c * theta * grad_norms[keep])

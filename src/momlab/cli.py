@@ -40,14 +40,28 @@ from .certificates import (
     lyapunov_values,
 )
 from .config import ConfigError, ExperimentConfig, load_config
-from .gradient_flow import tracking_ladder
 from .optimizer import StopRules, run, run_lockstep, safe_alpha
 from .problems import estimate_lipschitz
-from .saddle import analyze_critical_point, escape_experiment, saddle_safe_alpha
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
+
+# names that only track and saddle call: they resolve on first use through
+# the package's lazy exports, which import their module. The commands call
+# them through this module (_self), so a name rebound here is the one called
+_LAZY = ("tracking_ladder", "analyze_critical_point", "escape_experiment", "saddle_safe_alpha")
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(sys.modules[__package__], name)
+    globals()[name] = value
+    return value
+
+
+_self = sys.modules[__name__]
 
 
 def _fmt(v) -> str:
@@ -279,7 +293,7 @@ def cmd_track(args) -> int:
         raise ConfigError("track: section required for the track command")
     out = _out_dir(args)
     x0, seeds = cfg.resolve_x0()
-    maxes, slope = tracking_ladder(
+    maxes, slope = _self.tracking_ladder(
         cfg.problem, x0, cfg.beta, cfg.track["alphas"], cfg.track["horizon"], gamma=cfg.gamma
     )
     meta = f"config_sha256={cfg.config_hash} seeds={json.dumps(seeds, sort_keys=True)}"
@@ -325,12 +339,12 @@ def cmd_saddle(args) -> int:
     # probe step size: alpha 'auto' uses both ceilings; the analysis rejects
     # a point that is not critical, naming ||grad f||
     probe = cfg.momentum_params(1e-6)
-    analysis = analyze_critical_point(cfg.problem, point, probe)
+    analysis = _self.analyze_critical_point(cfg.problem, point, probe)
     m_tilde = float(np.max(np.abs(analysis.hessian_eigs)))
     alpha = cfg.alpha_spec if args.alpha is None else args.alpha
     if alpha == "auto":
         alpha = 0.9 * min(
-            safe_alpha(max(m_tilde, 1e-12), probe), saddle_safe_alpha(m_tilde, probe)
+            safe_alpha(max(m_tilde, 1e-12), probe), _self.saddle_safe_alpha(m_tilde, probe)
         )
     params = cfg.momentum_params(alpha)
     # report map spectrum at the step size actually used; the Hessian
@@ -349,7 +363,7 @@ def cmd_saddle(args) -> int:
         "notes": list(cfg.notes),
     }
     if analysis.classification == "strict_saddle":
-        exp = escape_experiment(
+        exp = _self.escape_experiment(
             cfg.problem, point, params,
             radius=cfg.saddle["radius"], trials=cfg.saddle["trials"],
             seed=cfg.saddle["seed"],

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -40,18 +41,27 @@ class FlowTrajectory:
 
     states[i] = x(times[i]). arc_length[i] = int_0^{t_i} ||x'|| dt and
     energy[i] = int_0^{t_i} ||x'||^2 dt are integrated as augmented state,
-    so they inherit the integrator tolerance.
+    so they inherit the integrator tolerance. f_values and grad_norms, f and
+    ||grad f|| of problem at each state, are evaluated on first use, in one
+    stacked call each.
     """
 
     times: np.ndarray
     states: np.ndarray
     arc_length: np.ndarray
     energy: np.ndarray
-    f_values: np.ndarray
-    grad_norms: np.ndarray
     beta: float
     terminated: str                    # "grad_tol" | "horizon"
+    problem: Problem
     _dense = None                      # _DenseFlow over every accepted step
+
+    @cached_property
+    def f_values(self) -> np.ndarray:
+        return self.problem.value(self.states)
+
+    @cached_property
+    def grad_norms(self) -> np.ndarray:
+        return _row_norms(self.problem.gradient(self.states))
 
     @property
     def total_length(self) -> float:
@@ -295,13 +305,8 @@ def integrate_flow(
     z0 = np.concatenate([x0, [0.0, 0.0]])
     if np.linalg.norm(problem.gradient(x0)) <= grad_tol:
         # already critical enough: constant trajectory
-        times = np.array([0.0])
-        states = x0[None, :]
-        return FlowTrajectory(
-            times, states, np.zeros(1), np.zeros(1),
-            np.array([problem.value(x0)]), np.array([np.linalg.norm(problem.gradient(x0))]),
-            beta, "grad_tol",
-        )
+        return FlowTrajectory(np.array([0.0]), x0[None, :], np.zeros(1), np.zeros(1),
+                              beta, "grad_tol", problem)
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
 
@@ -327,10 +332,9 @@ def integrate_flow(
         states=states,
         arc_length=zs[:, dim],
         energy=zs[:, dim + 1],
-        f_values=problem.value(states),
-        grad_norms=_row_norms(problem.gradient(states)),
         beta=beta,
         terminated=terminated,
+        problem=problem,
     )
     traj._dense = _DenseFlow(ts, segments)
     return traj

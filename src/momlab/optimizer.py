@@ -295,7 +295,12 @@ def run(
 
     # 1-D norms are math.sqrt(v.dot(v)), which is what np.linalg.norm computes
     # for a contiguous 1-D float array; np.isfinite(x).all() is the cheapest
-    # finiteness test that raises no floating-point warning on inf
+    # finiteness test that raises no floating-point warning on inf. In a
+    # finite box, s = ||x_{k+1} - x_0||^2 is taken right after the step: a
+    # finite s proves x_{k+1} finite, so the finiteness test runs only when s
+    # is not, and sqrt(s) is the next iteration's box distance. The last step
+    # of a max_iters run takes no distance, which nothing would read.
+    dist = 0.0
     k = 0
     while True:
         if grad_tol > 0 and math.sqrt(g_curr.dot(g_curr)) < grad_tol:
@@ -304,16 +309,21 @@ def run(
         if k >= max_iters:
             reason = "max_iters"
             break
-        if check_box:
-            v = x_curr - x0_ref
-            if math.sqrt(v.dot(v)) > radius:
-                reason = "left_box"
-                break
+        if dist > radius:
+            reason = "left_box"
+            break
         # step(), inlined with the same expression order
         d = x_curr - x_prev
         g = g_curr if reuse else gradient(x_curr + gamma * d)
         x_next = (x_curr + beta * d) - alpha * g
-        if not np.isfinite(x_next).all():
+        if check_box and k + 1 < max_iters:
+            v = x_next - x0_ref
+            s = v.dot(v)
+            if not math.isfinite(s) and not np.isfinite(x_next).all():
+                reason = "diverged"
+                break
+            dist = math.sqrt(s)
+        elif not np.isfinite(x_next).all():
             reason = "diverged"
             break
         if r == size:

@@ -9,6 +9,7 @@ order), X block first, then Y (or W_1, ..., W_l in layer order).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -190,6 +191,7 @@ def matrix_factorization(M: np.ndarray, r: int) -> Problem:
         raise ValueError("rank r must be >= 1")
     m, n = M.shape
     dim = (m + n) * r
+    mr = m * r
 
     def value(z):
         X, Y = _split_xy(z, m, n, r)
@@ -197,6 +199,13 @@ def matrix_factorization(M: np.ndarray, r: int) -> Problem:
         return _sum_sq(R)
 
     def gradient(z):
+        if z.ndim == 1:
+            # _split_xy and _join for one point, with 2R formed once:
+            # (2R).T equals 2 R.T in values and layout, and every operand
+            # keeps the stacked path's shape and strides, so no bit changes
+            X, Y = z[:mr].reshape(r, m).T, z[mr:].reshape(r, n).T
+            R2 = 2.0 * (X @ Y.T - M)
+            return np.concatenate([(R2 @ Y).T, (R2.T @ X).T], axis=None)
         X, Y = _split_xy(z, m, n, r)
         R = X @ _T(Y) - M
         return _join(2.0 * R @ Y, 2.0 * _T(R) @ X)
@@ -238,6 +247,7 @@ def matrix_sensing(A: Sequence[np.ndarray], b: np.ndarray, r: int) -> Problem:
     A_stack = np.stack(A)  # (p, m, n)
     A_flat = A_stack.reshape(len(A), m * n)
     dim = (m + n) * r
+    mr, mn = m * r, m * n
 
     def residuals(X, Y):
         # one matrix-vector product per point: a batched tensordot sums in
@@ -250,6 +260,13 @@ def matrix_sensing(A: Sequence[np.ndarray], b: np.ndarray, r: int) -> Problem:
         return _dot_self(residuals(X, Y))
 
     def gradient(z):
+        if z.ndim == 1:
+            # residuals, _split_xy and _join for one point, with 2S formed
+            # once, bit for bit as in matrix_factorization
+            X, Y = z[:mr].reshape(r, m).T, z[mr:].reshape(r, n).T
+            res = (A_flat @ (X @ Y.T).reshape(mn, 1))[:, 0] - b
+            S2 = 2.0 * (res[None, :] @ A_flat).reshape(m, n)
+            return np.concatenate([(S2 @ Y).T, (S2.T @ X).T], axis=None)
         X, Y = _split_xy(z, m, n, r)
         res = residuals(X, Y)
         # sum_i res_i A_i, assembled once
@@ -301,8 +318,11 @@ def linear_network(Xbar: np.ndarray, Ybar: np.ndarray, widths: Sequence[int]) ->
         raise ValueError("Xbar and Ybar must have the same number of columns")
 
     sizes = [widths[j + 1] * widths[j] for j in range(l)]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    dim = int(offsets[-1])
+    offsets = [0, *itertools.accumulate(sizes)]
+    dim = offsets[-1]
+    # W_j^T of one point is z[a:b].reshape(cols, rows): C-contiguous, the
+    # layout of the transpose of _block's column-major view
+    layers = [(offsets[j], offsets[j + 1], widths[j], widths[j + 1]) for j in range(l)]
 
     def split(z):
         return [_block(z, offsets[j], offsets[j + 1], widths[j + 1], widths[j]) for j in range(l)]
@@ -320,6 +340,19 @@ def linear_network(Xbar: np.ndarray, Ybar: np.ndarray, widths: Sequence[int]) ->
         return _sum_sq(E)
 
     def gradient(z):
+        if z.ndim == 1:
+            # split, forward and _join for one point
+            Wts = [z[a:b].reshape(cols, rows) for a, b, cols, rows in layers]
+            acts = [Xbar]
+            for Wt in Wts:
+                acts.append(Wt.T @ acts[-1])
+            back = acts[-1] - Ybar
+            grads = [None] * l
+            for j in range(l - 1, -1, -1):
+                grads[j] = ((2.0 * back) @ acts[j].T).T
+                if j:
+                    back = Wts[j] @ back
+            return np.concatenate(grads, axis=None)
         Ws = split(z)
         acts = forward(Ws)
         E = acts[-1] - Ybar

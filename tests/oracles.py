@@ -4,6 +4,9 @@ The derivative oracles rely only on objective values (never on the gradients
 under test) so they stay an independent route to the same quantities. The
 writer oracles are the straightforward csv.writer and json.dump versions of
 trace.csv and certificate.json, whose bytes the fast writers must reproduce.
+The one-point gradient oracles are frozen copies of the shared single-point
+and stacked code path the families' one-point kernels replaced: each kernel
+must equal them bit for bit.
 """
 
 import csv
@@ -88,3 +91,49 @@ def reference_certificate_json(cert, path) -> None:
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
+
+
+def _fblock(z, start, stop, rows, cols):
+    """z[start:stop] as a column-major (rows, cols) view."""
+    return z[start:stop].reshape((rows, cols), order="F")
+
+
+def _fjoin(*blocks):
+    """Each block flattened column-major, concatenated."""
+    return np.concatenate([b.T for b in blocks], axis=None)
+
+
+def factorization_gradient(M, r, z):
+    """grad ||X Y^T - M||_F^2 at one point z = (vec X, vec Y)."""
+    m, n = M.shape
+    X, Y = _fblock(z, 0, m * r, m, r), _fblock(z, m * r, z.shape[-1], n, r)
+    R = X @ Y.T - M
+    return _fjoin(2.0 * R @ Y, 2.0 * R.T @ X)
+
+
+def sensing_gradient(A, b, r, z):
+    """grad sum_i (<A_i, X Y^T>_F - b_i)^2 at one point z = (vec X, vec Y)."""
+    A_flat = np.stack(A).reshape(len(A), -1)
+    m, n = A[0].shape
+    X, Y = _fblock(z, 0, m * r, m, r), _fblock(z, m * r, z.shape[-1], n, r)
+    P = X @ Y.T
+    res = (A_flat @ P.reshape((m * n, 1)))[..., 0] - b
+    S = (res[..., None, :] @ A_flat).reshape((m, n))
+    return _fjoin(2.0 * S @ Y, 2.0 * S.T @ X)
+
+
+def network_gradient(Xbar, Ybar, widths, z):
+    """grad ||W_l ... W_1 Xbar - Ybar||_F^2 at one point z = (vec W_1, ..., vec W_l)."""
+    l = len(widths) - 1
+    offsets = np.concatenate([[0], np.cumsum([widths[j + 1] * widths[j] for j in range(l)])])
+    Ws = [_fblock(z, offsets[j], offsets[j + 1], widths[j + 1], widths[j]) for j in range(l)]
+    acts = [Xbar]
+    for W in Ws:
+        acts.append(W @ acts[-1])
+    back = acts[-1] - Ybar
+    grads = [None] * l
+    for j in range(l - 1, -1, -1):
+        grads[j] = 2.0 * back @ acts[j].T
+        if j:
+            back = Ws[j].T @ back
+    return _fjoin(*grads)

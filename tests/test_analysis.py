@@ -85,6 +85,28 @@ class TestFit:
         with pytest.raises(FitError):
             fit_desingularizer(f, g, f_star=0.0)
 
+    @pytest.mark.parametrize("intercept, slope, log_gaps", [
+        # exp(-800) underflows: c would be 0
+        (800.0, -1.0, (100.0, 700.0)),
+        # exp(800) overflows: math.exp raises OverflowError
+        (-800.0, 0.5, (600.0, 700.0)),
+    ], ids=["c_underflows", "exp_overflows"])
+    def test_refuses_a_scale_beyond_floats(self, intercept, slope, log_gaps):
+        # samples on the exact power law log ||grad|| = slope * log gap + intercept
+        lx = np.linspace(*log_gaps, 50)
+        gaps, grads = np.exp(lx), np.exp(slope * lx + intercept)
+        assert np.all(np.isfinite(gaps)) and np.all(grads > 0) and np.all(np.isfinite(grads))
+        with pytest.raises(FitError, match="finite and positive"):
+            fit_desingularizer(gaps, grads, f_star=0.0)
+
+    def test_refuses_an_infinite_gradient_norm(self):
+        # one overflowed norm makes the regression NaN, so c is NaN
+        gaps = np.logspace(-1, -8, 60)
+        grads = np.sqrt(gaps)
+        grads[5] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(FitError, match="finite and positive"):
+            fit_desingularizer(gaps, grads, f_star=0.0)
+
     def test_inflated_psi_majorizes_kl_samples(self):
         _, trace, _ = quadratic_run()
         f, g = trace.f[1:], trace.grad_norms[1:]

@@ -131,6 +131,28 @@ checks: [descent]
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert any("isometry" in n for n in report["notes"])
 
+    def test_kl_fit_scale_underflow_is_reported(self, tmp_path):
+        # f runs to -2.9e180 inside a box as large as 1e300: the KL fit's
+        # scale c underflows to 0, which report.json names instead of the
+        # run failing with exit 1
+        cfg = write_config(tmp_path, """
+problem: {kind: indefinite_quadratic}
+params: {alpha: 0.135, beta: 0.5, preset: heavy_ball}
+init: {x0: [0.1369616873214543, -0.2302132862361297]}
+lipschitz: {mode: analytic, center: x0, radius: 2.0}
+stop: {max_iters: 1022, box_radius: 1.0e300}
+checks: [descent, kl_fit]
+""")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg), "--out", str(out), "--quiet"])
+        report = json.loads((out / "report.json").read_text())
+        assert report["final_f"] < -1e180
+        assert "finite and positive" in report["kl_fit"]["error"]
+        assert report["stop_reason"] == "max_iters" and report["iterations"] == 1022
+        descent = report["checks"]["descent"]
+        assert rc == (0 if descent["fail"] == 0 else 2)
+        assert (out / "trace.csv").exists() and (out / "certificate.json").exists()
+
 
 MF_CFG = """
 problem: {kind: matrix_factorization, m: 3, n: 3, rank: 1, seed: SEED}
@@ -185,6 +207,98 @@ class TestScipyImport:
         assert self.in_process(command, "--config", str(CONFIG_DIR / config), "--out", str(out),
                                "--quiet") == ["0", "False"]
         assert (out / output).exists()
+
+
+# the public names momlab exported when it imported every submodule eagerly
+EXPORTED = """
+Desingularizer FitError RateReport check_rate fit_desingularizer measure_length
+Certificate Columns LengthReport PerStepReport build_certificate check_descent
+check_gradient_bound check_length_formula check_step_bound gradient_bound_constants
+length_constants lyapunov lyapunov_interval lyapunov_values step_bound_delta1
+FlowTrajectory TrackingConstants companion_eigen integrate_flow tracking_constants
+tracking_error tracking_ladder trajectory_length
+LockstepResult MomentumParams StopRules Trace run run_lockstep safe_alpha step
+MatrixShape Problem estimate_lipschitz linear_network matrix_factorization matrix_sensing
+synthetic
+CriticalPointAnalysis EscapeExperiment analyze_critical_point characteristic_roots
+dense_hessian escape_experiment map_jacobian momentum_map saddle_safe_alpha
+__version__
+""".split()
+
+# imports each exported name by itself in a fresh interpreter; prints the
+# momlab submodules that importing momlab loaded
+LAZY_EXPORTS = """
+import sys
+import momlab
+print(sorted(m for m in sys.modules if m.startswith("momlab.")))
+for name in sys.argv[1:]:
+    namespace = {}
+    exec(f"from momlab import {name}", namespace)
+    assert name in dir(momlab) and namespace[name] is getattr(momlab, name), name
+"""
+
+# runs the CLI in-process; prints its exit code and the momlab modules loaded
+LOADED = """
+import sys
+import momlab.cli
+rc = momlab.cli.main(sys.argv[1:])
+print(rc, *sorted(m for m in sys.modules if m.startswith("momlab.")))
+"""
+
+
+class TestLazyImports:
+    """Each command loads only the modules it reaches."""
+
+    def loaded(self, *argv):
+        res = subprocess.run([sys.executable, "-c", LOADED, *argv], capture_output=True,
+                             text=True)
+        assert res.returncode == 0, res.stderr
+        return res.stdout.split()
+
+    def test_run_loads_neither_saddle_nor_gradient_flow(self, tmp_path):
+        out = tmp_path / "out"
+        rc, *modules = self.loaded("run", "--config", str(CONFIG_DIR / "quadratic.yaml"),
+                                   "--out", str(out), "--quiet")
+        assert rc == "0" and (out / "trace.csv").exists()
+        assert "momlab.optimizer" in modules
+        assert "momlab.saddle" not in modules and "momlab.gradient_flow" not in modules
+
+    @pytest.mark.parametrize("command, config, module, absent", [
+        ("track", "quadratic_track.yaml", "momlab.gradient_flow", "momlab.saddle"),
+        ("saddle", "indefinite_saddle.yaml", "momlab.saddle", "momlab.gradient_flow"),
+    ], ids=["track", "saddle"])
+    def test_track_and_saddle_load_their_own_module(self, tmp_path, command, config, module,
+                                                     absent):
+        rc, *modules = self.loaded(command, "--config", str(CONFIG_DIR / config),
+                                   "--out", str(tmp_path / "out"), "--quiet")
+        assert rc == "0" and module in modules and absent not in modules
+
+    def test_every_exported_name_imports(self):
+        res = subprocess.run([sys.executable, "-c", LAZY_EXPORTS, *EXPORTED],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[]\n"  # importing momlab loads no submodule
+        import momlab
+
+        assert sorted(momlab.__all__) == sorted(EXPORTED)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            momlab.no_such_name
+
+    def test_commands_call_lazy_names_through_the_module(self, tmp_path, monkeypatch):
+        # a name rebound on momlab.cli, as a tracer does, is the one called
+        calls = []
+        for name in ("tracking_ladder", "analyze_critical_point", "escape_experiment"):
+            fn = getattr(momlab_cli, name)
+            monkeypatch.setattr(momlab_cli, name,
+                                lambda *a, _fn=fn, _name=name, **k: calls.append(_name)
+                                or _fn(*a, **k))
+        for command, config in (("track", "quadratic_track.yaml"),
+                                ("saddle", "indefinite_saddle.yaml")):
+            assert main([command, "--config", str(CONFIG_DIR / config),
+                         "--out", str(tmp_path / command), "--quiet"]) == 0
+        assert calls == ["tracking_ladder", "analyze_critical_point", "escape_experiment"]
+        with pytest.raises(AttributeError, match="no_such_name"):
+            momlab_cli.no_such_name
 
 
 class TestFlags:

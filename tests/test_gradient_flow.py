@@ -223,6 +223,47 @@ class TestTrackingError:
         assert counts["value"] == flow_counts["value"]
         assert counts["gradient"][1] == flow_counts["gradient"][1]
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    def test_ladder_evaluates_only_its_steps(self, counted, gamma):
+        # a ladder reads neither its flow's f_values nor its grad_norms: no
+        # value at all, and every gradient is a single point of the flow's
+        # right-hand side or of a rung's steps
+        p, counts = counted(make_problem("matrix_factorization", seed=8))
+        x0 = np.random.default_rng(0).standard_normal(p.dim) * 0.4
+        alphas, beta = [0.01, 0.005, 0.0025], 0.5
+        tracking_ladder(p, x0, beta, alphas, horizon=1.0, gamma=gamma)
+        assert counts["value"] == [0, 0] and counts["gradient"][1] == 0
+        flow_p, flow_counts = counted(make_problem("matrix_factorization", seed=8))
+        integrate_flow(flow_p, x0, beta=beta, horizon=1.0)
+        assert flow_counts["value"] == [0, 0] and flow_counts["gradient"][1] == 0
+        rung_p, rung_counts = counted(make_problem("matrix_factorization", seed=8))
+        g0 = rung_p.gradient(x0)
+        for alpha in alphas:
+            params = MomentumParams(alpha, beta, gamma,
+                                    delta=2.0 * float(np.linalg.norm(g0)) * (1.0 + 1e-9))
+            steps = int(math.floor(1.0 / alpha)) + 1
+            run(rung_p, x0 + alpha * 2.0 * g0, x0, params, StopRules(max_iters=steps),
+                sink=gradient_flow._History(steps + 2, keep_grads=False))
+        assert counts["gradient"][0] == flow_counts["gradient"][0] + rung_counts["gradient"][0]
+
+    def test_flow_values_evaluated_on_first_use(self, counted):
+        p, counts = counted(make_problem("matrix_factorization", seed=8))
+        x0 = np.random.default_rng(0).standard_normal(p.dim) * 0.4
+        traj = integrate_flow(p, x0, beta=0.5, horizon=1.0)
+        single = counts["gradient"][0]
+        f, gn = traj.f_values, traj.grad_norms
+        rows = len(traj.states)
+        assert counts["value"] == [0, rows] and counts["gradient"] == [single, rows]
+        assert traj.f_values is f and traj.grad_norms is gn and counts["value"] == [0, rows]
+        assert f.tolist() == [p.value(x) for x in traj.states]
+        assert gn.tolist() == [float(np.linalg.norm(p.gradient(x))) for x in traj.states]
+
+    def test_critical_start_values(self):
+        p = synthetic("quadratic")
+        traj = integrate_flow(p, np.zeros(2), grad_tol=1e-9)
+        assert traj.terminated == "grad_tol"
+        assert traj.f_values.tolist() == [0.0] and traj.grad_norms.tolist() == [0.0]
+
 
 class TestTrackingConstants:
     @given(beta=st.floats(-0.95, 0.95))

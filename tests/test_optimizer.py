@@ -209,18 +209,34 @@ class TestRun:
                                         MomentumParams.heavy_ball(0.5, 0.5)],
                              ids=["generic", "heavy_ball"])
     def test_non_finite_component_stops_at_the_reference_step(self, bad, params):
-        # ascent on ||x||^2 / 2 whose gradient's second component turns `bad`
-        # once the first coordinate passes 3: x_next turns non-finite in that
-        # one component, with no floating-point warning on the way (the
-        # finiteness test adds none)
-        p = Problem(
+        # x_next turns non-finite in one component, with no floating-point
+        # warning on the way (the finiteness test adds none)
+        self._assert_blow_up_stops(bad, params, StopRules(max_iters=100))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("params", [MomentumParams(0.5, 0.5, 0.3),
+                                        MomentumParams.heavy_ball(0.5, 0.5)],
+                             ids=["generic", "heavy_ball"])
+    def test_non_finite_component_in_a_finite_box_stops_at_the_reference_step(self, bad,
+                                                                            params):
+        # in a finite box the box distance's dot product is the finiteness
+        # test: inf and NaN pass through it with no warning either
+        self._assert_blow_up_stops(bad, params, StopRules(max_iters=100, box_radius=1e6))
+
+    @staticmethod
+    def _blow_up(bad, value=lambda z: 0.5 * (z[..., 0] ** 2 + z[..., 1] ** 2)):
+        """Ascent on ||x||^2 / 2 whose gradient's second component turns `bad`
+        once the first coordinate passes 3."""
+        return Problem(
             name="blow_up", dim=2,
-            value=lambda z: 0.5 * (z[..., 0] ** 2 + z[..., 1] ** 2),
+            value=value,
             gradient=lambda z: np.stack(
                 [-z[..., 0], np.where(z[..., 0] > 3.0, bad, -z[..., 1])], axis=-1),
         )
+
+    def _assert_blow_up_stops(self, bad, params, stop):
+        p = self._blow_up(bad)
         x0 = np.array([1.0, 0.5])
-        stop = StopRules(max_iters=100)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tr = run(p, x0, x0, params, stop)
@@ -228,6 +244,44 @@ class TestRun:
         assert tr.stop_reason == reason == "diverged" and 0 < tr.num_steps < 100
         assert np.array_equal(tr.points, points)
         assert np.array_equal(tr.f, f) and np.array_equal(tr.grads, grads, equal_nan=True)
+
+    @pytest.mark.parametrize("far", [1e250, -1e160])
+    @pytest.mark.parametrize("params", [MomentumParams(0.5, 0.5, 0.3),
+                                        MomentumParams.heavy_ball(0.5, 0.5)],
+                             ids=["generic", "heavy_ball"])
+    def test_far_out_finite_iterate_leaves_the_box(self, far, params):
+        # the iterate jumps to a finite point whose squared distance from x_0
+        # overflows: the slow finiteness test finds it finite, so the run
+        # stops 'left_box' at the reference step, not 'diverged'; f stays finite
+        p = self._blow_up(far, value=lambda z: 0.5 * z[..., 0] ** 2)
+        x0 = np.array([1.0, 0.5])
+        stop = StopRules(max_iters=100, box_radius=1e6)
+        with np.errstate(over="ignore"):
+            tr = run(p, x0, x0, params, stop)
+            points, f, grads, reason = reference_run(p, x0, x0, params, stop)
+        assert tr.stop_reason == reason == "left_box" and 0 < tr.num_steps < 100
+        assert np.all(np.isfinite(tr.points)) and abs(tr.points[-1, 1]) > 1e150
+        assert np.array_equal(tr.points, points)
+        assert np.array_equal(tr.f, f) and np.array_equal(tr.grads, grads)
+
+    @pytest.mark.parametrize("params", [MomentumParams(0.5, 0.5, 0.3),
+                                        MomentumParams.heavy_ball(0.5, 0.5)],
+                             ids=["generic", "heavy_ball"])
+    def test_last_step_takes_no_box_distance(self, params):
+        # a max_iters run whose last iterate is that far-out point stops
+        # 'max_iters' with no overflow warning: no distance is taken on the
+        # last step, which nothing would read
+        p = self._blow_up(1e250, value=lambda z: 0.5 * z[..., 0] ** 2)
+        x0 = np.array([1.0, 0.5])
+        with np.errstate(over="ignore"):
+            steps = run(p, x0, x0, params, StopRules(max_iters=100, box_radius=1e6)).num_steps
+        stop = StopRules(max_iters=steps, box_radius=1e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = run(p, x0, x0, params, stop)
+        points, _, _, reason = reference_run(p, x0, x0, params, stop)
+        assert tr.stop_reason == reason == "max_iters" and tr.num_steps == steps
+        assert np.array_equal(tr.points, points) and abs(tr.points[-1, 1]) > 1e150
 
     def test_finite_component_near_overflow_does_not_stop(self):
         # the first coordinate sits at 1.5e308 and never moves: finite, so the
