@@ -673,7 +673,9 @@ def safe_alpha(M: float, params: MomentumParams) -> float:
     M, b, g = float(M), float(params.beta), float(params.gamma)
     if M <= 0:
         raise ValueError(f"M must be positive, got {M}")
-    denom = b * b + 2.0 * abs(b - g)
+    # a subnormal beta can underflow 2 denom M to 0: the second bound is
+    # then +inf and 1/M is the answer, as with beta = gamma = 0
+    denom = 2.0 * (b * b + 2.0 * abs(b - g)) * M
     if denom == 0.0:
         return 1.0 / M
-    return min(1.0 / M, (1.0 - b * b) / (2.0 * denom * M))
+    return min(1.0 / M, (1.0 - b * b) / denom)

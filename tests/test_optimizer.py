@@ -414,6 +414,10 @@ class TestSafeAlpha:
             warnings.simplefilter("error")
             assert safe_alpha(np.float64(2.0), params) == safe_alpha(2.0, params) == 0.5
 
+    def test_subnormal_beta_underflowing_denominator_returns_inverse_m(self):
+        # 2 (beta^2 + 2|beta - gamma|) M underflows to 0.0 here
+        assert safe_alpha(0.125, MomentumParams(0.01, 5e-324, 0.0)) == 8.0
+
     def test_golden_values(self):
         assert safe_alpha(2.0, MomentumParams(0.5, 0.5, 0.5)) == pytest.approx(0.5)
         assert safe_alpha(1.0, MomentumParams(0.3, 0.5, 0.0)) == pytest.approx(0.3)
