@@ -77,8 +77,8 @@ def fit_desingularizer(
     psi(t) = c t^theta. When f_star is None it defaults to the minimum over
     the last ten samples; gaps below 100x the float round-off floor are
     discarded as noise. Raises FitError when fewer than min_samples usable
-    samples remain, or when the fit gives no theta in (0, 1] or no finite
-    positive c.
+    samples remain, when one of them has an infinite gradient norm, or when
+    the fit gives no theta in (0, 1] or no finite positive c.
     """
     f_values = np.asarray(f_values, dtype=float).ravel()
     grad_norms = np.asarray(grad_norms, dtype=float).ravel()
@@ -100,6 +100,10 @@ def fit_desingularizer(
             f"only {n} samples with gap in ({lo:.3g}, {hi:.3g}); "
             f"need >= {min_samples} (total {f_values.size}, floor {floor:.3g})"
         )
+    bad = np.flatnonzero(keep & np.isinf(grad_norms))
+    if bad.size:  # named here: the regression would turn NaN, with warnings
+        raise FitError(f"sample {bad[0]} has gradient norm inf; "
+                       "fitted samples must be finite and positive")
 
     lx = np.log(gaps[keep])
     ly = np.log(grad_norms[keep])

@@ -40,7 +40,7 @@ from .certificates import (
     lyapunov_values,
 )
 from .config import ConfigError, ExperimentConfig, load_config
-from .optimizer import StopRules, run, run_lockstep, safe_alpha
+from .optimizer import _ROW_BLOCK, StopRules, run, run_lockstep, safe_alpha
 from .problems import estimate_lipschitz
 
 EXIT_OK = 0
@@ -163,7 +163,7 @@ def _certify(cfg: ExperimentConfig, trace, cert):
     return results, psi, total_length
 
 
-def _passed_everything(trace, cert, results) -> bool:
+def _passed_everything(cols, cert, results) -> bool:
     ok = all(rep.all_pass for rep in cert.per_step.values())
     if "rate" in results:
         ok = ok and results["rate"].passed
@@ -172,7 +172,7 @@ def _passed_everything(trace, cert, results) -> bool:
     if cert.per_step or results:
         # a run that diverged or abandoned the certified ball cannot certify,
         # even though the out-of-ball steps themselves are only 'uncertified'
-        ok = ok and trace.stop_reason not in ("diverged", "left_box")
+        ok = ok and cols.stop_reason not in ("diverged", "left_box") and cols.certified.all()
     return ok
 
 
@@ -385,9 +385,9 @@ def cmd_saddle(args) -> int:
     return EXIT_OK
 
 
-# bytes of recorded iterates per group of sweep cells stepped in lockstep:
-# enough cells to amortize each stacked gradient call, few enough that the
-# group's iterates stay a few MB (a cell longer than this runs alone)
+# bytes of iterate blocks (up to _ROW_BLOCK points per cell) a group of sweep
+# cells holds while it steps in lockstep: enough cells to amortize each
+# stacked gradient call, few enough that the blocks stay a few MB
 _SWEEP_GROUP_BYTES = 1 << 23
 
 
@@ -397,7 +397,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep: section required for the sweep command")
     out = _out_dir(args)
     problem = cfg.problem
-    group = max(1, _SWEEP_GROUP_BYTES // ((cfg.stop.max_iters + 2) * problem.dim * 8))
+    block = min(cfg.stop.max_iters + 2, _ROW_BLOCK)
+    group = max(1, _SWEEP_GROUP_BYTES // (block * problem.dim * 8))
     lipschitz = {}
     rows = []
     for i in range(0, len(cfg.sweep), group):
@@ -409,13 +410,15 @@ def cmd_sweep(args) -> int:
         # a diverging cell overflows in its checks as well as in its steps
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            traces = run_lockstep(problem, x_m1s, x0s, params, stops, record=True).traces
-            for (_, b, g, s), cell, cert, trace in zip(chunk, cells, certs, traces):
-                results, _, total_length = _certify(cell, trace, cert)
+            # each cell certifies while it steps, as in cmd_run
+            done = run_lockstep(problem, x_m1s, x0s, params, stops,
+                                sinks=[Columns(problem, cert) for cert in certs])
+            for (_, b, g, s), cell, cert, cols in zip(chunk, cells, certs, done):
+                results, _, total_length = _certify(cell, cols, cert)
                 descent = cert.per_step.get("descent")
                 rows.append([
                     _fmt(cert.params.alpha), _fmt(b), _fmt(g), s,
-                    int(trace.stop_reason == "grad_tol"),
+                    int(cols.stop_reason == "grad_tol"),
                     _fmt(total_length),
                     _fmt(descent.min_slack) if descent is not None and descent.n_certified else "",
                     _fmt(results["rate"].sup_product) if "rate" in results else "",

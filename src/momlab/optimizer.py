@@ -19,8 +19,9 @@ a sink such as certificates.Columns reduces each block and drops it, so
 the trajectory is never held. run_lockstep() is the shared lockstep core
 for stacks of starts: it steps them together under the same stop rules,
 with one params and stop rules for all rows or one per row. Escape studies
-keep only where each row stopped; sweeps pass record=True and get each
-row's Trace, equal to run()'s.
+keep only where each row stopped; sweeps pass one sink per row, which
+takes that row's blocks as run() would hand them, so both loops record
+through the same take(points, grads) / finish(reason) protocol.
 """
 
 from __future__ import annotations
@@ -373,7 +374,9 @@ class _History:
             return rows.copy()
         end = self.n + len(rows)
         while len(buf) < end:
-            buf = _grown(buf, self.cap)
+            grown = np.empty((min(2 * len(buf), self.cap), buf.shape[1]))
+            grown[:len(buf)] = buf
+            buf = grown
         buf[self.n:end] = rows
         return buf
 
@@ -464,16 +467,12 @@ def _trace(problem: Problem, points, grads, params: MomentumParams, reason: str)
 
 @dataclass
 class LockstepResult:
-    """Where each row of a lockstep run stopped (row b is start b).
-
-    A recorded run reads x, grad, iters and stop_reason off its traces.
-    """
+    """Where each row of a lockstep run without sinks stopped (row b is start b)."""
 
     x: np.ndarray               # (B, dim) last iterate x_K
     grad: np.ndarray            # (B, dim) gradient at x
     iters: np.ndarray           # (B,) steps taken, K
     stop_reason: list           # (B,) the stop rule that fired, as in run()
-    traces: Optional[list] = None  # (B,) with record=True: the Trace run() returns per row
 
 
 def _each_row(given, kind, n: int) -> list:
@@ -482,23 +481,6 @@ def _each_row(given, kind, n: int) -> list:
     if len(rows) != n:
         raise ValueError(f"expected one {kind.__name__} per start ({n}), got {len(rows)}")
     return rows
-
-
-def _history(lead: tuple, cap, dim: int) -> np.ndarray:
-    """An empty recording buffer, lead + (T, dim), of T = min(cap, 64) points per row.
-
-    A recording lockstep run grows it with _grown, never beyond cap points: a
-    grad_tol run may allow far more steps than it takes.
-    """
-    return np.empty(lead + (int(min(cap, 64)), dim))
-
-
-def _grown(hist, cap):
-    """hist, (..., T, dim), copied into a buffer of min(2T, cap) points per row."""
-    T = hist.shape[-2]
-    grown = np.empty(hist.shape[:-2] + (int(min(2 * T, cap)), hist.shape[-1]))
-    grown[..., :T, :] = hist
-    return grown
 
 
 def _select(coef, live):
@@ -519,8 +501,8 @@ def run_lockstep(
     x_0,
     params: MomentumParams | Sequence[MomentumParams],
     stop: StopRules | Sequence[StopRules] | None = None,
-    record: bool = False,
-) -> LockstepResult:
+    sinks: Optional[Sequence] = None,
+):
     """Iterate every row of (B, dim) starts in lockstep until each one stops.
 
     params and stop are one MomentumParams and one StopRules for every row,
@@ -531,14 +513,12 @@ def run_lockstep(
     (gamma == 0) steps with grad f(x_k), as run() does. A row freezes once a
     rule fires.
 
-    Without record, only the current and previous iterates are kept, so
-    memory does not grow with the step count, and f(x_k) and grad f(x_k) are
-    checked at every step. With record=True, each row's iterates are kept,
-    and so are their gradients when a grad_tol rule or a heavy-ball row
-    makes the loop evaluate grad f(x_k); no other gradient at x_k and no
-    value is evaluated per step. traces[b] is the Trace run() returns for
-    row b: its remaining columns are filled once the rows stop, and it is
-    cut where they stop being finite.
+    Without sinks, only the current and previous iterates are kept, f(x_k)
+    and grad f(x_k) are checked at every step, and a LockstepResult says
+    where each row stopped. With sinks, one per row, row b's points and the
+    gradients the loop holds (on grad_tol or heavy-ball rows) go to
+    sinks[b].take in blocks of _ROW_BLOCK rows, as run() hands them, no
+    value is evaluated per step, and [sinks[b].finish(reason_b)] is returned.
     """
     prev = np.array(x_minus1, dtype=float, ndmin=2)
     cur = np.array(x_0, dtype=float, ndmin=2)
@@ -548,6 +528,8 @@ def run_lockstep(
             f"got shapes {prev.shape} and {cur.shape}"
         )
     n, dim = cur.shape
+    if sinks is not None and len(sinks) != n:
+        raise ValueError(f"expected one sink per start ({n}), got {len(sinks)}")
     row_params = _each_row(params, MomentumParams, n)
     _warn_velocity(_row_norms(cur - prev), np.array([p.delta * p.alpha for p in row_params]))
     # one params: scalar coefficients; one per row: (B, 1) columns
@@ -563,8 +545,8 @@ def run_lockstep(
     check_box = not np.isinf(rules[:, 2]).all()
     check_tol = bool((rules[:, 1] > 0).any())
     first_cap = rules[:, 0].min()
-    # recorded runs check f and grad f when their trace columns are filled
-    check_values = not record
+    # a sink's rows are checked for f and grad f as run()'s are, by the sink
+    check_values = sinks is None
     # grad f(x_k) of every live row, at every step: for the checks, the
     # grad_tol rule or the heavy-ball rows' step
     need_g = check_values or check_tol or hb is not None
@@ -572,32 +554,45 @@ def run_lockstep(
 
     iters = np.zeros(n, dtype=int)
     reasons = np.full(n, "", dtype=object)
-    ghist = None
-    if record:
-        # the iterates and, when the loop evaluates them, their gradients
-        hist = _history((n,), rules[:, 0].max() + 2, dim)
-        hist[:, 0], hist[:, 1] = prev, cur
-        if need_g:
-            ghist = np.empty_like(hist)
-            ghist[:, 0] = gradient(prev)
-    else:
+    gs = None
+    if check_values:
         out_x, out_g = np.empty_like(cur), np.empty_like(cur)
+    else:
+        # point i of row b (x_{i-1}) goes to pts[b, i % size]; gs holds its
+        # gradient when the loop evaluates one
+        size = int(min(rules[:, 0].max() + 2, _ROW_BLOCK))
+        pts = np.empty((n, size, dim))
+        pts[:, 0], pts[:, 1] = prev, cur
+        if need_g:
+            gs = np.empty_like(pts)
+            gs[:, 0] = gradient(prev)
+        finished = [None] * n
+
+    def hand(idx, filled):
+        """Give rows idx the first filled points of their block."""
+        for b in idx:
+            sinks[b].take(pts[b, :filled], None if gs is None else gs[b, :filled])
+
     rows, x0, k = np.arange(n), cur, 0
 
     def freeze(stopped, why):
-        """Record the stopped rows at x_k, where run() leaves them; return the live mask."""
+        """Stop the rows at x_k, where run() leaves them; return the live mask."""
         idx = rows[stopped]
         iters[idx], reasons[idx] = k, why
-        if not record:
+        if check_values:
             out_x[idx], out_g[idx] = cur[stopped], g[stopped]
+            return ~stopped
+        hand(idx, (k + 1) % size + 1)  # x_k is point k + 1, the last one recorded
+        for b in idx:
+            finished[b] = sinks[b].finish(reasons[b])
         return ~stopped
 
     while True:
         if check_values:
             f = problem.value(cur)
         g = gradient(cur) if need_g else None
-        if ghist is not None:
-            ghist[rows, k + 1] = g
+        if gs is not None:
+            gs[rows, (k + 1) % size] = g
         # run()'s stop rules, lowest precedence first: a later rule wins
         hits = []
         if check_box:
@@ -637,29 +632,19 @@ def run_lockstep(
                 break
             rows, cur, x0, x_next, rules = rows[live], cur[live], x0[live], x_next[live], rules[live]
             alpha, beta, gamma, hb = _select((alpha, beta, gamma), live)
-        if record:
-            if k + 2 == hist.shape[1]:
-                # one buffer at a time, so at most one old buffer is alive
-                hist = _grown(hist, rules[:, 0].max() + 2)
-                if ghist is not None:
-                    ghist = _grown(ghist, rules[:, 0].max() + 2)
-            hist[rows, k + 2] = x_next
+        if not check_values:
+            # x_{k+1} is point k + 2; a full block, whose last gradient was
+            # written above, goes to the sinks first
+            slot = (k + 2) % size
+            if slot == 0:
+                hand(rows, size)
+            pts[rows, slot] = x_next
         prev, cur = cur, x_next
         k += 1
 
-    if not record:
+    if check_values:
         return LockstepResult(out_x, out_g, iters, reasons.tolist())
-    traces = [_trace(problem, hist[b, :iters[b] + 2],
-                     None if ghist is None else ghist[b, :iters[b] + 2],
-                     row_params[b], reasons[b])
-              for b in range(n)]
-    return LockstepResult(
-        np.array([tr.points[-1] for tr in traces]),
-        np.array([tr.grads[-1] for tr in traces]),
-        np.array([tr.num_steps for tr in traces]),
-        [tr.stop_reason for tr in traces],
-        traces,
-    )
+    return finished
 
 
 def safe_alpha(M: float, params: MomentumParams) -> float:

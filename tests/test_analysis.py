@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,16 @@ class TestFit:
         grads[5] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(FitError, match="finite and positive"):
             fit_desingularizer(gaps, grads, f_star=0.0)
+
+    def test_infinite_gradient_norm_is_refused_without_warnings(self):
+        # the sample is named before the regression could warn on it
+        gaps = np.logspace(-1, -8, 60)
+        grads = np.sqrt(gaps)
+        grads[5] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match="sample 5 has gradient norm inf"):
+                fit_desingularizer(gaps, grads, f_star=0.0)
 
     def test_inflated_psi_majorizes_kl_samples(self):
         _, trace, _ = quadratic_run()

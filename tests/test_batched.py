@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momlab import (
+    Columns,
     MomentumParams,
     StopRules,
     analyze_critical_point,
+    build_certificate,
     escape_experiment,
     matrix_factorization,
     run,
@@ -20,8 +22,8 @@ from momlab import (
     saddle_safe_alpha,
     synthetic,
 )
-from momlab import problems
-from momlab.optimizer import _row_norms
+from momlab import optimizer, problems
+from momlab.optimizer import _History, _row_norms
 from momlab.saddle import _sample_ball, classify_limit
 
 SCALES = st.sampled_from([1e-3, 0.3, 1.0, 10.0])
@@ -210,47 +212,76 @@ ROW = st.tuples(
 )
 
 
-def _assert_trace_equals_run(p, rec, xm1, x0, params, stop):
-    tr = run(p, xm1, x0, params, stop)
-    points, f, grads, reason = reference_run(p, xm1, x0, params, stop)
-    assert rec.stop_reason == tr.stop_reason == reason
-    assert rec.params == params and rec.problem_name == tr.problem_name
-    # bit for bit: the sign of a zero and a NaN's payload count
-    for got, want, ref in ((rec.points, tr.points, points), (rec.f, tr.f, f),
-                           (rec.grads, tr.grads, grads)):
-        assert got.shape == want.shape == ref.shape
-        assert got.tobytes() == want.tobytes() == ref.tobytes()
-    return tr
+def _cert(params, x0):
+    """A certificate whose ball (radius 1 around x0) some rows leave."""
+    return build_certificate(1.0, 1.0, params, x0, 1.0, strict=False)
+
+
+def _assert_sink_rows_equal_run(p, xm1, x0, params, stops):
+    """Row b of run_lockstep through _History sinks and through Columns sinks
+    equals run(..., sink=) on start b, bit for bit; returns the histories."""
+    n = len(x0)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        kept = run_lockstep(p, xm1, x0, params, stops,
+                            sinks=[_History(s.max_iters + 2) for s in stops])
+        cols = run_lockstep(p, xm1, x0, params, stops,
+                            sinks=[Columns(p, _cert(params[b], x0[b])) for b in range(n)])
+        for b in range(n):
+            tr = run(p, xm1[b], x0[b], params[b], stops[b])
+            points, f, grads, reason = reference_run(p, xm1[b], x0[b], params[b], stops[b])
+            assert tr.stop_reason == reason and tr.points.tobytes() == points.tobytes()
+            assert tr.f.tobytes() == f.tobytes() and tr.grads.tobytes() == grads.tobytes()
+            want = run(p, xm1[b], x0[b], params[b], stops[b],
+                       sink=_History(stops[b].max_iters + 2))
+            # bit for bit: the sign of a zero and a NaN's payload count
+            assert kept[b].points.tobytes() == want.points.tobytes()
+            if want.grads is not None:
+                assert kept[b].grads.tobytes() == want.grads.tobytes()
+            elif kept[b].grads is not None:
+                # the loop held grad f(x_k) for a heavy-ball or grad_tol row
+                # beside this one: it is the trace's column, up to any cut
+                assert kept[b].grads[:len(tr.grads)].tobytes() == tr.grads.tobytes()
+            ref = run(p, xm1[b], x0[b], params[b], stops[b],
+                      sink=Columns(p, _cert(params[b], x0[b])))
+            assert cols[b].stop_reason == ref.stop_reason == tr.stop_reason
+            assert cols[b].num_steps == ref.num_steps == tr.num_steps
+            for name in (*Columns._NAMES, "certified"):
+                assert getattr(cols[b], name).tobytes() == getattr(ref, name).tobytes(), name
+    return kept
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
-@given(seed=st.integers(0, 2**32 - 1), rows=st.lists(ROW, min_size=1, max_size=7))
+@given(seed=st.integers(0, 2**32 - 1), rows=st.lists(ROW, min_size=1, max_size=7),
+       block=st.sampled_from([5, optimizer._ROW_BLOCK]))
 @settings(max_examples=12, deadline=None)
-def test_recorded_lockstep_rows_equal_run(kind, seed, rows):
+def test_recorded_lockstep_rows_equal_run(kind, seed, rows, block):
     # a sweep grid: per-row alpha, beta, gamma, presets and stop rules, so
-    # heavy-ball rows step beside generic ones and rows stop at different steps
+    # heavy-ball rows step beside generic ones and rows stop at different
+    # steps; with blocks of 5 rows, blocks end mid-run in both loops
     p = make_problem(kind)
     params = [_row_params(*r[:4]) for r in rows]
     stops = [StopRules(*r[4:]) for r in rows]
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal((len(rows), p.dim))
     xm1 = x0 + rng.uniform(-0.5, 0.5, x0.shape) * [[q.alpha] for q in params]
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore")
-        rec = run_lockstep(p, xm1, x0, params, stops, record=True)
-        res = run_lockstep(p, xm1, x0, params, stops)
-        for b in range(len(rows)):
-            tr = _assert_trace_equals_run(p, rec.traces[b], xm1[b], x0[b], params[b], stops[b])
-            for r in (rec, res):
-                assert r.stop_reason[b] == tr.stop_reason
-                assert r.iters[b] == tr.num_steps
-                assert np.array_equal(r.x[b], tr.x(tr.num_steps))
-                assert np.array_equal(r.grad[b], tr.grads[-1], equal_nan=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "_ROW_BLOCK", block)
+        _assert_sink_rows_equal_run(p, xm1, x0, params, stops)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            res = run_lockstep(p, xm1, x0, params, stops)
+            for b in range(len(rows)):
+                tr = run(p, xm1[b], x0[b], params[b], stops[b])
+                assert res.stop_reason[b] == tr.stop_reason
+                assert res.iters[b] == tr.num_steps
+                assert np.array_equal(res.x[b], tr.x(tr.num_steps))
+                assert np.array_equal(res.grad[b], tr.grads[-1], equal_nan=True)
 
 
 def test_recorded_rows_cut_where_values_overflow():
-    # f overflows (grad f stays finite) on some rows only: a recorded row is
-    # cut there as 'diverged', as run() cuts its trace; the others run on
+    # f overflows (grad f stays finite) on some rows only: a row's columns
+    # are cut there as 'diverged', as run()'s are; the others run on
     base = synthetic("quadratic")
     p = problems.Problem(name="overflowing", dim=2, value=lambda z: base.value(z) * 2.0**1000,
                          gradient=base.gradient)
@@ -259,26 +290,26 @@ def test_recorded_rows_cut_where_values_overflow():
     params = [MomentumParams(0.1, 0.5, 0.2, delta=1e6), MomentumParams.heavy_ball(0.1, 0.5),
               MomentumParams(0.3, 0.2, 0.0, delta=1e6), MomentumParams.nesterov(0.05, 0.4)]
     stops = [StopRules(max_iters=k) for k in (5, 40, 7, 40)]
+    _assert_sink_rows_equal_run(p, xm1, x0, params, stops)
     with np.errstate(over="ignore"):
-        rec = run_lockstep(p, xm1, x0, params, stops, record=True)
-        for b in range(4):
-            _assert_trace_equals_run(p, rec.traces[b], xm1[b], x0[b], params[b], stops[b])
-    assert rec.stop_reason == ["diverged", "max_iters", "diverged", "max_iters"]
-    assert rec.iters.tolist() == [1, 40, 1, 40]
+        cols = run_lockstep(p, xm1, x0, params, stops,
+                            sinks=[Columns(p, _cert(params[b], x0[b])) for b in range(4)])
+    assert [c.stop_reason for c in cols] == ["diverged", "max_iters", "diverged", "max_iters"]
+    assert [c.num_steps for c in cols] == [1, 40, 1, 40]
 
 
 def test_recorded_rows_across_buffer_growths():
-    # the recording buffers start at 64 points and double, one at a time,
-    # up to the longest row's max_iters + 2: rows stop on either side of a
-    # growth, heavy-ball rows beside generic ones
+    # rows stop on either side of the first and second block edges (a run
+    # of K steps records K + 2 points), where the _History buffers also
+    # grow; heavy-ball rows beside generic ones
     p = make_problem("matrix_factorization")
-    x0 = np.random.default_rng(5).standard_normal((6, p.dim)) * 0.3
-    params = [MomentumParams.heavy_ball(0.02, 0.5), MomentumParams(0.02, 0.5, 0.3)] * 3
-    stops = [StopRules(max_iters=k) for k in (62, 63, 126, 127, 128, 300)]
-    rec = run_lockstep(p, x0, x0, params, stops, record=True)
-    for b in range(6):
-        _assert_trace_equals_run(p, rec.traces[b], x0[b], x0[b], params[b], stops[b])
-    assert rec.iters.tolist() == [62, 63, 126, 127, 128, 300]
+    x0 = np.random.default_rng(5).standard_normal((8, p.dim)) * 0.3
+    params = [MomentumParams.heavy_ball(0.02, 0.5), MomentumParams(0.02, 0.5, 0.3)] * 4
+    B = optimizer._ROW_BLOCK
+    steps = [B - 3, B - 2, B - 1, B, 2 * B - 3, 2 * B - 2, 2 * B - 1, 2 * B + 50]
+    stops = [StopRules(max_iters=k) for k in steps]
+    kept = _assert_sink_rows_equal_run(p, x0, x0, params, stops)
+    assert [h.num_steps for h in kept] == steps
 
 
 def test_recorded_mixed_grid_keeps_heavy_ball_bits():
@@ -289,10 +320,8 @@ def test_recorded_mixed_grid_keeps_heavy_ball_bits():
     x0 = np.array([[-0.0], [-0.0]])
     params = [MomentumParams.heavy_ball(0.1, -0.5), MomentumParams(0.1, -0.5, 0.3)]
     stop = StopRules(max_iters=3)
-    rec = run_lockstep(p, x0, x0, params, stop, record=True)
-    for b in range(2):
-        _assert_trace_equals_run(p, rec.traces[b], x0[b], x0[b], params[b], stop)
-    assert np.signbit(rec.traces[0].points[:, 0]).tolist() == [True, True, False, False, False]
+    kept = _assert_sink_rows_equal_run(p, x0, x0, params, [stop] * 2)
+    assert np.signbit(kept[0].points[:, 0]).tolist() == [True, True, False, False, False]
 
 
 def test_mixed_grid_reports_the_gradient_where_a_row_diverged():
@@ -318,10 +347,8 @@ def test_rows_whose_beta_differs_in_the_sign_of_zero():
     p = make_problem("matrix_factorization")
     x0 = np.full((2, p.dim), -0.0)
     params = [MomentumParams(0.1, -0.0), MomentumParams(0.1, 0.0)]
-    rec = run_lockstep(p, x0, x0, params, StopRules(max_iters=3), record=True)
-    for b in range(2):
-        _assert_trace_equals_run(p, rec.traces[b], x0[b], x0[b], params[b], StopRules(max_iters=3))
-    assert np.signbit(rec.traces[0].points[2]).all() and not np.signbit(rec.traces[1].points[2]).any()
+    kept = _assert_sink_rows_equal_run(p, x0, x0, params, [StopRules(max_iters=3)] * 2)
+    assert np.signbit(kept[0].points[2]).all() and not np.signbit(kept[1].points[2]).any()
 
 
 def test_lockstep_params_per_row_must_match_the_starts():
@@ -331,3 +358,5 @@ def test_lockstep_params_per_row_must_match_the_starts():
         run_lockstep(p, x0, x0, [MomentumParams(0.1)] * 2)
     with pytest.raises(ValueError, match="one StopRules per start"):
         run_lockstep(p, x0, x0, MomentumParams(0.1), [StopRules()] * 4)
+    with pytest.raises(ValueError, match="one sink per start"):
+        run_lockstep(p, x0, x0, MomentumParams(0.1), sinks=[_History(10)] * 2)

@@ -134,7 +134,8 @@ checks: [descent]
     def test_kl_fit_scale_underflow_is_reported(self, tmp_path):
         # f runs to -2.9e180 inside a box as large as 1e300: the KL fit's
         # scale c underflows to 0, which report.json names instead of the
-        # run failing with exit 1
+        # run failing with exit 1. The run leaves the trust ball, so it
+        # certifies only its first steps and exits 2
         cfg = write_config(tmp_path, """
 problem: {kind: indefinite_quadratic}
 params: {alpha: 0.135, beta: 0.5, preset: heavy_ball}
@@ -150,7 +151,8 @@ checks: [descent, kl_fit]
         assert "finite and positive" in report["kl_fit"]["error"]
         assert report["stop_reason"] == "max_iters" and report["iterations"] == 1022
         descent = report["checks"]["descent"]
-        assert rc == (0 if descent["fail"] == 0 else 2)
+        assert descent["certified"] < descent["steps"]
+        assert rc == 2
         assert (out / "trace.csv").exists() and (out / "certificate.json").exists()
 
 
@@ -190,8 +192,7 @@ class TestScipyImport:
             "0", "False"]
         assert (out / "trace.csv").exists()
 
-    def test_track_loads_scipy_and_works(self, tmp_path):
-        # the name predates the numpy flow integrator: track now loads no scipy
+    def test_track_leaves_scipy_unloaded(self, tmp_path):
         cfg = CONFIG_DIR / "quadratic_track.yaml"
         out = tmp_path / "out"
         assert self.in_process("track", "--config", str(cfg), "--out", str(out), "--quiet") == [
@@ -503,26 +504,35 @@ sweep: {alphas: [auto], betas: [0.0, 0.3, 0.6], gammas: [0.0, 0.5], seeds: [0, 1
 
     def test_stepping_makes_no_single_point_gradient_calls(self, tmp_path, monkeypatch,
                                                            counted):
-        # every cell steps in one stacked call per step, recorded in lockstep
-        seen = []
+        # every cell steps in one stacked call per step, in lockstep, and its
+        # columns evaluate f a block of rows at a time
+        wrapped = []  # (counted problem, its counts), made on first use
         lockstep = momlab_cli.run_lockstep
 
-        def counting_lockstep(problem, *args, **kw):
-            problem, counts = counted(problem)
-            seen.append(counts)
-            return lockstep(problem, *args, **kw)
+        def count(problem):
+            if not wrapped:
+                wrapped.append(counted(problem))
+            return wrapped[0][0]
 
-        monkeypatch.setattr(momlab_cli, "run_lockstep", counting_lockstep)
+        class CountedColumns(momlab_cli.Columns):
+            def __init__(self, problem, cert):
+                super().__init__(count(problem), cert)
+
+        calls = []
+        monkeypatch.setattr(momlab_cli, "Columns", CountedColumns)
+        monkeypatch.setattr(momlab_cli, "run_lockstep", lambda problem, *args, **kw: (
+            calls.append(1) or lockstep(count(problem), *args, **kw)))
         cfg = write_config(tmp_path, self.GENERIC_GRID_CFG)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
                      "--quiet"]) == 0
-        assert len(seen) == 1
-        assert seen[0]["gradient"][0] == 0 and seen[0]["value"][0] == 0
+        assert len(calls) == 1
+        counts = wrapped[0][1]
+        assert counts["gradient"][0] == 0 and counts["value"][0] == 0
         # the grid has heavy-ball cells, so the loop takes grad f(x_k) of every
-        # row at all 62 points and keeps it for the traces; the 12 cells with
+        # row at all 62 points and hands it to the columns; the 12 cells with
         # gamma = 0.5 add grad f(y_k) at each of their 60 steps
-        assert seen[0]["gradient"][1] == 62 * 24 + 60 * 12
-        assert seen[0]["value"][1] == 62 * 24
+        assert counts["gradient"][1] == 62 * 24 + 60 * 12
+        assert counts["value"][1] == 62 * 24
 
     def test_empty_grid_rejected(self, tmp_path):
         cfg = write_config(tmp_path, """

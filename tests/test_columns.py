@@ -31,6 +31,7 @@ from momlab import (
     estimate_lipschitz,
     linear_network,
     run,
+    run_lockstep,
     safe_alpha,
 )
 from momlab import certificates
@@ -166,8 +167,9 @@ def test_value_cut_at_block_edges(tmp_path, cut, preset):
 
 
 def test_blocks_reach_the_sink(any_problem):
-    """run() hands each full block and the last partial one to its sink, with
-    the gradients its loop holds on heavy ball or with grad_tol."""
+    """run(), and run_lockstep() to each row's sink, hand each full block and
+    the last partial one over, with the gradients the loop holds on heavy
+    ball or with grad_tol."""
     p = any_problem
     x0 = np.full(p.dim, 0.1)
 
@@ -189,14 +191,17 @@ def test_blocks_reach_the_sink(any_problem):
     ]:
         with np.errstate(all="ignore"):
             trace = run(p, x0, x0, params, stop)
-            blocks, reason = run(p, x0, x0, params, stop, sink=Blocks())
-        assert reason == "max_iters" == trace.stop_reason
-        assert [len(b) for b in blocks.points] == [_ROW_BLOCK, _ROW_BLOCK, 2102 - 2 * _ROW_BLOCK]
-        assert np.array_equal(np.concatenate(blocks.points), trace.points)
-        if params.gamma == 0.0 or stop.grad_tol > 0:
-            assert np.array_equal(np.concatenate(blocks.grads), trace.grads)
-        else:
-            assert blocks.grads == [None, None, None]
+            sunk = [run(p, x0, x0, params, stop, sink=Blocks()),
+                    *run_lockstep(p, x0[None], x0[None], params, stop, sinks=[Blocks()])]
+        for blocks, reason in sunk:
+            assert reason == "max_iters" == trace.stop_reason
+            assert [len(b) for b in blocks.points] == [_ROW_BLOCK, _ROW_BLOCK,
+                                                       2102 - 2 * _ROW_BLOCK]
+            assert np.array_equal(np.concatenate(blocks.points), trace.points)
+            if params.gamma == 0.0 or stop.grad_tol > 0:
+                assert np.array_equal(np.concatenate(blocks.grads), trace.grads)
+            else:
+                assert blocks.grads == [None, None, None]
 
 
 def test_z_gaps_built_once_per_run(tmp_path, monkeypatch):
@@ -247,3 +252,35 @@ def test_stepping_and_checks_hold_no_trajectory():
     assert cols.num_steps == 20_000
     points_nbytes = (cols.num_steps + 2) * p.dim * 8
     assert peak - before < 0.5 * points_nbytes
+
+
+# two 12,000-step cells on a 200-dim quadratic: a cell's iterates are
+# 19.2 MB, larger than the group's row blocks and all its columns together
+LONG_SWEEP_CFG = """
+problem: {kind: quadratic, dim: 200}
+params: {alpha: 1.0e-4, beta: 0.5, gamma: 0.25, preset: generic}
+init: {x0: {random: {radius: 0.1, seed: 5}}}
+lipschitz: {mode: analytic, center: x0, radius: 4.0}
+stop: {max_iters: 12000}
+checks: [descent, rate]
+sweep: {alphas: [1.0e-4], betas: [0.3, 0.5], seeds: [1]}
+"""
+
+
+def test_sweep_holds_no_trajectory(tmp_path):
+    # every cell certifies while it steps: the sweep holds a block of rows
+    # per cell and the cells' columns, never a cell's iterates
+    config = tmp_path / "sweep.yaml"
+    config.write_text(LONG_SWEEP_CFG)
+    argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 2 + 2 and all(line.split(",")[4] == "0" for line in lines[2:])
+    points_nbytes = (12_000 + 2) * 200 * 8
+    assert peak - before < points_nbytes

@@ -7,11 +7,12 @@ different numerical stack can move them without a defect in momlab.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
-from momlab import cli
+from momlab import cli, optimizer
 from momlab.cli import main
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -41,6 +42,24 @@ GOLDEN_RUNS = {
         "86ebdbe82b704ee685e7acef84bcd97035467cfbd1753192e72a4667ec7f98e9",
         "2f0e909794ec85f03975070896f3c7e01346dfeda597460aba6b0d71630ea680",
     ),
+    # one certified heavy-ball run per remaining benchmark family
+    "quartic": (
+        "9ef7f097894379f9af4c972b0f7ee29782e4449b6ff4bad8634bfe6e8105dfb4",
+        "15aea10037f9dd96e61da4c1a0fa7433836392b4e2ac5f76e340492f2d323749",
+    ),
+    "matrix_sensing": (
+        "4daf83476fe08fba95524886d8564224949e1c9bd6b4b9d60762b36b2f770f8c",
+        "739ab19e7c99298abc01d8571182993d6b386f541657ae3570e5946a3a9bea5c",
+    ),
+    "linear_network": (
+        "9796efacc6fc6c716075d9f23e3901e47d6d203899bbe479d03454a66627ab1a",
+        "b8c953154f719d04abf62e1747f42547a15b68fed2ce38805b89da2dede2f2c3",
+    ),
+    # the measure-zero exception to saddle escape
+    "stable_axis": (
+        "41f88023fae2e1eee5819a01ea75b5894f9ca3515ebf83a5a3135bcf0a905249",
+        "6c1b2373859267a115cab048c521a956d7ea66b91d1e95f2f10ea5d9c3e95595",
+    ),
 }
 
 
@@ -60,6 +79,12 @@ def test_run_outputs_match_golden_digests(name, tmp_path):
     trace_digest, certificate_digest = GOLDEN_RUNS[name]
     assert sha256(out / "trace.csv") == trace_digest
     assert sha256(out / "certificate.json") == certificate_digest
+    report = json.loads((out / "report.json").read_text())
+    if name == "stable_axis":
+        # ||grad f(x)|| = ||x||: the run ends within 1e-10 of the saddle
+        assert report["stop_reason"] == "grad_tol" and report["final_grad_norm"] < 1e-10
+    else:
+        assert report["stop_reason"] == "max_iters"
 
 
 def test_gamma_free_tracking_matches_golden_digest(tmp_path):
@@ -97,11 +122,19 @@ def test_factorization_tracking_matches_golden_digest(tmp_path):
      "eb05ab6e1dc6c0e36a8b172a1d13fe8b0d4b21a984c7627b4c5861f847e8e59f"),
     ("saddle", "indefinite_saddle.yaml", "escape.json",
      "fc9a92ab442ea40fba745ee807f0351f80d0dbb3b050b6c6d2356a83826acf6d"),
+    ("track", "quadratic_track_gd.yaml", "tracking.csv",
+     "a84981927f75ce384f11e2857646806d6fbc8b335bece401c064b00d6c040119"),
+    # acceptance criterion 10's factorization saddle
+    ("saddle", "factorization_saddle.yaml", "escape.json",
+     "3f49b965911fae4a274fdf40a22a10d43dd5125951aa0bd8dfb3e8a0c43fb6a1"),
 ])
 def test_shipped_outputs_match_golden_digests(command, config, output, digest, tmp_path):
     out = tmp_path / "out"
     assert main([command, "--config", str(CONFIG_DIR / config), "--out", str(out), "--quiet"]) == 0
     assert sha256(out / output) == digest
+    if command == "saddle":
+        report = json.loads((out / "saddle_report.json").read_text())
+        assert report["escape_fraction"] == 1.0 and report["n_at_saddle"] == 0
 
 
 # a generic sweep over heavy-ball (gamma 0) and gamma 0.5 cells, three random
@@ -132,11 +165,17 @@ def test_mixed_sweep_matches_golden_digest(tmp_path):
     assert _mixed_sweep(tmp_path) == MIXED_SWEEP_DIGEST
 
 
-@pytest.mark.parametrize("group_bytes, groups", [(None, 1), (1, 18)])
-def test_sweep_groups_write_the_same_bytes(group_bytes, groups, tmp_path, monkeypatch):
-    # all 18 cells in one lockstep group, or one cell per group
+@pytest.mark.parametrize("group_bytes, row_block, groups", [
+    (None, None, 1), (1, None, 18), (None, 7, 1),
+], ids=["None-1", "1-18", "row_block_7"])
+def test_sweep_groups_write_the_same_bytes(group_bytes, row_block, groups, tmp_path,
+                                           monkeypatch):
+    # all 18 cells in one lockstep group, or one cell per group; with blocks
+    # of 7 rows, every cell's blocks end mid-run
     if group_bytes is not None:
         monkeypatch.setattr(cli, "_SWEEP_GROUP_BYTES", group_bytes)
+    if row_block is not None:
+        monkeypatch.setattr(optimizer, "_ROW_BLOCK", row_block)
     calls = []
     lockstep = cli.run_lockstep
     monkeypatch.setattr(cli, "run_lockstep",
