@@ -174,14 +174,16 @@ def check_rate(trace, cert: Certificate, length_bound: float) -> RateReport:
     cols = Columns.of(trace, cert)
     gn = cols.grad_norms[1:]  # at x_0..x_K
     K = cols.num_steps
-    ks = np.arange(K)
     running_min = np.minimum.accumulate(gn[:K])
-    products = (ks + 1) * running_min
+    products = np.arange(1, K + 1) * running_min
     c_alpha = cert.b_alpha * (cert.params.delta * cert.params.alpha + 2.0 * length_bound)
     sup_product = float(np.max(products)) if K else 0.0
     passed = sup_product <= c_alpha * (1.0 + SLACK_RTOL)
-    partial_sums = np.cumsum(gn[:K])
-    telescope_ok = bool(np.all(products <= partial_sums * (1.0 + SLACK_RTOL) + 1e-300))
+    # the partial sums' tolerance is applied in place, with no K-long temporary
+    bound = np.cumsum(gn[:K])
+    bound *= 1.0 + SLACK_RTOL
+    bound += 1e-300
+    telescope_ok = bool(np.all(products <= bound))
     return RateReport(products, running_min, c_alpha, sup_product, bool(passed), telescope_ok)
 
 

@@ -180,10 +180,11 @@ def _dump_indent1(obj, fh, level: int = 0) -> None:
     """json.dump(obj, fh, indent=1), byte for byte, for nested dicts of
     scalars and of flat sequences (lists or 1-D arrays) of numbers and bools.
 
-    With an indent json.dump encodes every list item in Python; here each
-    sequence is encoded at once by json's C encoder (json.dumps) and only its
-    ", " separators are laid out one item per line. An array is converted to
-    a list only when it is written.
+    With an indent json.dump encodes every list item in Python; here a
+    sequence is streamed in chunks of _ROW_BLOCK items, each encoded at once
+    by json's C encoder (json.dumps) with its ", " separators laid out one
+    item per line, and written before the next is made. Only one chunk's
+    list and text are alive at a time, whatever the sequence's length.
     """
     pad = "\n" + " " * (level + 1)
     if isinstance(obj, dict):
@@ -197,11 +198,16 @@ def _dump_indent1(obj, fh, level: int = 0) -> None:
             sep = "," + pad
         fh.write("\n" + " " * level + "}")
     elif isinstance(obj, (list, np.ndarray)):
-        text = json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj)
-        if text == "[]":
-            fh.write(text)
-        else:
-            fh.write("[" + pad + text[1:-1].replace(", ", "," + pad) + "\n" + " " * level + "]")
+        if not len(obj):
+            fh.write("[]")
+            return
+        sep = "[" + pad
+        for i in range(0, len(obj), _ROW_BLOCK):
+            chunk = obj[i:i + _ROW_BLOCK]
+            text = json.dumps(chunk.tolist() if isinstance(chunk, np.ndarray) else chunk)
+            fh.write(sep + text[1:-1].replace(", ", "," + pad))
+            sep = "," + pad
+        fh.write("\n" + " " * level + "]")
     else:
         fh.write(json.dumps(obj))
 
@@ -329,8 +335,10 @@ class Columns:
     """The per-row columns of one trajectory that the checks and trace.csv read.
 
     A run() sink: take() reduces each block of recorded rows to per-row
-    scalars and drops the block, so a trajectory of K steps is held as
-    O(K) scalars whatever its dim. The columns, for points x_{-1}..x_K:
+    scalars and drops the block, so a trajectory of K steps is held as five
+    8-byte columns (40 bytes a point) whatever its dim. finish() joins the
+    columns one at a time, dropping each column's parts once it is joined.
+    The columns, for points x_{-1}..x_K:
 
     - f and grad_norms (||grad f(x_k)||, as np.linalg.norm rounds it), one
       per point; f, and grads when a block carries none, are evaluated in
@@ -426,11 +434,13 @@ class Columns:
     def finish(self, reason: str) -> "Columns":
         """Join the columns of a run that stopped for reason; returns self."""
         self.stop_reason = "diverged" if self._cut else reason
-        for name, parts in self._parts.items():
-            column = np.concatenate(parts)
+        # one column at a time, each column's parts dropped once it is joined
+        parts = self._parts
+        del self._parts
+        for name in self._NAMES:
+            column = np.concatenate(parts.pop(name))
             column.flags.writeable = False
             setattr(self, name, column)
-        del self._parts
         return self
 
     @property
@@ -467,8 +477,11 @@ def lyapunov_values(trace, lam: float) -> np.ndarray:
 
     trace is a Trace or Columns: the f and step_norms of either.
     """
-    sn = trace.step_norms  # sn[i] = ||x_i - x_{i-1}||, i = 0..K
-    return trace.f[1:] + lam * sn**2
+    # f + lam * sn**2, with its products and sums in place
+    H = trace.step_norms**2  # sn[i] = ||x_i - x_{i-1}||, i = 0..K
+    H *= lam
+    H += trace.f[1:]
+    return H
 
 
 def check_descent(trace, cert: Certificate) -> PerStepReport:
@@ -483,9 +496,23 @@ def check_descent(trace, cert: Certificate) -> PerStepReport:
     # float_power squares with pow(), as a float64 scalar ** 2 does; the
     # array ** 2 multiplies and can differ in the last bit
     sq = np.float_power(cols.step_norms, 2.0)
-    slack = H[:-1] - H[1:] - cert.c1 * (sq[1:] + sq[:-1])
-    passed = slack >= -SLACK_RTOL * (1.0 + np.abs(H[:-1]))
+    margin = sq[1:] + sq[:-1]
+    margin *= cert.c1
+    slack = H[:-1] - H[1:]
+    slack -= margin
+    passed = slack >= _neg_tol(np.abs(H[:-1]))
     return PerStepReport("descent", slack, passed, cols.certified)
+
+
+# The checks' K-long expressions are taken in place where a temporary would
+# be dropped at once: the same products and sums in the same order, so the
+# same bits, with fewer K-long arrays alive at a time.
+
+def _neg_tol(x: np.ndarray) -> np.ndarray:
+    """-SLACK_RTOL * (1 + x), written into x."""
+    x += 1.0
+    x *= -SLACK_RTOL
+    return x
 
 
 def _first_max(a, b):
@@ -494,8 +521,10 @@ def _first_max(a, b):
 
 
 def _first_min(a, b):
-    """Elementwise min(a, b) as Python's min picks it (a on ties and NaN)."""
-    return np.where(b < a, b, a)
+    """Elementwise min(a, b) as Python's min picks it (a on ties and NaN),
+    written into a."""
+    np.copyto(a, b, where=b < a)
+    return a
 
 
 def check_gradient_bound(trace, cert: Certificate) -> PerStepReport:
@@ -506,15 +535,14 @@ def check_gradient_bound(trace, cert: Certificate) -> PerStepReport:
     """
     cols = Columns.of(trace, cert)
     z_gap = cols.z_gaps
-    slack_b = cert.b_alpha * z_gap - cols.grad_row_norms[1:-1]
     gH = cols.grad_H_norms
-    slack_c2 = cert.c2 * z_gap - _first_max(gH[:-1], gH[1:])
-
-    tol_b = SLACK_RTOL * (1.0 + cert.b_alpha * z_gap)
-    tol_c = SLACK_RTOL * (1.0 + cert.c2 * z_gap)
-    passed = (slack_b >= -tol_b) & (slack_c2 >= -tol_c)
-    slack = _first_min(slack_b, slack_c2)
-    return PerStepReport("gradient_bound", slack, passed, cols.certified)
+    # each bound times ||z_{k+1}-z_k|| serves its slack, then its tolerance
+    b_gap = cert.b_alpha * z_gap
+    slack = b_gap - cols.grad_row_norms[1:-1]
+    c_gap = cert.c2 * z_gap
+    slack_c2 = c_gap - _first_max(gH[:-1], gH[1:])
+    passed = (slack >= _neg_tol(b_gap)) & (slack_c2 >= _neg_tol(c_gap))
+    return PerStepReport("gradient_bound", _first_min(slack, slack_c2), passed, cols.certified)
 
 
 def check_step_bound(trace, cert: Certificate) -> PerStepReport:
@@ -528,13 +556,16 @@ def check_step_bound(trace, cert: Certificate) -> PerStepReport:
     """
     cols = Columns.of(trace, cert)
     p = cert.params
-    sn = cols.step_norms
+    sn = cols.step_norms[1:]  # sn[k] = ||x_{k+1} - x_k||, the result of step k
     L_scaled = cert.L / (1.0 - p.beta)
-    # sn[k+1] = ||x_{k+1} - x_k||, the result of step k
-    flat = cert.delta1 * p.alpha - sn[1:]
-    # float_power is the scalar pow of |beta| ** (k+1); np.power is not
-    powers = np.float_power(abs(p.beta), np.arange(1, cols.num_steps + 1))
-    decay = (p.delta * powers + L_scaled) * p.alpha - sn[1:]
+    flat = cert.delta1 * p.alpha - sn
+    # (delta |beta|^(k+1) + L_scaled) alpha - sn[k]; float_power is the
+    # scalar pow of |beta| ** (k+1), np.power is not
+    decay = np.float_power(abs(p.beta), np.arange(1, cols.num_steps + 1))
+    decay *= p.delta
+    decay += L_scaled
+    decay *= p.alpha
+    decay -= sn
     z_bound = math.sqrt(2.0) * cert.delta1 * p.alpha - cols.z_gaps
     tol = SLACK_RTOL * (1.0 + cert.delta1 * p.alpha)
     passed = (flat >= -tol) & (decay >= -tol) & (z_bound >= -tol)

@@ -142,6 +142,15 @@ def _certify(cfg: ExperimentConfig, trace, cert):
     """
     cols = Columns.of(trace, cert)
     results = {}
+    # the fit's least-squares temporaries are the largest of any check: it
+    # runs before the per-step reports are held
+    psi = None
+    if "kl_fit" in cfg.checks or "length" in cfg.checks:
+        f_star = cfg.problem.info.get("f_star")
+        try:
+            psi = fit_desingularizer(cols.f[1:], cols.grad_norms[1:], f_star=f_star)
+        except FitError as e:
+            results["kl_fit_error"] = str(e)
     if "descent" in cfg.checks:
         cert.per_step["descent"] = check_descent(cols, cert)
     if "grad_bounds" in cfg.checks:
@@ -151,13 +160,6 @@ def _certify(cfg: ExperimentConfig, trace, cert):
     total_length, _ = measure_length(cols)
     if "rate" in cfg.checks:
         results["rate"] = check_rate(cols, cert, total_length)
-    psi = None
-    if "kl_fit" in cfg.checks or "length" in cfg.checks:
-        f_star = cfg.problem.info.get("f_star")
-        try:
-            psi = fit_desingularizer(cols.f[1:], cols.grad_norms[1:], f_star=f_star)
-        except FitError as e:
-            results["kl_fit_error"] = str(e)
     if "length" in cfg.checks and psi is not None:
         results["length"] = check_length_formula(cols, cert, psi)
     return results, psi, total_length
@@ -176,19 +178,15 @@ def _passed_everything(cols, cert, results) -> bool:
     return ok
 
 
-# rows formatted per write of trace.csv: the text of every row at once would
-# raise a long run's peak memory
-_CSV_BLOCK = 1024
-
-
 def write_trace_csv(path, trace, cert, meta: str) -> None:
     """Write trace.csv: one row per iterate x_k, k = 0..K, of a Trace or its Columns.
 
     The per-step columns (step_norm and the descent and gradient-bound
     slacks in cert.per_step) are blank on the last row and wherever a check
     was not run. Each value is written as "%.17g" % v; rows are formatted a
-    block at a time, one format string per row, and equal the csv.writer
-    rows of those strings.
+    _ROW_BLOCK at a time, one format string per row, and equal the
+    csv.writer rows of those strings: the text of every row at once would
+    raise a long run's peak memory.
     """
     cols = Columns.of(trace, cert)
     rows = cols.num_steps + 1
@@ -211,8 +209,8 @@ def write_trace_csv(path, trace, cert, meta: str) -> None:
         for start, end in zip(edges, edges[1:]):
             row = "%d" + "".join(",%.17g" if n >= end else "," for n in filled) + "\n"
             present = [c for c, n in zip(columns, filled) if n >= end]
-            for i in range(start, end, _CSV_BLOCK):
-                j = min(i + _CSV_BLOCK, end)
+            for i in range(start, end, _ROW_BLOCK):
+                j = min(i + _ROW_BLOCK, end)
                 cells = zip(range(i, j), *[c[i:j].tolist() for c in present])
                 fh.write("".join(map(row.__mod__, cells)))
 
@@ -385,9 +383,10 @@ def cmd_saddle(args) -> int:
     return EXIT_OK
 
 
-# bytes of iterate blocks (up to _ROW_BLOCK points per cell) a group of sweep
-# cells holds while it steps in lockstep: enough cells to amortize each
-# stacked gradient call, few enough that the blocks stay a few MB
+# bytes of row blocks (up to _ROW_BLOCK points per cell, and as many
+# gradients when the loop holds them) a group of sweep cells holds while it
+# steps in lockstep: enough cells to amortize each stacked gradient call, few
+# enough that the blocks stay a few MB
 _SWEEP_GROUP_BYTES = 1 << 23
 
 
@@ -398,7 +397,10 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     problem = cfg.problem
     block = min(cfg.stop.max_iters + 2, _ROW_BLOCK)
-    group = max(1, _SWEEP_GROUP_BYTES // (block * problem.dim * 8))
+    # run_lockstep holds a block of gradients beside each cell's points when
+    # a cell steps heavy ball (gamma 0) or the cells stop on grad_tol
+    held = 2 if cfg.stop.grad_tol > 0 or any(g == 0.0 for _, _, g, _ in cfg.sweep) else 1
+    group = max(1, _SWEEP_GROUP_BYTES // (held * block * problem.dim * 8))
     lipschitz = {}
     rows = []
     for i in range(0, len(cfg.sweep), group):

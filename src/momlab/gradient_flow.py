@@ -493,6 +493,10 @@ def tracking_constants(
     p3 = smax / smin
     c4 = M * L * (0.5 + abs(b) / 2.0 + abs(g) - b * abs(g))
     c5 = p3 * M * math.sqrt(1.0 + 2.0 * g + 2.0 * g * g)
-    growth = math.exp(c5 * T) * (abs(b) * delta + 2.0 * L - L * b + c4 / c5) - c4 / c5
-    alpha_bar = min(1.0, epsilon * (p1 / p2) / growth)
+    # growth = e^{c5 T} bracket - c4/c5 > 0 is taken in log space: e^{c5 T}
+    # alone overflows a float on long horizons or large M, where alpha_bar
+    # = epsilon (p1/p2) / growth underflows to 0.0
+    bracket = abs(b) * delta + 2.0 * L - L * b + c4 / c5
+    log_growth = c5 * T + math.log(bracket) + math.log1p(-(c4 / c5) / bracket * math.exp(-c5 * T))
+    alpha_bar = min(1.0, math.exp(math.log(epsilon * (p1 / p2)) - log_growth))
     return TrackingConstants(c4, c5, p1, p2, p3, alpha_bar, tuple(eigvals))

@@ -345,8 +345,9 @@ def run(
 
 # rows per recorded block and per batched value / gradient call when a
 # trace's columns are filled: large enough to amortize the call, small
-# enough that the per-call temporaries stay a few MB
-_ROW_BLOCK = 1024
+# enough that a block and the temporaries of its stacked calls stay well
+# under a MB at the dims a run meets (a 120-dim block is 240 KB)
+_ROW_BLOCK = 256
 
 
 class _History:

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,19 @@ def make_problem(kind, seed=0):
         Yb = rng.standard_normal((2, 4))
         return linear_network(Xb, Yb, widths=(2, 3, 3, 2))
     raise ValueError(kind)
+
+
+def traced_peak(fn):
+    """(fn(), peak): fn's result and the most memory tracemalloc saw allocated
+    during the call, in bytes above what was allocated when it began."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before
 
 
 def overflowing(p):

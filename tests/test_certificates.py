@@ -1,10 +1,9 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import make_problem
+from conftest import make_problem, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -315,14 +314,8 @@ class TestBoundedMemory:
         # a fresh trace and certificate: nothing cached
         fresh = Trace(trace.points, trace.f, trace.grads, trace.params, trace.stop_reason)
         cert = dataclasses.replace(cert, per_step={})
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            check(fresh, cert)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - before < 0.5 * trace.points.nbytes
+        _, peak = traced_peak(lambda: check(fresh, cert))
+        assert peak < 0.5 * trace.points.nbytes
 
     def test_blocked_norms_equal_whole_array_norms(self):
         # 2,500 steps: two full row blocks and a partial one

@@ -8,14 +8,13 @@ equal to the Trace's own, on every stop rule and around the block edges.
 """
 
 import math
-import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import ALL_KINDS, make_problem, overflowing
+from conftest import ALL_KINDS, make_problem, overflowing, traced_peak
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +33,7 @@ from momlab import (
     run_lockstep,
     safe_alpha,
 )
-from momlab import certificates
+from momlab import certificates, cli
 from momlab.analysis import check_rate, measure_length
 from momlab.cli import _certify, main, write_trace_csv
 from momlab.optimizer import _ROW_BLOCK
@@ -42,9 +41,10 @@ from momlab.optimizer import _ROW_BLOCK
 CHECKS = ("descent", "grad_bounds", "step_bounds", "rate", "length", "kl_fit")
 PRESETS = ["heavy_ball", "nesterov", "generic"]
 META = 'config_sha256=abc seeds={"x0_seed": 0}'
+B = _ROW_BLOCK
 # step counts around the first and second block edges: a run of K steps
 # records K + 2 points
-STEPS = [0, 1, 1022, 1023, 1024, 1025, 2047, 2048, 2049]
+STEPS = [0, 1, B - 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1]
 
 
 def _setup(kind, preset, seed, beta=0.5, gamma=0.3, scale=0.9):
@@ -144,13 +144,16 @@ def test_each_stop_rule(tmp_path, rule, kind, preset, scale):
     assert 0 < trace.num_steps < 1100 or rule == "max_iters"
 
 
-@pytest.mark.parametrize("cut", [1, 2, 1022, 1023, 1024, 1025, 2047, 2048])
+# around the first block edge, where the first block ends, and around the
+# edges after the fourth and eighth blocks
+@pytest.mark.parametrize("cut", [1, 2, B - 2, B - 1, B, B + 1,
+                                 4 * B - 2, 4 * B - 1, 4 * B, 4 * B + 1, 8 * B - 1, 8 * B])
 @pytest.mark.parametrize("preset", ["heavy_ball", "generic"])
 def test_value_cut_at_block_edges(tmp_path, cut, preset):
     # f is inf at exactly the point with index cut: both paths end there; a
     # short step keeps every point of the run distinct
     p, x0, params, ML = _setup("matrix_factorization", preset, 5, scale=0.05)
-    stop = StopRules(max_iters=2100)
+    stop = StopRules(max_iters=8 * B + 52)
     points = run(p, x0, x0, params, stop).points
     target = points[cut]
     assert np.all(points[1:] == target, axis=1).sum() == 1  # x_{-1} is never checked
@@ -185,9 +188,9 @@ def test_blocks_reach_the_sink(any_problem):
             return self, reason
 
     for params, stop in [
-        (MomentumParams(1e-3, 0.5, 0.0, "heavy_ball"), StopRules(max_iters=2100)),
-        (MomentumParams(1e-3, 0.5, 0.25), StopRules(max_iters=2100)),
-        (MomentumParams(1e-3, 0.5, 0.25), StopRules(max_iters=2100, grad_tol=1e-12)),
+        (MomentumParams(1e-3, 0.5, 0.0, "heavy_ball"), StopRules(max_iters=2 * B + 52)),
+        (MomentumParams(1e-3, 0.5, 0.25), StopRules(max_iters=2 * B + 52)),
+        (MomentumParams(1e-3, 0.5, 0.25), StopRules(max_iters=2 * B + 52, grad_tol=1e-12)),
     ]:
         with np.errstate(all="ignore"):
             trace = run(p, x0, x0, params, stop)
@@ -195,8 +198,7 @@ def test_blocks_reach_the_sink(any_problem):
                     *run_lockstep(p, x0[None], x0[None], params, stop, sinks=[Blocks()])]
         for blocks, reason in sunk:
             assert reason == "max_iters" == trace.stop_reason
-            assert [len(b) for b in blocks.points] == [_ROW_BLOCK, _ROW_BLOCK,
-                                                       2102 - 2 * _ROW_BLOCK]
+            assert [len(b) for b in blocks.points] == [B, B, 54]
             assert np.array_equal(np.concatenate(blocks.points), trace.points)
             if params.gamma == 0.0 or stop.grad_tol > 0:
                 assert np.array_equal(np.concatenate(blocks.grads), trace.grads)
@@ -240,18 +242,17 @@ def network_run_setup(steps=20_000):
 
 def test_stepping_and_checks_hold_no_trajectory():
     p, x0, params, stop, cert = network_run_setup()
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
+
+    def stepped_and_checked():
         cols = run(p, x0, x0, params, stop, sink=Columns(p, cert))
         for check in (check_descent, check_gradient_bound, check_step_bound):
             check(cols, cert)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        return cols
+
+    cols, peak = traced_peak(stepped_and_checked)
     assert cols.num_steps == 20_000
     points_nbytes = (cols.num_steps + 2) * p.dim * 8
-    assert peak - before < 0.5 * points_nbytes
+    assert peak < 0.5 * points_nbytes
 
 
 # two 12,000-step cells on a 200-dim quadratic: a cell's iterates are
@@ -273,14 +274,88 @@ def test_sweep_holds_no_trajectory(tmp_path):
     config = tmp_path / "sweep.yaml"
     config.write_text(LONG_SWEEP_CFG)
     argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        assert main(argv) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    rc, peak = traced_peak(lambda: main(argv))
+    assert rc == 0
     lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     assert len(lines) == 2 + 2 and all(line.split(",")[4] == "0" for line in lines[2:])
     points_nbytes = (12_000 + 2) * 200 * 8
-    assert peak - before < points_nbytes
+    assert peak < points_nbytes
+
+
+# 20,000-step runs of the certify benchmark's: an 8x8 rank-3 factorization
+# on heavy ball with all six checks, and a 4-6-6-6-4 network whose generic
+# gamma has every block's gradients evaluated in batch
+HEAVY_BALL_RUN_CFG = """
+problem: {kind: matrix_factorization, m: 8, n: 8, rank: 3, seed: 1826701614}
+params: {alpha: auto, beta: 0.5, preset: heavy_ball}
+init: {x0: {random: {radius: 0.5, seed: 1367864806}}}
+lipschitz: {mode: sampled, center: x0, radius: 10.0, seed: 1097657231}
+stop: {max_iters: STEPS}
+checks: [descent, grad_bounds, step_bounds, rate, length, kl_fit]
+"""
+NETWORK_RUN_CFG = """
+problem: {kind: linear_network, widths: [4, 6, 6, 6, 4], samples: 8, seed: 161576974}
+params: {alpha: auto, beta: 0.5, gamma: 0.25, preset: generic}
+init: {x0: {random: {radius: 0.5, seed: 35492826}}}
+lipschitz: {mode: sampled, center: x0, radius: 10.0, seed: 376383645}
+stop: {max_iters: STEPS}
+checks: [descent, grad_bounds, step_bounds, rate]
+"""
+
+
+@pytest.mark.parametrize("text", [HEAVY_BALL_RUN_CFG, NETWORK_RUN_CFG],
+                         ids=["heavy_ball", "network"])
+def test_run_command_holds_its_columns_and_one_block(tmp_path, text):
+    # momlab run holds the per-step columns (40 B a point), the checks'
+    # reports and one row block: not a point's dim-long rows, and nothing
+    # K-long twice at once. A short run first imports what the command loads.
+    config = tmp_path / "run.yaml"
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]
+    config.write_text(text.replace("STEPS", "50"))
+    assert main(argv) == 0
+    config.write_text(text.replace("STEPS", "20000"))
+    rc, peak = traced_peak(lambda: main(argv))
+    assert rc == 0
+    assert peak / 20_000 < 160
+
+
+HELD_GRADIENTS_SWEEP_CFG = """
+problem: {kind: quadratic, dim: 50}
+params: {alpha: 1.0e-3, beta: 0.5, preset: PRESET}
+init: {x0: {random: {radius: 0.1, seed: 5}}}
+lipschitz: {mode: analytic, center: x0, radius: 4.0}
+stop: {max_iters: 300, grad_tol: GRAD_TOL}
+checks: [descent]
+sweep: {alphas: [1.0e-3], betas: [0.1, 0.2, 0.3, 0.4, 0.5, 0.6], seeds: [1]}
+"""
+
+
+@pytest.mark.parametrize("preset, grad_tol, held", [
+    ("heavy_ball", 0.0, 2), ("nesterov", 1e-12, 2), ("nesterov", 0.0, 1),
+])
+def test_sweep_groups_fit_the_budget_with_held_gradients(tmp_path, monkeypatch,
+                                                         preset, grad_tol, held):
+    # run_lockstep keeps a block of gradients beside each row's points on
+    # heavy-ball rows and under grad_tol: the group budget counts both
+    config = tmp_path / "sweep.yaml"
+    config.write_text(HELD_GRADIENTS_SWEEP_CFG.replace("PRESET", preset)
+                      .replace("GRAD_TOL", repr(grad_tol)))
+    block = min(300 + 2, B)
+    monkeypatch.setattr(cli, "_SWEEP_GROUP_BYTES", 4 * block * 50 * 8)
+    groups = []
+    lockstep = cli.run_lockstep
+
+    def recorded(problem, x_minus1, x_0, params, stops, sinks):
+        keeps_gradients = any(p.gamma == 0.0 for p in params) or any(s.grad_tol > 0 for s in stops)
+        assert keeps_gradients == (held == 2)
+        groups.append(len(x_0))
+        return lockstep(problem, x_minus1, x_0, params, stops, sinks=sinks)
+
+    monkeypatch.setattr(cli, "run_lockstep", recorded)
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 0
+    assert sum(groups) == 6
+    for rows in groups:
+        assert rows * block * 50 * 8 * held <= cli._SWEEP_GROUP_BYTES
+    # and no smaller than the budget allows
+    assert groups[0] == 4 // held

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import make_problem
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from momlab import gradient_flow
@@ -305,6 +305,24 @@ class TestTrackingConstants:
         tc = tracking_constants(1.0, 1.0, MomentumParams(0.1, 0.5, 0.0), T=2.0,
                                 delta=1.0, epsilon=0.5)
         assert 0 < tc.alpha_bar <= 1.0
+
+    def test_long_horizon_gives_zero_alpha_bar_not_overflow(self):
+        # exp(c5 T) is far beyond a float here; growth is taken in log space
+        tc = tracking_constants(500.0, 2000.0, MomentumParams(0.001, 0.5), 2.0, 0.0, 1e-3)
+        assert tc.c5 * 2.0 > 709.8 and math.isfinite(tc.c5)
+        assert tc.alpha_bar == 0.0
+
+    @given(M=st.floats(0.1, 10.0), T=st.floats(0.01, 5.0), beta=st.floats(-0.9, 0.9),
+           gamma=st.floats(-0.9, 0.9), delta=st.floats(0.0, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_log_space_alpha_bar_matches_the_direct_formula(self, M, T, beta, gamma, delta):
+        L, eps = 2.0 * M, 0.1
+        tc = tracking_constants(M, L, MomentumParams(0.1, beta, gamma), T, delta, eps)
+        b, c4, c5 = beta, tc.c4, tc.c5
+        assume(c5 * T < 700.0)  # where exp(c5 T) is a float
+        growth = math.exp(c5 * T) * (abs(b) * delta + 2.0 * L - L * b + c4 / c5) - c4 / c5
+        assert tc.alpha_bar == pytest.approx(min(1.0, eps * (tc.p1 / tc.p2) / growth),
+                                             rel=1e-9)
 
     def test_tracking_error_within_epsilon_at_alpha_bar(self):
         # the guaranteed step size actually achieves the target error; the

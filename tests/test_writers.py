@@ -1,9 +1,14 @@
-"""trace.csv and certificate.json equal their csv.writer / json.dump references byte for byte."""
+"""trace.csv and certificate.json equal their csv.writer / json.dump references byte for byte.
+
+Both writers work a block of _ROW_BLOCK rows or list items at a time, so the
+runs end on either side of the block edges.
+"""
 
 import json
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from oracles import reference_certificate_json, reference_trace_csv
 
 from momlab import MomentumParams, StopRules, run, synthetic
@@ -15,6 +20,9 @@ from momlab.certificates import (
     check_step_bound,
 )
 from momlab.cli import write_trace_csv
+from momlab.optimizer import _ROW_BLOCK
+
+B = _ROW_BLOCK
 
 CHECKS = {
     "descent": check_descent,
@@ -47,7 +55,9 @@ def _assert_writers_match(tmp_path, trace, cert):
             == (tmp_path / "ref_certificate.json").read_bytes())
 
 
-@pytest.mark.parametrize("steps", [0, 1, 1023, 1024, 1025])
+# K steps give K-item per-step lists and K + 1 csv rows: around the first
+# block edge, past the second, and around the edge after the fourth block
+@pytest.mark.parametrize("steps", [0, 1, B - 1, B, B + 1, 2 * B + 1, 4 * B - 1, 4 * B, 4 * B + 1])
 def test_writers_at_block_edges(tmp_path, steps):
     trace, cert = _certified_run(steps)
     assert trace.num_steps == steps
@@ -90,3 +100,18 @@ def test_certified_list_replaces_the_count_after_steps(tmp_path):
     assert list(check) == ["name", "steps", "certified", "pass", "fail", "min_slack",
                            "first_failure", "slack", "passed"]
     assert check["certified"] == cert.per_step["descent"].certified.tolist()
+
+
+def test_certificate_json_streams_its_lists(tmp_path):
+    # three 20,000-step checks: their lists are over 1.5 MB as Python floats
+    # and bools and more as text; one chunk of one list is alive at a time
+    n = 20_000
+    cert = build_certificate(1.0, 2.0, MomentumParams(0.1, 0.5, 0.2), np.zeros(2), 2.0,
+                             strict=False)
+    rng = np.random.default_rng(0)
+    for name in CHECKS:
+        cert.per_step[name] = PerStepReport(name, rng.standard_normal(n), rng.random(n) < 0.9,
+                                            np.arange(n) < 0.8 * n)
+    cert.to_json(tmp_path / "warm.json")
+    _, peak = traced_peak(lambda: cert.to_json(tmp_path / "certificate.json"))
+    assert peak < 0.5e6
