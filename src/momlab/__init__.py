@@ -29,8 +29,7 @@ _EXPORTS = {
         "tracking_constants", "tracking_error", "tracking_ladder", "trajectory_length",
     ),
     "optimizer": (
-        "LockstepResult", "MomentumParams", "StopRules", "Trace", "run", "run_lockstep",
-        "safe_alpha", "step",
+        "MomentumParams", "StopRules", "Trace", "run", "run_lockstep", "safe_alpha", "step",
     ),
     "problems": (
         "MatrixShape", "Problem", "estimate_lipschitz", "linear_network", "matrix_factorization",

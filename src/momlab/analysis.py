@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .certificates import SLACK_RTOL, Certificate, Columns
+from .certificates import SLACK_RTOL, Certificate, Columns, measure_length
 
 __all__ = [
     "Desingularizer",
@@ -148,8 +148,6 @@ def fit_desingularizer(
 class RateReport:
     """(k+1) * min_{i<=k} ||grad f(x_i)|| against the constant c_alpha."""
 
-    products: np.ndarray       # per k
-    running_min: np.ndarray
     c_alpha: float
     sup_product: float
     passed: bool
@@ -184,15 +182,4 @@ def check_rate(trace, cert: Certificate, length_bound: float) -> RateReport:
     bound *= 1.0 + SLACK_RTOL
     bound += 1e-300
     telescope_ok = bool(np.all(products <= bound))
-    return RateReport(products, running_min, c_alpha, sup_product, bool(passed), telescope_ok)
-
-
-def measure_length(trace):
-    """Total and per-k partial sums of ||x_{k+1} - x_k|| over steps 0..K-1.
-
-    trace is a Trace or Columns: the step_norms of either.
-    """
-    sn = trace.step_norms[1:]  # exclude the x_{-1} -> x_0 gap
-    partial = np.cumsum(sn)
-    total = float(partial[-1]) if partial.size else 0.0
-    return total, partial
+    return RateReport(c_alpha, sup_product, bool(passed), telescope_ok)

@@ -592,13 +592,25 @@ def check_length_formula(trace, cert: Certificate, psi) -> LengthReport:
     """
     fn = _as_majorant(psi)
     cols = Columns.of(trace, cert)
-    total = float(np.sum(cols.step_norms[1:]))  # steps k = 0..K-1
+    total = measure_length(cols)[0]
     gap = cols.f[1] - cols.f[-1] + cert.eta * cert.params.alpha
     psi_val = float(fn(max(gap, 0.0)))
     bound = psi_val + cert.kappa * cert.params.alpha
     ratio = total / bound if bound > 0 else math.inf
     passed = total <= bound * (1.0 + SLACK_RTOL)
     return LengthReport(total, bound, ratio, bool(passed), psi_val, cert.kappa * cert.params.alpha)
+
+
+def measure_length(trace):
+    """Total and per-k partial sums of ||x_{k+1} - x_k|| over steps 0..K-1.
+
+    trace is a Trace or Columns: the step_norms of either, summed in step
+    order (np.cumsum) so that every report gives one total.
+    """
+    sn = trace.step_norms[1:]  # exclude the x_{-1} -> x_0 gap
+    partial = np.cumsum(sn)
+    total = float(partial[-1]) if partial.size else 0.0
+    return total, partial
 
 
 def _as_majorant(psi) -> Callable[[float], float]:

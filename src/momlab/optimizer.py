@@ -18,10 +18,10 @@ the Trace, whose f and grads columns are evaluated in batch once it stops;
 a sink such as certificates.Columns reduces each block and drops it, so
 the trajectory is never held. run_lockstep() is the shared lockstep core
 for stacks of starts: it steps them together under the same stop rules,
-with one params and stop rules for all rows or one per row. Escape studies
-keep only where each row stopped; sweeps pass one sink per row, which
-takes that row's blocks as run() would hand them, so both loops record
-through the same take(points, grads) / finish(reason) protocol.
+with one params and stop rules for all rows or one per row. Each row's
+blocks go to its own sink as run() would hand them (Columns for sweeps,
+_Endpoint for escape studies), so both loops record through the same
+take(points, grads) / finish(reason) protocol.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "MomentumParams",
     "StopRules",
     "Trace",
-    "LockstepResult",
     "step",
     "run",
     "run_lockstep",
@@ -397,6 +396,36 @@ class _History:
         return None if self._gs is None else self._gs[:self.n]
 
 
+class _Endpoint:
+    """A run() sink that keeps where a run stopped: x_K, grad f(x_K), K and the reason.
+
+    It cuts the rows at the first point (x_0 or later) whose value or
+    gradient is not finite, with stop_reason 'diverged', as run() cuts its
+    Trace (_filled). finish returns the sink itself.
+    """
+
+    def __init__(self, problem: Problem):
+        self._problem, self.n, self._cut = problem, 0, False
+        self.x = self.grad = self.stop_reason = None
+
+    def take(self, points, grads) -> None:
+        if self._cut:
+            return
+        _, grads, end = _filled(self._problem, points, grads, self.n == 0)
+        if end is not None:
+            points, grads, self._cut = points[:end], grads[:end], True
+        self.x, self.grad = points[-1].copy(), grads[-1].copy()
+        self.n += len(points)
+
+    def finish(self, reason: str) -> "_Endpoint":
+        self.stop_reason = "diverged" if self._cut else reason
+        return self
+
+    @property
+    def num_steps(self) -> int:
+        return self.n - 2
+
+
 def _by_row_block(n: int, rows) -> np.ndarray:
     """The (n,) array whose entries i..j-1 are rows(i, j), _ROW_BLOCK rows at a time.
 
@@ -466,16 +495,6 @@ def _trace(problem: Problem, points, grads, params: MomentumParams, reason: str)
     )
 
 
-@dataclass
-class LockstepResult:
-    """Where each row of a lockstep run without sinks stopped (row b is start b)."""
-
-    x: np.ndarray               # (B, dim) last iterate x_K
-    grad: np.ndarray            # (B, dim) gradient at x
-    iters: np.ndarray           # (B,) steps taken, K
-    stop_reason: list           # (B,) the stop rule that fired, as in run()
-
-
 def _each_row(given, kind, n: int) -> list:
     """given as n instances of kind: one shared by every row, or a sequence of n."""
     rows = [given] * n if isinstance(given, kind) else list(given)
@@ -502,7 +521,8 @@ def run_lockstep(
     x_0,
     params: MomentumParams | Sequence[MomentumParams],
     stop: StopRules | Sequence[StopRules] | None = None,
-    sinks: Optional[Sequence] = None,
+    *,
+    sinks: Sequence,
 ):
     """Iterate every row of (B, dim) starts in lockstep until each one stops.
 
@@ -514,12 +534,11 @@ def run_lockstep(
     (gamma == 0) steps with grad f(x_k), as run() does. A row freezes once a
     rule fires.
 
-    Without sinks, only the current and previous iterates are kept, f(x_k)
-    and grad f(x_k) are checked at every step, and a LockstepResult says
-    where each row stopped. With sinks, one per row, row b's points and the
-    gradients the loop holds (on grad_tol or heavy-ball rows) go to
-    sinks[b].take in blocks of _ROW_BLOCK rows, as run() hands them, no
-    value is evaluated per step, and [sinks[b].finish(reason_b)] is returned.
+    sinks holds one sink per row: row b's points and the gradients the loop
+    holds (on grad_tol or heavy-ball rows) go to sinks[b].take in blocks of
+    _ROW_BLOCK rows, as run() hands them, no value is evaluated per step,
+    and [sinks[b].finish(reason_b)] is returned. A row whose f or grad f is
+    not finite is cut there by its sink (_Endpoint, Columns), as in run().
     """
     prev = np.array(x_minus1, dtype=float, ndmin=2)
     cur = np.array(x_0, dtype=float, ndmin=2)
@@ -529,7 +548,7 @@ def run_lockstep(
             f"got shapes {prev.shape} and {cur.shape}"
         )
     n, dim = cur.shape
-    if sinks is not None and len(sinks) != n:
+    if len(sinks) != n:
         raise ValueError(f"expected one sink per start ({n}), got {len(sinks)}")
     row_params = _each_row(params, MomentumParams, n)
     _warn_velocity(_row_norms(cur - prev), np.array([p.delta * p.alpha for p in row_params]))
@@ -546,28 +565,21 @@ def run_lockstep(
     check_box = not np.isinf(rules[:, 2]).all()
     check_tol = bool((rules[:, 1] > 0).any())
     first_cap = rules[:, 0].min()
-    # a sink's rows are checked for f and grad f as run()'s are, by the sink
-    check_values = sinks is None
-    # grad f(x_k) of every live row, at every step: for the checks, the
-    # grad_tol rule or the heavy-ball rows' step
-    need_g = check_values or check_tol or hb is not None
+    # grad f(x_k) of every live row, at every step: for the grad_tol rule or
+    # the heavy-ball rows' step
+    need_g = check_tol or hb is not None
     gradient = problem.gradient
 
-    iters = np.zeros(n, dtype=int)
-    reasons = np.full(n, "", dtype=object)
+    # point i of row b (x_{i-1}) goes to pts[b, i % size]; gs holds its
+    # gradient when the loop evaluates one
+    size = int(min(rules[:, 0].max() + 2, _ROW_BLOCK))
+    pts = np.empty((n, size, dim))
+    pts[:, 0], pts[:, 1] = prev, cur
     gs = None
-    if check_values:
-        out_x, out_g = np.empty_like(cur), np.empty_like(cur)
-    else:
-        # point i of row b (x_{i-1}) goes to pts[b, i % size]; gs holds its
-        # gradient when the loop evaluates one
-        size = int(min(rules[:, 0].max() + 2, _ROW_BLOCK))
-        pts = np.empty((n, size, dim))
-        pts[:, 0], pts[:, 1] = prev, cur
-        if need_g:
-            gs = np.empty_like(pts)
-            gs[:, 0] = gradient(prev)
-        finished = [None] * n
+    if need_g:
+        gs = np.empty_like(pts)
+        gs[:, 0] = gradient(prev)
+    reasons = np.full(n, "", dtype=object)
 
     def hand(idx, filled):
         """Give rows idx the first filled points of their block."""
@@ -579,18 +591,11 @@ def run_lockstep(
     def freeze(stopped, why):
         """Stop the rows at x_k, where run() leaves them; return the live mask."""
         idx = rows[stopped]
-        iters[idx], reasons[idx] = k, why
-        if check_values:
-            out_x[idx], out_g[idx] = cur[stopped], g[stopped]
-            return ~stopped
+        reasons[idx] = why
         hand(idx, (k + 1) % size + 1)  # x_k is point k + 1, the last one recorded
-        for b in idx:
-            finished[b] = sinks[b].finish(reasons[b])
         return ~stopped
 
     while True:
-        if check_values:
-            f = problem.value(cur)
         g = gradient(cur) if need_g else None
         if gs is not None:
             gs[rows, (k + 1) % size] = g
@@ -602,8 +607,6 @@ def run_lockstep(
             hits.append(("max_iters", k >= rules[:, 0]))
         if check_tol:
             hits.append(("grad_tol", _row_norms(g) < rules[:, 1]))
-        if check_values:
-            hits.append(("diverged", ~(np.isfinite(f) & np.isfinite(g).all(axis=1))))
         if any(hit.any() for _, hit in hits):
             why = np.full(rows.size, "", dtype=object)
             for reason, hit in hits:
@@ -633,19 +636,16 @@ def run_lockstep(
                 break
             rows, cur, x0, x_next, rules = rows[live], cur[live], x0[live], x_next[live], rules[live]
             alpha, beta, gamma, hb = _select((alpha, beta, gamma), live)
-        if not check_values:
-            # x_{k+1} is point k + 2; a full block, whose last gradient was
-            # written above, goes to the sinks first
-            slot = (k + 2) % size
-            if slot == 0:
-                hand(rows, size)
-            pts[rows, slot] = x_next
+        # x_{k+1} is point k + 2; a full block, whose last gradient was
+        # written above, goes to the sinks first
+        slot = (k + 2) % size
+        if slot == 0:
+            hand(rows, size)
+        pts[rows, slot] = x_next
         prev, cur = cur, x_next
         k += 1
 
-    if check_values:
-        return LockstepResult(out_x, out_g, iters, reasons.tolist())
-    return finished
+    return [sink.finish(reason) for sink, reason in zip(sinks, reasons)]
 
 
 def safe_alpha(M: float, params: MomentumParams) -> float:

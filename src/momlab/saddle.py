@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .optimizer import MomentumParams, StopRules, run_lockstep, safe_alpha
+from .optimizer import MomentumParams, StopRules, _Endpoint, run_lockstep, safe_alpha
 from .problems import Problem
 
 __all__ = [
@@ -350,18 +350,19 @@ def escape_experiment(
         rng = np.random.default_rng([seed, t])
         x0s.append(_sample_ball(rng, saddle, radius))
         xm1s.append(_sample_ball(rng, x0s[-1], params.delta * params.alpha))
-    res = run_lockstep(problem, np.array(xm1s), np.array(x0s), params, stop)
+    ends = run_lockstep(problem, np.array(xm1s), np.array(x0s), params, stop,
+                        sinks=[_Endpoint(problem) for _ in range(trials)])
     # the axis-1 norm, as run()'s Trace.grad_norms computes it
-    grad_norms = np.linalg.norm(res.grad, axis=1)
+    grad_norms = np.linalg.norm([end.grad for end in ends], axis=1)
     outcomes = []
-    for t in range(trials):
-        label, dist = classify_limit(res.x[t], saddle, res.stop_reason[t], at_tol)
+    for t, end in enumerate(ends):
+        label, dist = classify_limit(end.x, saddle, end.stop_reason, at_tol)
         outcomes.append({
             "trial": t,
             "classification": label,
             "final_distance": dist,
-            "stop_reason": res.stop_reason[t],
-            "iters": int(res.iters[t]),
+            "stop_reason": end.stop_reason,
+            "iters": end.num_steps,
             "final_grad_norm": float(grad_norms[t]),
         })
     return EscapeExperiment(

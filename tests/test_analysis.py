@@ -146,11 +146,6 @@ class TestRate:
         assert rep.telescope_ok
         assert rep.sup_product <= rep.c_alpha * (1 + 1e-9)
 
-    def test_running_min_nonincreasing(self):
-        _, trace, cert = quadratic_run()
-        rep = check_rate(trace, cert, measure_length(trace)[0])
-        assert np.all(np.diff(rep.running_min) <= 0.0 + 1e-300)
-
     def test_stationary_trace_passes(self):
         p = synthetic("quadratic")
         z = np.zeros(2)

@@ -23,7 +23,7 @@ from momlab import (
     synthetic,
 )
 from momlab import optimizer, problems
-from momlab.optimizer import _History, _row_norms
+from momlab.optimizer import _Endpoint, _History, _row_norms
 from momlab.saddle import _sample_ball, classify_limit
 
 SCALES = st.sampled_from([1e-3, 0.3, 1.0, 10.0])
@@ -97,6 +97,20 @@ def _params(preset, alpha, beta, gamma, delta):
     return MomentumParams(alpha, beta, gamma, delta=delta)
 
 
+def _ends(p, xm1, x0, params, stop):
+    """run_lockstep's rows through _Endpoint sinks."""
+    return run_lockstep(p, xm1, x0, params, stop, sinks=[_Endpoint(p) for _ in x0])
+
+
+def _assert_ends_equal_run(ends, traces):
+    """Each row's x_K, grad f(x_K), K and stop reason are run()'s."""
+    for end, tr in zip(ends, traces, strict=True):
+        assert end.stop_reason == tr.stop_reason
+        assert end.num_steps == tr.num_steps
+        assert np.array_equal(end.x, tr.x(tr.num_steps))
+        assert np.array_equal(end.grad, tr.grads[-1], equal_nan=True)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -120,13 +134,9 @@ def test_lockstep_rows_replay_run(kind, seed, preset, alpha, beta, gamma, delta,
     xm1 = x0 + delta * alpha * rng.uniform(-0.5, 0.5, x0.shape)
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
-        res = run_lockstep(p, xm1, x0, params, stop)
+        ends = _ends(p, xm1, x0, params, stop)
         traces = [run(p, xm1[b], x0[b], params, stop) for b in range(6)]
-    for b, tr in enumerate(traces):
-        assert res.stop_reason[b] == tr.stop_reason
-        assert res.iters[b] == tr.num_steps
-        assert np.array_equal(res.x[b], tr.x(tr.num_steps))
-        assert np.array_equal(res.grad[b], tr.grads[-1], equal_nan=True)
+    _assert_ends_equal_run(ends, traces)
 
 
 def test_lockstep_flags_divergence_like_run():
@@ -134,11 +144,12 @@ def test_lockstep_flags_divergence_like_run():
     x0 = np.array([[0.5], [3.0], [40.0]])
     params = MomentumParams(0.2, 0.5)
     with np.errstate(all="ignore"):
-        res = run_lockstep(p, x0, x0, params, StopRules(max_iters=200))
+        ends = _ends(p, x0, x0, params, StopRules(max_iters=200))
         ref = [run(p, x, x, params, StopRules(max_iters=200)) for x in x0]
-    assert res.stop_reason == [tr.stop_reason for tr in ref]
-    assert "diverged" in res.stop_reason and "max_iters" in res.stop_reason
-    assert res.iters.tolist() == [tr.num_steps for tr in ref]
+    reasons = [end.stop_reason for end in ends]
+    assert reasons == [tr.stop_reason for tr in ref]
+    assert "diverged" in reasons and "max_iters" in reasons
+    assert [end.num_steps for end in ends] == [tr.num_steps for tr in ref]
 
 
 def _replay(problem, saddle, params, radius, trials, seed, stop):
@@ -270,13 +281,9 @@ def test_recorded_lockstep_rows_equal_run(kind, seed, rows, block):
         _assert_sink_rows_equal_run(p, xm1, x0, params, stops)
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore")
-            res = run_lockstep(p, xm1, x0, params, stops)
-            for b in range(len(rows)):
-                tr = run(p, xm1[b], x0[b], params[b], stops[b])
-                assert res.stop_reason[b] == tr.stop_reason
-                assert res.iters[b] == tr.num_steps
-                assert np.array_equal(res.x[b], tr.x(tr.num_steps))
-                assert np.array_equal(res.grad[b], tr.grads[-1], equal_nan=True)
+            ends = _ends(p, xm1, x0, params, stops)
+            _assert_ends_equal_run(
+                ends, [run(p, xm1[b], x0[b], params[b], stops[b]) for b in range(len(rows))])
 
 
 def test_recorded_rows_cut_where_values_overflow():
@@ -294,8 +301,14 @@ def test_recorded_rows_cut_where_values_overflow():
     with np.errstate(over="ignore"):
         cols = run_lockstep(p, xm1, x0, params, stops,
                             sinks=[Columns(p, _cert(params[b], x0[b])) for b in range(4)])
-    assert [c.stop_reason for c in cols] == ["diverged", "max_iters", "diverged", "max_iters"]
-    assert [c.num_steps for c in cols] == [1, 40, 1, 40]
+        ends = _ends(p, xm1, x0, params, stops)
+        traces = [run(p, xm1[b], x0[b], params[b], stops[b]) for b in range(4)]
+    for rows in (cols, ends):
+        assert [r.stop_reason for r in rows] == ["diverged", "max_iters", "diverged", "max_iters"]
+        assert [r.num_steps for r in rows] == [1, 40, 1, 40]
+    # x_1 and grad f(x_1) are finite where the row is cut: only f overflows
+    assert np.isfinite(ends[0].x).all() and np.isfinite(ends[0].grad).all()
+    _assert_ends_equal_run(ends, traces)
 
 
 def test_recorded_rows_across_buffer_growths():
@@ -333,11 +346,12 @@ def test_mixed_grid_reports_the_gradient_where_a_row_diverged():
     params = [MomentumParams.heavy_ball(0.1, 0.5), MomentumParams(1e200, 0.5, 0.5, delta=1.0)]
     stop = StopRules(max_iters=5)
     with np.errstate(over="ignore"):
-        res = run_lockstep(p, xm1, x0, params, stop)
+        ends = _ends(p, xm1, x0, params, stop)
         tr = run(p, xm1[1], x0[1], params[1], stop)
-    assert res.stop_reason == ["max_iters", "diverged"] == ["max_iters", tr.stop_reason]
-    assert res.iters.tolist() == [5, 0]
-    assert np.array_equal(res.grad[1], tr.grads[-1])
+    reasons = [end.stop_reason for end in ends]
+    assert reasons == ["max_iters", "diverged"] == ["max_iters", tr.stop_reason]
+    assert [end.num_steps for end in ends] == [5, 0]
+    assert np.array_equal(ends[1].grad, tr.grads[-1])
 
 
 def test_rows_whose_beta_differs_in_the_sign_of_zero():
@@ -355,8 +369,8 @@ def test_lockstep_params_per_row_must_match_the_starts():
     p = synthetic("quadratic")
     x0 = np.zeros((3, 2))
     with pytest.raises(ValueError, match="one MomentumParams per start"):
-        run_lockstep(p, x0, x0, [MomentumParams(0.1)] * 2)
+        _ends(p, x0, x0, [MomentumParams(0.1)] * 2, None)
     with pytest.raises(ValueError, match="one StopRules per start"):
-        run_lockstep(p, x0, x0, MomentumParams(0.1), [StopRules()] * 4)
+        _ends(p, x0, x0, MomentumParams(0.1), [StopRules()] * 4)
     with pytest.raises(ValueError, match="one sink per start"):
         run_lockstep(p, x0, x0, MomentumParams(0.1), sinks=[_History(10)] * 2)

@@ -155,6 +155,16 @@ checks: [descent, kl_fit]
         assert rc == 2
         assert (out / "trace.csv").exists() and (out / "certificate.json").exists()
 
+    def test_report_gives_one_path_length(self, tmp_path):
+        # the length check and the rate constant read the same total: summed
+        # pairwise (np.sum), the shipped quadratic's 2,000 steps sum to
+        # 1.2804651631532686 against 1.2804651631532677 in step order
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(CONFIG_DIR / "quadratic.yaml"), "--out", str(out),
+                     "--quiet"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["length"]["total_length"] == report["total_length"]
+
 
 MF_CFG = """
 problem: {kind: matrix_factorization, m: 3, n: 3, rank: 1, seed: SEED}
@@ -218,7 +228,7 @@ check_gradient_bound check_length_formula check_step_bound gradient_bound_consta
 length_constants lyapunov lyapunov_interval lyapunov_values step_bound_delta1
 FlowTrajectory TrackingConstants companion_eigen integrate_flow tracking_constants
 tracking_error tracking_ladder trajectory_length
-LockstepResult MomentumParams StopRules Trace run run_lockstep safe_alpha step
+MomentumParams StopRules Trace run run_lockstep safe_alpha step
 MatrixShape Problem estimate_lipschitz linear_network matrix_factorization matrix_sensing
 synthetic
 CriticalPointAnalysis EscapeExperiment analyze_critical_point characteristic_roots
