@@ -25,6 +25,10 @@ __all__ = [
 ]
 
 
+# Fewest usable samples fit_desingularizer regresses on.
+MIN_FIT_SAMPLES = 20
+
+
 class FitError(ValueError):
     """Raised when the power-law fit is refused (too few usable samples, or no
     concave power law with a finite positive scale fits them)."""
@@ -67,18 +71,17 @@ def fit_desingularizer(
     f_values,
     grad_norms,
     f_star: Optional[float] = None,
-    min_samples: int = 20,
-    gap_window: tuple = (None, None),
 ) -> Desingularizer:
     """Fit log ||grad f|| against log (f - f*) to recover (c, theta).
 
     The slope of the regression is 1 - theta and the intercept is
     -log(c * theta), matching psi'(f - f*) * ||grad f|| >= 1 for
     psi(t) = c t^theta. When f_star is None it defaults to the minimum over
-    the last ten samples; gaps below 100x the float round-off floor are
-    discarded as noise. Raises FitError when fewer than min_samples usable
-    samples remain, when one of them has an infinite gradient norm, or when
-    the fit gives no theta in (0, 1] or no finite positive c.
+    the last ten samples; gaps below 100x the float round-off floor, and
+    infinite gaps, are discarded. Raises FitError when fewer than
+    MIN_FIT_SAMPLES usable samples remain, when one of them has an infinite
+    gradient norm, or when the fit gives no theta in (0, 1] or no finite
+    positive c.
     """
     f_values = np.asarray(f_values, dtype=float).ravel()
     grad_norms = np.asarray(grad_norms, dtype=float).ravel()
@@ -88,17 +91,14 @@ def fit_desingularizer(
         f_star = float(np.min(f_values[-10:]))
 
     floor = max(1e-13, 100.0 * np.finfo(float).eps * (1.0 + abs(f_star)))
-    lo = gap_window[0] if gap_window[0] is not None else floor
-    hi = gap_window[1] if gap_window[1] is not None else math.inf
-    lo = max(lo, floor)
 
     gaps = f_values - f_star
-    keep = (gaps > lo) & (gaps < hi) & (grad_norms > 0)
+    keep = (gaps > floor) & (gaps < math.inf) & (grad_norms > 0)
     n = int(np.sum(keep))
-    if n < min_samples:
+    if n < MIN_FIT_SAMPLES:
         raise FitError(
-            f"only {n} samples with gap in ({lo:.3g}, {hi:.3g}); "
-            f"need >= {min_samples} (total {f_values.size}, floor {floor:.3g})"
+            f"only {n} samples with gap in ({floor:.3g}, inf); "
+            f"need >= {MIN_FIT_SAMPLES} (total {f_values.size}, floor {floor:.3g})"
         )
     bad = np.flatnonzero(keep & np.isinf(grad_norms))
     if bad.size:  # named here: the regression would turn NaN, with warnings

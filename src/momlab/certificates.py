@@ -5,7 +5,8 @@ inequality, the gradient-norm bounds, the per-step length bound, and the
 iterate length formula executable, then verifies each inequality iterate by
 iterate. The inequalities read only per-step scalars, which Columns reduces
 a block of rows at a time: as run()'s sink while a trajectory is stepped,
-so that it is never held, or from a stored Trace's own arrays. Columns is
+so that it is never held (every CLI command certifies this way), or from a
+stored Trace's own arrays, reduced afresh on each call. Columns is
 the one implementation of every per-row quantity the checks and trace.csv
 read. All constant formulas are pure functions of (M, L, alpha, beta,
 gamma, delta, m); the golden values are pinned in the test suite.
@@ -126,8 +127,6 @@ class Certificate:
     ball_radius: float
     certified_params: bool      # alpha <= alpha_bar
     per_step: dict = field(default_factory=dict)  # name -> PerStepReport
-    # (trace, key, Columns) of the last stored trace checked: see Columns.of
-    _columns: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def constants(self) -> dict:
         return {
@@ -380,22 +379,17 @@ class Columns:
         """The columns of trace for cert: trace itself if it is Columns.
 
         A stored Trace passes its own points, grads and f through take, a
-        row block at a time. The result is kept on cert, so the checks of
-        one trace against one ball and weight reduce it once.
+        row block at a time, afresh on every call: a caller that runs
+        several checks on one Trace reduces it once and passes the Columns.
         """
         if isinstance(trace, Columns):
             return trace
-        key = (cert.lam, cert.ball_center.tobytes(), cert.ball_radius)
-        held = cert._columns
-        if held is not None and held[0] is trace and held[1] == key:
-            return held[2]
         cols = cls(None, cert)
         n = len(trace.points)
         for i in range(0, n, _ROW_BLOCK):
             j = min(i + _ROW_BLOCK, n)
             cols.take(trace.points[i:j], trace.grads[i:j], trace.f[i:j])
         cols.finish(trace.stop_reason)
-        cert._columns = (trace, key, cols)
         return cols
 
     def take(self, points: np.ndarray, grads: Optional[np.ndarray], f=None) -> None:

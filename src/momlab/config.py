@@ -42,8 +42,10 @@ that the chosen kind does not use and, by load_config, keys the command
 it loads for does not read (COMMAND_KEYS): track reads only
 problem, params.beta/gamma/preset, init.x0 and track; saddle only problem,
 params, stop and saddle; run everything but track, saddle and sweep; sweep
-everything but track and saddle. Vectors must have problem-dim entries,
-seeds are integers >= 0 and sizes integers >= 1.
+everything but track and saddle. Numbers (scalars and vector entries)
+must be finite and not booleans, vectors must have problem-dim entries,
+seeds are integers >= 0 and sizes integers >= 1, and track.alphas must
+not repeat.
 A sweep cell is the config with its (alpha, beta, gamma) replaced; under a
 heavy_ball or nesterov preset each cell's gamma follows the preset (0, or
 the cell's beta), so sweep.gammas may be left out, and a value that
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -122,10 +125,14 @@ def _mapping(value, path: str, known) -> dict:
 
 
 def _as_float(v, path):
+    """v as a finite float; booleans, NaN and infinities are rejected."""
     try:
-        return float(v)
+        x = math.nan if isinstance(v, bool) else float(v)
     except (TypeError, ValueError):
-        raise ConfigError(f"{path}: expected a number, got {v!r}") from None
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{path}: expected a finite number, got {v!r}")
+    return x
 
 
 def _as_int(v, path):
@@ -156,15 +163,17 @@ def _nonnegative(v, path) -> float:
 
 
 def _vector(v, dim: int, path: str) -> list:
-    """A list of dim numbers, returned unchanged."""
+    """A list of dim finite numbers, returned unchanged."""
     if not isinstance(v, list):
         raise ConfigError(f"{path}: expected a list of {dim} numbers, got {v!r}")
     try:
-        shape = np.asarray(v, dtype=float).shape
+        a = np.asarray(v, dtype=float)
     except (TypeError, ValueError):
-        shape = None
-    if shape != (dim,):
+        a = None
+    if a is None or a.shape != (dim,):
         raise ConfigError(f"{path}: expected a list of {dim} numbers (problem dim), got {v!r}")
+    if not np.isfinite(a).all() or any(isinstance(e, bool) for e in v):
+        raise ConfigError(f"{path}: expected finite numbers, got {v!r}")
     return v
 
 
@@ -442,10 +451,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         alphas = track.get("alphas")
         if not isinstance(alphas, list) or len(alphas) < 2:
             raise ConfigError("track.alphas: need at least two step sizes for a slope")
-        track = {
-            "horizon": _positive(track.get("horizon", 1.0), "track.horizon"),
-            "alphas": [_positive(a, "track.alphas") for a in alphas],
-        }
+        horizon = _positive(track.get("horizon", 1.0), "track.horizon")
+        alphas = [_positive(a, "track.alphas") for a in alphas]
+        if len(set(alphas)) < len(alphas):
+            raise ConfigError("track.alphas: a repeated step size adds no point to the slope fit")
+        track = {"horizon": horizon, "alphas": alphas}
 
     saddle = raw.get("saddle")
     if saddle is not None:

@@ -15,21 +15,21 @@ one loop for a single trajectory: it makes one single-point gradient call
 per step for every preset and hands its recorded rows to a sink a block of
 _ROW_BLOCK rows at a time. By default the blocks are kept and run returns
 the Trace, whose f and grads columns are evaluated in batch once it stops;
-a sink such as certificates.Columns reduces each block and drops it, so
-the trajectory is never held. run_lockstep() is the shared lockstep core
-for stacks of starts: it steps them together under the same stop rules,
-with one params and stop rules for all rows or one per row. Each row's
-blocks go to its own sink as run() would hand them (Columns for sweeps,
-_Endpoint for escape studies), so both loops record through the same
-take(points, grads) / finish(reason) protocol.
+a Trace lives in memory only, for library callers and tests. Every
+command passes a sink such as certificates.Columns, which reduces each
+block and drops it, so the trajectory is never held. run_lockstep() is
+the shared lockstep core for stacks of starts: it steps them together
+under the same stop rules, with one params and stop rules for all rows or
+one per row. Each row's blocks go to its own sink as run() would hand them
+(Columns for sweeps, _Endpoint for escape studies), so both loops record
+through the same take(points, grads) / finish(reason) protocol.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -119,8 +119,6 @@ class Trace:
     grads: np.ndarray           # (K+2, dim) gradient at each point
     params: MomentumParams
     stop_reason: str = "max_iters"
-    problem_name: str = ""
-    meta: dict = field(default_factory=dict)
 
     @property
     def num_steps(self) -> int:
@@ -162,42 +160,6 @@ class Trace:
         y_g = x_curr + self.params.gamma * d
         lhs = x_next - x_curr - self.params.beta * d + self.params.alpha * problem.gradient(y_g)
         return _row_norms(lhs) / (1.0 + _row_norms(x_next))
-
-    def save(self, path) -> None:
-        """Full JSON dump (includes every iterate) for offline replay."""
-        payload = {
-            "problem": self.problem_name,
-            "params": {
-                "alpha": self.params.alpha,
-                "beta": self.params.beta,
-                "gamma": self.params.gamma,
-                "preset": self.params.preset,
-                "delta": self.params.delta,
-            },
-            "stop_reason": self.stop_reason,
-            "points": self.points.tolist(),
-            "f": self.f.tolist(),
-            "grads": self.grads.tolist(),
-            "meta": self.meta,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-
-    @staticmethod
-    def load(path) -> "Trace":
-        """Read a save() dump; the y_beta/y_gamma arrays of older dumps are ignored."""
-        with open(path) as fh:
-            d = json.load(fh)
-        p = d["params"]
-        return Trace(
-            points=np.asarray(d["points"]),
-            f=np.asarray(d["f"]),
-            grads=np.asarray(d["grads"]),
-            params=MomentumParams(p["alpha"], p["beta"], p["gamma"], p["preset"], p["delta"]),
-            stop_reason=d["stop_reason"],
-            problem_name=d["problem"],
-            meta=d.get("meta", {}),
-        )
 
 
 def step(problem: Problem, x_prev, x_curr, params: MomentumParams, grad=None):
@@ -491,7 +453,6 @@ def _trace(problem: Problem, points, grads, params: MomentumParams, reason: str)
         grads=grads,
         params=params,
         stop_reason="diverged" if diverged else reason,
-        problem_name=problem.name,
     )
 
 

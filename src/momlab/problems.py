@@ -461,9 +461,12 @@ def estimate_lipschitz(
     R' = (1 + 2*reach) * radius, where reach = max(|beta|, |gamma|) covers the
     extrapolated evaluation points of the momentum update.
 
-    sampled mode draws >= `pairs` point pairs on a dyadic scale ladder
-    R' * 2^-k (k = 0..6) sharing one seeded unit-ball cloud across scales and
-    returns the empirical maxima inflated by `safety`. The shared ladder makes
+    sampled mode draws point pairs on a dyadic scale ladder R' * 2^-k,
+    k = 0, 1, ..., down to min(2^-10, R' * 2^-6): at least 7 rungs (15 at
+    radius 10 with reach 0.6, 12 at radius 2 with reach 0), each with
+    max(ceil(pairs / 7), 8) pairs, so >= `pairs` pairs in all. The rungs
+    share one seeded unit-ball cloud, and the empirical maxima are returned
+    inflated by `safety`. The shared ladder makes
     the estimate monotone in radius across dyadic radius ratios. analytic mode
     is available for the synthetic fixtures and matrix factorization only.
     """

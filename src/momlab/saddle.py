@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 DENSE_HESSIAN_MAX_DIM = 400
+# analyze_critical_point accepts x when ||grad f(x)|| <= CRITICAL_GRAD_TOL, and
+# counts a Hessian eigenvalue as zero within EIG_RTOL * (1 + ||H||)
+CRITICAL_GRAD_TOL = 1e-8
+EIG_RTOL = 1e-8
 
 
 def characteristic_roots(d: float, params: MomentumParams):
@@ -153,12 +157,13 @@ def analyze_critical_point(
     problem: Problem,
     x,
     params: MomentumParams,
-    grad_tol: float = 1e-8,
-    eig_rtol: float = 1e-8,
 ) -> CriticalPointAnalysis:
     """Classify a critical point and compute the momentum map's spectrum there.
 
-    Rejects points with ||grad f|| > grad_tol. Uses dense eigensolve up to
+    Rejects points with ||grad f|| > CRITICAL_GRAD_TOL; the smallest Hessian
+    eigenvalue classifies the point as a strict saddle below
+    -EIG_RTOL * (1 + ||H||), a local-minimum candidate above +EIG_RTOL *
+    (1 + ||H||), and degenerate in between. Uses dense eigensolve up to
     dim 400; above that only the extreme Hessian eigenvalues are computed
     iteratively (they determine the classification, and the root modulus is
     monotone toward extreme eigenvalues, so the spectral radius over the
@@ -166,9 +171,9 @@ def analyze_critical_point(
     """
     x = problem.check_point(x)
     gn = float(np.linalg.norm(problem.gradient(x)))
-    if gn > grad_tol:
+    if gn > CRITICAL_GRAD_TOL:
         raise ValueError(
-            f"not a critical point: ||grad f|| = {gn:.3g} > {grad_tol:.3g}"
+            f"not a critical point: ||grad f|| = {gn:.3g} > {CRITICAL_GRAD_TOL:.3g}"
         )
     extremes_only = problem.dim > DENSE_HESSIAN_MAX_DIM
     if extremes_only:
@@ -188,7 +193,7 @@ def analyze_critical_point(
         eigs = np.linalg.eigvalsh(H)
         h_norm = float(np.max(np.abs(eigs))) if eigs.size else 0.0
 
-    tol_eig = eig_rtol * (1.0 + h_norm)
+    tol_eig = EIG_RTOL * (1.0 + h_norm)
     if eigs[0] < -tol_eig:
         classification = "strict_saddle"
     elif eigs[0] > tol_eig:

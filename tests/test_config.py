@@ -106,6 +106,30 @@ def test_load_config_needs_a_known_command(tmp_path):
      "sweep.seeds"),
     ("sweep", {"init": "{x0: {random: {radius: 0.5}}}", "sweep": "{seeds: [3, 1, 3]}"},
      "sweep.seeds"),
+    ("track", {"track": "{horizon: 1.0, alphas: [0.1, 0.1]}"}, "track.alphas"),
+    # numbers must be finite and not booleans
+    ("track", {"track": "{horizon: .inf, alphas: [0.1, 0.05]}"}, "track.horizon"),
+    ("track", {"track": "{horizon: 1.0, alphas: [0.1, .inf]}"}, "track.alphas"),
+    ("run", {"params": "{alpha: 0.1, beta: 0.5, preset: heavy_ball, delta: .inf}"},
+     "params.delta"),
+    ("run", {"params": "{alpha: true, beta: 0.5, preset: heavy_ball}"}, "params.alpha"),
+    ("run", {"params": "{alpha: 0.1, beta: 0.5, gamma: false}"}, "params.gamma"),
+    ("run", {"stop": "{max_iters: 10, grad_tol: .inf}"}, "stop.grad_tol"),
+    ("run", {"stop": "{max_iters: 10, box_radius: .inf}"}, "stop.box_radius"),
+    ("run", {"lipschitz": "{mode: analytic, center: origin, radius: .inf}"},
+     "lipschitz.radius"),
+    ("run", {"init": "{x0: {random: {radius: .inf, seed: 1}}}"}, "init.x0.random.radius"),
+    ("saddle", {"saddle": "{point: origin, radius: .inf, trials: 3}"}, "saddle.radius"),
+    ("sweep", {"sweep": "{alphas: [0.1, .inf]}"}, "sweep.alphas"),
+    ("sweep", {"sweep": "{betas: [0.5, false]}"}, "sweep.betas"),
+    ("sweep", {"sweep": "{gammas: [.nan]}", "params": "{alpha: 0.1, beta: 0.5}"},
+     "sweep.gammas"),
+    ("run", {"init": "{x0: [.inf, 0.5]}"}, "init.x0"),
+    ("run", {"init": "{x0: [true, 0.5]}"}, "init.x0"),
+    ("run", {"init": "{x0: [1.0, 0.0], x_minus1: [1.0, .nan]}"}, "init.x_minus1"),
+    ("run", {"lipschitz": "{mode: analytic, center: [.nan, 0.0], radius: 4.0}"},
+     "lipschitz.center"),
+    ("saddle", {"saddle": "{point: [0.0, -.inf], trials: 3}"}, "saddle.point"),
 ])
 def test_range_and_shape_errors_name_their_field(tmp_path, capsys, command, sections, field):
     rc, err = cli(tmp_path, capsys, command, config_text(**sections))

@@ -1,5 +1,4 @@
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,15 +10,12 @@ from momlab import (
     MomentumParams,
     Problem,
     StopRules,
-    Trace,
     matrix_factorization,
     run,
     safe_alpha,
     step,
     synthetic,
 )
-
-DATA = Path(__file__).parent / "data"
 
 
 class TestMomentumParams:
@@ -298,29 +294,6 @@ class TestRun:
         points, _, _, reason = reference_run(p, x0, x0, params, stop)
         assert tr.stop_reason == reason == "max_iters" and tr.num_steps == 10
         assert np.array_equal(tr.points, points) and np.all(tr.points[:, 0] == 1.5e308)
-
-    def test_trace_roundtrip(self, tmp_path):
-        p = synthetic("quadratic")
-        x0 = np.array([1.0, 0.5])
-        tr = run(p, x0, x0, MomentumParams(alpha=0.1, beta=0.2, gamma=0.1),
-                 StopRules(max_iters=20))
-        f = tmp_path / "trace.json"
-        tr.save(f)
-        tr2 = Trace.load(f)
-        assert np.all(tr2.points == tr.points)
-        assert tr2.params == tr.params
-        assert tr2.stop_reason == tr.stop_reason
-        assert "y_beta" not in f.read_text()
-
-    def test_load_ignores_stored_y_arrays(self, tmp_path):
-        # a dump written when traces still stored y_beta and y_gamma
-        tr = Trace.load(DATA / "trace_with_y_arrays.json")
-        assert tr.points.shape == (8, 2) and tr.num_steps == 6
-        assert tr.params == MomentumParams(0.1, 0.3, 0.2, "generic", 0.5)
-        assert np.max(tr.replay_residuals(synthetic("quadratic"))) <= 1e-12
-        tr.save(tmp_path / "again.json")
-        again = Trace.load(tmp_path / "again.json")
-        assert np.array_equal(again.points, tr.points) and np.array_equal(again.grads, tr.grads)
 
 
 class TestRecordingBuffer:
