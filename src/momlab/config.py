@@ -44,14 +44,14 @@ problem, params.beta/gamma/preset, init.x0 and track; saddle only problem,
 params, stop and saddle; run everything but track, saddle and sweep; sweep
 everything but track and saddle. Numbers (scalars and vector entries)
 must be finite and not booleans, vectors must have problem-dim entries,
-seeds are integers >= 0 and sizes integers >= 1, and track.alphas must
-not repeat.
+seeds are integers >= 0 and sizes integers >= 1, and neither track.alphas
+nor a sweep list may repeat a value.
 A sweep cell is the config with its (alpha, beta, gamma) replaced; under a
 heavy_ball or nesterov preset each cell's gamma follows the preset (0, or
 the cell's beta), so sweep.gammas may be left out, and a value that
 contradicts the preset is rejected before any cell runs. A sweep seed
-offsets only the random init.x0 seed, so sweep.seeds must not repeat and
-holds one seed when init.x0 is a list.
+offsets only the random init.x0 seed, so sweep.seeds holds one seed when
+init.x0 is a list.
 """
 
 from __future__ import annotations
@@ -340,8 +340,8 @@ def _parse_sweep(sweep, alpha_spec, beta: float, gamma, preset: str, random_x0: 
     """Every cell (alpha_spec, beta, gamma, seed) of the grid, each one checked.
 
     A left-out list holds the params value; gamma None follows the preset.
-    A seed moves only the random init.x0, so seeds must differ and, with a
-    list init.x0, there can be only one.
+    No list may repeat a value. A seed moves only the random init.x0, so
+    with a list init.x0 there can be only one.
     """
     _mapping(sweep, "sweep", ("alphas", "betas", "gammas", "seeds"))
 
@@ -365,12 +365,18 @@ def _parse_sweep(sweep, alpha_spec, beta: float, gamma, preset: str, random_x0: 
     if len(seeds) > 1 and not random_x0:
         raise ConfigError("sweep.seeds: init.x0 is a list, so every seed would run the "
                           "same cell; give one seed or a random init.x0")
-    if len(set(seeds)) < len(seeds):
-        raise ConfigError("sweep.seeds: a repeated seed would run the same cell twice")
-    return [
+    for key, values in (("alphas", alphas), ("betas", betas), ("seeds", seeds)):
+        if len(set(values)) < len(values):
+            raise ConfigError(f"sweep.{key}: a repeated value would run the same cells twice")
+    cells = [
         (a, b, _cell_gamma(preset, b, g, "sweep.betas", "sweep.gammas"), s)
         for a in alphas for b in betas for g in gammas for s in seeds
     ]
+    # the other lists are distinct, so only gammas that resolve alike repeat a cell
+    if len(set(cells)) < len(cells):
+        raise ConfigError("sweep.gammas: a repeated gamma (null follows the preset) would "
+                          "run the same cells twice")
+    return cells
 
 
 def parse_config(raw: dict) -> ExperimentConfig:

@@ -11,7 +11,6 @@ momentum companion matrix [[1+beta, -beta], [1, 0]] (x) I_n.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .optimizer import MomentumParams, StopRules, Trace, _History, run
+from .optimizer import _ROW_BLOCK, MomentumParams, StopRules, Trace, run
 from .problems import Problem, _row_norms
 
 __all__ = [
@@ -68,7 +67,7 @@ class FlowTrajectory:
         return float(self.arc_length[-1])
 
     def at(self, t) -> np.ndarray:
-        """Dense-output state x(t); t beyond the computed span is clamped."""
+        """Dense-output state x(t), t clamped to the span; see _DenseFlow on bit-equality."""
         if self._dense is None:
             if len(self.times) == 1:  # constant trajectory from a critical start
                 if np.ndim(t) == 0:
@@ -79,24 +78,6 @@ class FlowTrajectory:
         out = self._dense(t)
         dim = self.states.shape[1]
         return out[:dim] if np.ndim(t) == 0 else out[:dim, :].T
-
-    def to_csv(self, path, coordinates: bool = False) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            header = ["t", "f", "grad_norm", "arc_length"]
-            if coordinates:
-                header += [f"x{i}" for i in range(self.states.shape[1])]
-            w.writerow(header)
-            for i in range(len(self.times)):
-                row = [
-                    format(self.times[i], ".17g"),
-                    format(self.f_values[i], ".17g"),
-                    format(self.grad_norms[i], ".17g"),
-                    format(self.arc_length[i], ".17g"),
-                ]
-                if coordinates:
-                    row += [format(v, ".17g") for v in self.states[i]]
-                w.writerow(row)
 
 
 # Dormand-Prince 5(4) with Shampine's quartic dense output (Dormand and Prince,
@@ -169,22 +150,27 @@ class _DenseFlow:
     """Piecewise quartic solution over the accepted steps ts[i] -> ts[i+1].
 
     A time on a step boundary belongs to the earlier step; times outside
-    [ts[0], ts[-1]] use the first or last step's polynomial.
+    [ts[0], ts[-1]] use the first or last step's polynomial. A call
+    evaluates each step's times in one product, which rounds by how many
+    there are, so values equal those of one call over more times bit for
+    bit only when each step's times all go in the same call.
     """
 
     def __init__(self, ts, segments):
         self.ts = np.asarray(ts)
         self.segments = segments  # (t_old, h, Q, y_old) per step
 
+    def step(self, t):
+        """The index of the step each time in t belongs to."""
+        return np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.segments) - 1)
+
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t)
-        last = len(self.segments) - 1
         if t.ndim == 0:
-            i = min(max(int(np.searchsorted(self.ts, t, side="left")) - 1, 0), last)
-            return _interpolate(self.segments[i], t)
+            return _interpolate(self.segments[self.step(t)], t)
         order = np.argsort(t)
         t_sorted = t[order]
-        seg = np.clip(np.searchsorted(self.ts, t_sorted, side="left") - 1, 0, last)
+        seg = self.step(t_sorted)
         # one evaluation per run of sorted times in the same step
         bounds = [0, *(np.flatnonzero(np.diff(seg)) + 1), len(seg)]
         ys = np.hstack([_interpolate(self.segments[seg[a]], t_sorted[a:b])
@@ -326,16 +312,8 @@ def integrate_flow(
         T = min(2.0 * T, max_horizon)  # extend the horizon, continuing from the chunk end
 
     zs = np.array(zs)
-    states = np.ascontiguousarray(zs[:, :dim])
-    traj = FlowTrajectory(
-        times=np.array(ts),
-        states=states,
-        arc_length=zs[:, dim],
-        energy=zs[:, dim + 1],
-        beta=beta,
-        terminated=terminated,
-        problem=problem,
-    )
+    traj = FlowTrajectory(np.array(ts), np.ascontiguousarray(zs[:, :dim]), zs[:, dim],
+                          zs[:, dim + 1], beta, terminated, problem)
     traj._dense = _DenseFlow(ts, segments)
     return traj
 
@@ -367,33 +345,57 @@ def trajectory_length(
         traj = integrate_flow(problem, x0, beta=beta, grad_tol=grad_tol, max_horizon=max_horizon)
         truncated = traj.terminated != "grad_tol"
         flagged = flagged or truncated
-        per.append({
-            "length": traj.total_length,
-            "time": float(traj.times[-1]),
-            "truncated": truncated,
-        })
+        per.append({"length": traj.total_length, "time": float(traj.times[-1]),
+                    "truncated": truncated})
     sigma = max(p["length"] for p in per) if per else 0.0
     return TrajectoryLengthEstimate(float(sigma), per, flagged)
 
 
-def _tracking_errors(traj: FlowTrajectory, points: np.ndarray, alpha: float,
-                     horizon: float) -> np.ndarray:
-    """e_k = ||x_k - x(k alpha)|| for k <= floor(T/alpha) against the flow traj.
+class _TrackingErrors:
+    """A run() sink keeping e_k = ||x_k - x(k alpha)|| for k = 0..k_last against traj.
 
-    points are a run's iterates x_{-1}, x_0, ..., x_K.
+    Each block of points x_{-1}, x_0, ... is measured in one traj.at call but
+    for the rows in its last time's flow step, which wait for the next block
+    (see _DenseFlow); so one block plus one flow step's rows are held.
     """
-    k_max = min(int(math.floor(horizon / alpha)), len(points) - 2)
-    return _row_norms(points[1:k_max + 2] - traj.at(np.arange(k_max + 1) * alpha))
+
+    def __init__(self, traj: FlowTrajectory, alpha: float, k_last: int):
+        self._traj, self._alpha, self._k_last = traj, alpha, k_last
+        self._held, self._k = traj.states[:0], 0  # rows x_k, x_{k+1}, ... not yet measured
+        self._errors, self.n = [], 0
+
+    def take(self, points, grads, last=False) -> None:
+        rows = points[max(1 - self.n, 0):max(self._k_last + 2 - self.n, 0)]
+        self.n += len(points)
+        rows = np.concatenate([self._held, rows])
+        times = np.arange(self._k, self._k + len(rows)) * self._alpha
+        cut = len(rows)
+        if cut and not last and self._k + cut <= self._k_last and self._traj._dense is not None:
+            steps = self._traj._dense.step(times)
+            cut = int(np.searchsorted(steps, steps[-1]))
+        if cut:
+            self._errors.append(_row_norms(rows[:cut] - self._traj.at(times[:cut])))
+        self._held, self._k = rows[cut:], self._k + cut
+
+    def finish(self, reason: str) -> "_TrackingErrors":
+        self.take(self._held[:0], None, last=True)
+        self.errors, self.num_steps = np.concatenate(self._errors), self.n - 2
+        return self
 
 
 def tracking_error(problem: Problem, trace: Trace, horizon: float):
     """Per-step deviation e_k = ||x_k - x(k alpha)|| for k <= floor(T/alpha).
 
-    The flow starts at the trace's x_0 and uses the trace's beta. Returns
+    The flow starts at the trace's x_0 and uses the trace's beta; the points
+    go through tracking_ladder's sink a row block at a time. Returns
     (errors, max_error).
     """
     traj = integrate_flow(problem, trace.x(0), beta=trace.params.beta, horizon=horizon)
-    errors = _tracking_errors(traj, trace.points, trace.params.alpha, horizon)
+    alpha = trace.params.alpha
+    sink = _TrackingErrors(traj, alpha, int(math.floor(horizon / alpha)))
+    for i in range(0, len(trace.points), _ROW_BLOCK):
+        sink.take(trace.points[i:i + _ROW_BLOCK], None)
+    errors = sink.finish(trace.stop_reason).errors
     return errors, float(np.max(errors))
 
 
@@ -401,14 +403,12 @@ def tracking_ladder(problem: Problem, x0, beta: float, alphas, horizon: float,
                     gamma: float = 0.0):
     """Max tracking error for each step size plus the log-log slope.
 
-    The flow depends on neither alpha nor gamma, so it is integrated once
-    and every run is measured against it. Each run starts with velocity
-    matched to the rescaled flow, x_{-1} = x_0 + alpha / (1 - beta) * grad f(x_0),
-    so the measured error reflects the O(alpha) tracking regime instead of
-    the from-rest startup transient (for beta = 0 the recurrence ignores
-    x_{-1} entirely). A run keeps only its iterates: no objective value
-    is evaluated, and its points end where its loop stops. Returns
-    (max_errors, slope).
+    The flow depends on neither alpha nor gamma, so it is integrated once.
+    Each run starts with velocity matched to the rescaled flow, x_{-1} =
+    x_0 + alpha / (1 - beta) * grad f(x_0), so its error shows the O(alpha)
+    tracking regime, not a from-rest transient. Its sink measures the error
+    against the flow as it steps (_TrackingErrors): no objective value is
+    evaluated and no iterate kept. Returns (max_errors, slope).
     """
     alphas = [float(a) for a in alphas]
     if len(alphas) < 2:
@@ -422,10 +422,10 @@ def tracking_ladder(problem: Problem, x0, beta: float, alphas, horizon: float,
         x_m1 = x0 + alpha * scale * g0
         delta = scale * float(np.linalg.norm(g0)) * (1.0 + 1e-9)
         params = MomentumParams(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
-        steps = int(math.floor(horizon / alpha)) + 1
-        points = run(problem, x_m1, x0, params, StopRules(max_iters=steps),
-                     sink=_History(steps + 2, keep_grads=False)).points
-        maxes.append(float(np.max(_tracking_errors(traj, points, alpha, horizon))))
+        k_last = int(math.floor(horizon / alpha))
+        errors = run(problem, x_m1, x0, params, StopRules(max_iters=k_last + 1),
+                     sink=_TrackingErrors(traj, alpha, k_last)).errors
+        maxes.append(float(np.max(errors)))
     if any(m <= 0 for m in maxes):
         slope = math.inf  # exact tracking; steeper than any requirement
     else:
@@ -486,8 +486,6 @@ def tracking_constants(
     eigvals, P = companion_eigen(b)
     svals = np.linalg.svd(P, compute_uv=False)
     smax, smin = float(svals[0]), float(svals[-1])
-    if smin <= 0:
-        raise AssertionError("companion eigenvector block is singular; unreachable for |beta| < 1")
     p1 = 1.0 / smax
     p2 = 1.0 / smin
     p3 = smax / smin

@@ -317,17 +317,16 @@ class _History:
     The rows go into buffers that start at the first block's size and double
     up to cap points, one buffer at a time, so at most one old buffer is
     alive. points and grads are the filled prefixes; grads is None when the
-    loop held no gradients or keep_grads is False. finish returns the
-    history itself.
+    loop held no gradients. finish returns the history itself.
     """
 
-    def __init__(self, cap: int, keep_grads: bool = True):
-        self.cap, self.keep_grads, self.n = cap, keep_grads, 0
+    def __init__(self, cap: int):
+        self.cap, self.n = cap, 0
         self._pts = self._gs = None
 
     def take(self, points, grads) -> None:
         self._pts = self._kept(self._pts, points)
-        if grads is not None and self.keep_grads:
+        if grads is not None:
             self._gs = self._kept(self._gs, grads)
         self.n += len(points)
 

@@ -6,7 +6,8 @@ writer oracles are the straightforward csv.writer and json.dump versions of
 trace.csv and certificate.json, whose bytes the fast writers must reproduce.
 The one-point gradient oracles are frozen copies of the shared single-point
 and stacked code path the families' one-point kernels replaced: each kernel
-must equal them bit for bit.
+must equal them bit for bit. The tracking-error oracle measures a whole run
+against its flow in one call, which the block-wise sink must reproduce.
 """
 
 import csv
@@ -15,6 +16,7 @@ import json
 import numpy as np
 
 from momlab.certificates import lyapunov_values
+from momlab.problems import _row_norms
 
 
 def fd_gradient(value, x, h=None):
@@ -137,3 +139,10 @@ def network_gradient(Xbar, Ybar, widths, z):
         if j:
             back = Ws[j].T @ back
     return _fjoin(*grads)
+
+
+def tracking_errors(traj, points, alpha, k_last):
+    """||x_k - x(k alpha)|| for k <= k_last of a run's points x_{-1}, x_0, ..., x_K,
+    the flow sampled at every time in one traj.at call."""
+    k = min(k_last, len(points) - 2)
+    return _row_norms(points[1:k + 2] - traj.at(np.arange(k + 1) * alpha))

@@ -130,6 +130,13 @@ def test_load_config_needs_a_known_command(tmp_path):
     ("run", {"lipschitz": "{mode: analytic, center: [.nan, 0.0], radius: 4.0}"},
      "lipschitz.center"),
     ("saddle", {"saddle": "{point: [0.0, -.inf], trials: 3}"}, "saddle.point"),
+    # a repeated grid value runs the same cells again
+    ("sweep", {"sweep": "{alphas: [0.1, 0.1], betas: [0.3, 0.3]}"}, "sweep.alphas"),
+    ("sweep", {"sweep": "{alphas: [auto, 0.1, auto]}"}, "sweep.alphas"),
+    ("sweep", {"sweep": "{betas: [0.3, 0.5, 0.3]}"}, "sweep.betas"),
+    ("sweep", {"sweep": "{gammas: [0.2, 0.2]}", "params": "{alpha: 0.1, beta: 0.5}"},
+     "sweep.gammas"),
+    ("sweep", {"sweep": "{gammas: [null, 0.0]}"}, "sweep.gammas"),  # heavy ball: both are 0
 ])
 def test_range_and_shape_errors_name_their_field(tmp_path, capsys, command, sections, field):
     rc, err = cli(tmp_path, capsys, command, config_text(**sections))

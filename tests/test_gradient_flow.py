@@ -1,8 +1,9 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
-from conftest import make_problem
+from conftest import make_problem, traced_peak
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from momlab import (
     StopRules,
     companion_eigen,
     integrate_flow,
+    matrix_factorization,
     run,
     synthetic,
     tracking_constants,
@@ -87,14 +89,6 @@ class TestIntegrateFlow:
         for t in (0.0, 1.0, 2.0, 3.3, 4.0, traj.times[-1]):
             assert np.allclose(traj.at(t), traj.at(np.array([t]))[0], rtol=1e-14, atol=0)
         assert np.array_equal(traj.at(2 * traj.times[-1]), traj.at(traj.times[-1]))
-
-    def test_csv_export(self, tmp_path):
-        p = synthetic("quadratic")
-        traj = integrate_flow(p, np.array([1.0, 0.0]), horizon=1.0)
-        f = tmp_path / "flow.csv"
-        traj.to_csv(f, coordinates=True)
-        lines = f.read_text().splitlines()
-        assert lines[0] == "t,f,grad_norm,arc_length,x0,x1"
 
 
 class TestTrajectoryLength:
@@ -234,7 +228,7 @@ class TestTrackingError:
         tracking_ladder(p, x0, beta, alphas, horizon=1.0, gamma=gamma)
         assert counts["value"] == [0, 0] and counts["gradient"][1] == 0
         flow_p, flow_counts = counted(make_problem("matrix_factorization", seed=8))
-        integrate_flow(flow_p, x0, beta=beta, horizon=1.0)
+        traj = integrate_flow(flow_p, x0, beta=beta, horizon=1.0)
         assert flow_counts["value"] == [0, 0] and flow_counts["gradient"][1] == 0
         rung_p, rung_counts = counted(make_problem("matrix_factorization", seed=8))
         g0 = rung_p.gradient(x0)
@@ -243,8 +237,49 @@ class TestTrackingError:
                                     delta=2.0 * float(np.linalg.norm(g0)) * (1.0 + 1e-9))
             steps = int(math.floor(1.0 / alpha)) + 1
             run(rung_p, x0 + alpha * 2.0 * g0, x0, params, StopRules(max_iters=steps),
-                sink=gradient_flow._History(steps + 2, keep_grads=False))
+                sink=gradient_flow._TrackingErrors(traj, alpha, steps - 1))
         assert counts["gradient"][0] == flow_counts["gradient"][0] + rung_counts["gradient"][0]
+
+    @pytest.mark.parametrize("case", ["heavy_ball_8x8", "cut_short", "constant_flow"])
+    def test_errors_do_not_depend_on_block_edges(self, case):
+        # blocks of 1 to 8 points, and of 256, put an edge at every position
+        # inside a flow step; on this 8x8 rank-3 flow at alpha 0.003, times
+        # of one flow step split between traj.at calls change the last bit
+        beta, horizon, alpha = 0.5, 2.0, 0.003
+        p = matrix_factorization(np.random.default_rng(0).standard_normal((8, 8)), r=3)
+        x0 = np.random.default_rng(100).standard_normal(p.dim) * 0.4
+        if case == "constant_flow":  # a critical start
+            p, x0 = synthetic("quadratic"), np.zeros(2)
+        traj = integrate_flow(p, x0, beta=beta, horizon=horizon)
+        k_last = int(math.floor(horizon / alpha))
+        g0 = p.gradient(x0)
+        params = MomentumParams.heavy_ball(alpha, beta, delta=2.0 * float(np.linalg.norm(g0)))
+        points = run(p, x0 + alpha * 2.0 * g0, x0, params, StopRules(max_iters=k_last + 1)).points
+        if case == "cut_short":  # k_last lies past the last point
+            points = points[:k_last // 2]
+        expected = oracles.tracking_errors(traj, points, alpha, k_last)
+        assert len(expected) == len(points) - 1 - (case != "cut_short")
+        for size in [*range(1, 9), 256]:
+            sink = gradient_flow._TrackingErrors(traj, alpha, k_last)
+            for i in range(0, len(points), size):
+                sink.take(points[i:i + size], None)
+            errors = sink.finish("max_iters").errors
+            assert errors.tobytes() == expected.tobytes(), size
+
+    def test_ladder_holds_a_block_and_a_flow_step(self):
+        # perfbench survey's mf_track ladder: past its flow, a ladder holds its
+        # errors (8 bytes a step, twice while they are joined) and a few arrays
+        # of one row block plus one flow step's rows, not a rung's points
+        rng = np.random.default_rng(0)
+        p = matrix_factorization(rng.standard_normal((4, 4)), r=2)
+        x0 = rng.standard_normal(p.dim) * 0.4
+        alphas, horizon = [0.01, 0.005, 0.0025], 20.0
+        traj, flow_peak = traced_peak(lambda: integrate_flow(p, x0, beta=0.5, horizon=horizon))
+        _, peak = traced_peak(lambda: tracking_ladder(p, x0, 0.5, alphas, horizon))
+        k_last = int(math.floor(horizon / alphas[-1]))
+        step_rows = int(np.max(np.diff(traj.times)) / alphas[-1]) + 1
+        block = (gradient_flow._ROW_BLOCK + step_rows) * (p.dim + 2) * 8
+        assert peak <= flow_peak + 16 * (k_last + 1) + 10 * block
 
     def test_flow_values_evaluated_on_first_use(self, counted):
         p, counts = counted(make_problem("matrix_factorization", seed=8))
