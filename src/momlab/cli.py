@@ -26,6 +26,12 @@ import time
 import warnings
 from pathlib import Path
 
+# momlab's matmuls sit far below OpenBLAS's threading threshold, so its idle
+# worker only spins; any of these variables, or numpy loaded first, overrides
+if "numpy" not in sys.modules and not any(
+        v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from . import __version__
@@ -86,6 +92,55 @@ def _out_dir(args) -> Path:
 def _say(args, msg: str) -> None:
     if not args.quiet:
         print(msg, file=sys.stderr)
+
+
+def _platform() -> dict:
+    """The numeric platform that output bytes depend on: numpy, its BLAS and SIMD loops.
+
+    The OpenBLAS core and thread count are read through ctypes from the
+    library numpy's extension links ("unknown" where it exports no such symbol).
+    """
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    lib = ctypes.CDLL(umath.__file__)
+
+    def openblas(name, restype):
+        fn = getattr(lib, f"scipy_openblas_{name}64_", None)
+        if fn is None:
+            return "unknown"
+        fn.argtypes, fn.restype = [], restype
+        value = fn()
+        return value.decode() if isinstance(value, bytes) else value
+
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas": {
+            "name": blas.get("name", "unknown"),
+            "version": blas.get("version", "unknown"),
+            "core": openblas("get_corename", ctypes.c_char_p),
+            "threads": openblas("get_num_threads", ctypes.c_int),
+        },
+        "simd": [t for t in (*umath.__cpu_baseline__, *umath.__cpu_dispatch__)
+                 if umath.__cpu_features__.get(t)],
+        "env": {v: os.environ.get(v) for v in
+                ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")},
+    }
+
+
+def _meta(cfg: ExperimentConfig, seeds: dict) -> dict:
+    """A report's meta: what produced it, when, and on which numeric platform."""
+    return {
+        "config_sha256": cfg.config_hash,
+        "seeds": seeds,
+        "version": __version__,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "platform": _platform(),
+    }
 
 
 def _prepare(cfg: ExperimentConfig, alpha: float | None, seed_offset: int = 0,
@@ -231,12 +286,7 @@ def cmd_run(args) -> int:
         write_trace_csv(out / "trace.csv", cols, cert, meta)
     cert.to_json(out / "certificate.json")
     report = {
-        "meta": {
-            "config_sha256": cfg.config_hash,
-            "seeds": seeds,
-            "version": __version__,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        },
+        "meta": _meta(cfg, seeds),
         "problem": cfg.problem.name,
         "stop_reason": cols.stop_reason,
         "iterations": cols.num_steps,
@@ -302,8 +352,7 @@ def cmd_track(args) -> int:
         meta,
     )
     report = {
-        "meta": {"config_sha256": cfg.config_hash, "seeds": seeds, "version": __version__,
-                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")},
+        "meta": _meta(cfg, seeds),
         "problem": cfg.problem.name,
         "beta": cfg.beta,
         "gamma": cfg.gamma,
@@ -350,11 +399,8 @@ def cmd_saddle(args) -> int:
     analysis = analysis.for_params(params)
 
     report = {
-        "meta": {"config_sha256": cfg.config_hash,
-                 "seeds": {"problem_seed": cfg.raw["problem"].get("seed", 0),
-                           "saddle_seed": cfg.saddle["seed"]},
-                 "version": __version__,
-                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")},
+        "meta": _meta(cfg, {"problem_seed": cfg.raw["problem"].get("seed", 0),
+                            "saddle_seed": cfg.saddle["seed"]}),
         "problem": cfg.problem.name,
         "analysis": analysis.to_dict(),
         "alpha": alpha,

@@ -423,7 +423,7 @@ def tracking_ladder(problem: Problem, x0, beta: float, alphas, horizon: float,
         delta = scale * float(np.linalg.norm(g0)) * (1.0 + 1e-9)
         params = MomentumParams(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
         k_last = int(math.floor(horizon / alpha))
-        errors = run(problem, x_m1, x0, params, StopRules(max_iters=k_last + 1),
+        errors = run(problem, x_m1, x0, params, StopRules(max_iters=k_last),
                      sink=_TrackingErrors(traj, alpha, k_last)).errors
         maxes.append(float(np.max(errors)))
     if any(m <= 0 for m in maxes):

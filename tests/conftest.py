@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import sys
 import tracemalloc
 from pathlib import Path
@@ -32,6 +33,18 @@ def make_problem(kind, seed=0):
         Yb = rng.standard_normal((2, 4))
         return linear_network(Xb, Yb, widths=(2, 3, 3, 2))
     raise ValueError(kind)
+
+
+# the variables OpenBLAS takes its thread count from, in that order
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def blas_free_env(**extra):
+    """This process's environment without BLAS_THREAD_VARS, plus extra: the
+    environment a CLI child keeps its own BLAS thread default in."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(extra)
+    return env
 
 
 def traced_peak(fn):

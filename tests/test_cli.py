@@ -5,7 +5,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import blas_free_env
 
 from momlab import cli as momlab_cli
 from momlab import config as momlab_config
@@ -310,6 +312,86 @@ class TestLazyImports:
         assert calls == ["tracking_ladder", "analyze_critical_point", "escape_experiment"]
         with pytest.raises(AttributeError, match="no_such_name"):
             momlab_cli.no_such_name
+
+
+# imports the CLI, numpy first when asked; prints the process's thread count
+# and the environment variables the import set or changed
+BLAS_DEFAULT = """
+import json, os, sys
+if sys.argv[1:] == ["numpy_first"]:
+    import numpy
+before = dict(os.environ)
+import momlab.cli
+print(len(os.listdir("/proc/self/task")),
+      json.dumps({k: v for k, v in os.environ.items() if before.get(k) != v}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+class TestBlasThreads:
+    """The CLI runs numpy's BLAS on one thread unless a thread variable is set
+    or numpy was loaded before it."""
+
+    def child(self, *argv, **env):
+        res = subprocess.run([sys.executable, "-c", BLAS_DEFAULT, *argv],
+                             env=blas_free_env(**env), capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        threads, changed = res.stdout.split(" ", 1)
+        return int(threads), json.loads(changed)
+
+    def test_cli_import_sets_one_thread(self):
+        threads, changed = self.child()
+        assert changed == {"OPENBLAS_NUM_THREADS": "1"}
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("on one CPU OpenBLAS starts no worker thread anyway")
+        assert threads == 1
+
+    @pytest.mark.parametrize("argv, env", [
+        ((), {"OPENBLAS_NUM_THREADS": "2"}),
+        ((), {"OMP_NUM_THREADS": "2"}),
+        (("numpy_first",), {}),
+    ], ids=["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "numpy_first"])
+    def test_set_variable_or_loaded_numpy_wins(self, argv, env):
+        _, changed = self.child(*argv, **env)
+        assert changed == {}
+
+
+class TestPlatformFingerprint:
+    """Every report's meta.platform names the numeric platform its bytes depend on."""
+
+    @pytest.mark.parametrize("command, config, report", [
+        ("run", "quadratic.yaml", "report.json"),
+        ("track", "quadratic_track.yaml", "tracking_report.json"),
+        ("saddle", "indefinite_saddle.yaml", "saddle_report.json"),
+    ], ids=["run", "track", "saddle"])
+    def test_each_report_carries_the_fingerprint(self, tmp_path, command, config, report):
+        from numpy._core import _multiarray_umath as umath
+
+        out = tmp_path / "out"
+        assert main([command, "--config", str(CONFIG_DIR / config), "--out", str(out),
+                     "--quiet"]) == 0
+        platform = json.loads((out / report).read_text())["meta"]["platform"]
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        assert platform["numpy"] == np.__version__
+        assert platform["blas"]["name"] == blas["name"]
+        assert platform["blas"]["version"] == blas["version"]
+        assert isinstance(platform["blas"]["core"], str) and platform["blas"]["core"]
+        assert platform["blas"]["threads"] == "unknown" or platform["blas"]["threads"] >= 1
+        assert set(umath.__cpu_baseline__) <= set(platform["simd"]) <= set(umath.__cpu_features__)
+        assert platform["env"] == {v: os.environ.get(v) for v in (
+            "OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+
+    def test_cli_child_reports_one_blas_thread(self, tmp_path):
+        out = tmp_path / "out"
+        res = subprocess.run([sys.executable, "-m", "momlab.cli", "run", "--config",
+                              str(CONFIG_DIR / "quadratic.yaml"), "--out", str(out), "--quiet"],
+                             env=blas_free_env(), capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        platform = json.loads((out / "report.json").read_text())["meta"]["platform"]
+        assert platform["env"]["OPENBLAS_NUM_THREADS"] == "1"
+        if platform["blas"]["threads"] == "unknown":
+            pytest.skip("numpy's BLAS exports no thread count")
+        assert platform["blas"]["threads"] == 1
 
 
 class TestFlags:

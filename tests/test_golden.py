@@ -8,9 +8,12 @@ different numerical stack can move them without a defect in momlab.
 
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from conftest import blas_free_env
 
 from momlab import cli, optimizer
 from momlab.cli import main
@@ -87,13 +90,14 @@ def test_run_outputs_match_golden_digests(name, tmp_path):
         assert report["stop_reason"] == "max_iters"
 
 
+GAMMA_FREE_TRACK_DIGEST = "4cb498d33c130855687739f662744c8495f6efee9714b1325d56ff62b13517e7"
+
+
 def test_gamma_free_tracking_matches_golden_digest(tmp_path):
     out = tmp_path / "out"
     config = CONFIG_DIR / "quadratic_track.yaml"
     assert main(["track", "--config", str(config), "--out", str(out), "--quiet"]) == 0
-    assert sha256(out / "tracking.csv") == (
-        "4cb498d33c130855687739f662744c8495f6efee9714b1325d56ff62b13517e7"
-    )
+    assert sha256(out / "tracking.csv") == GAMMA_FREE_TRACK_DIGEST
 
 
 # a non-quadratic flow: heavy ball on a 4x4 rank-2 factorization, whose
@@ -117,7 +121,7 @@ def test_factorization_tracking_matches_golden_digest(tmp_path):
     )
 
 
-@pytest.mark.parametrize("command, config, output, digest", [
+SHIPPED_OUTPUTS = [
     ("sweep", "quadratic_sweep.yaml", "sweep.csv",
      "eb05ab6e1dc6c0e36a8b172a1d13fe8b0d4b21a984c7627b4c5861f847e8e59f"),
     ("saddle", "indefinite_saddle.yaml", "escape.json",
@@ -127,7 +131,10 @@ def test_factorization_tracking_matches_golden_digest(tmp_path):
     # acceptance criterion 10's factorization saddle
     ("saddle", "factorization_saddle.yaml", "escape.json",
      "3f49b965911fae4a274fdf40a22a10d43dd5125951aa0bd8dfb3e8a0c43fb6a1"),
-])
+]
+
+
+@pytest.mark.parametrize("command, config, output, digest", SHIPPED_OUTPUTS)
 def test_shipped_outputs_match_golden_digests(command, config, output, digest, tmp_path):
     out = tmp_path / "out"
     assert main([command, "--config", str(CONFIG_DIR / config), "--out", str(out), "--quiet"]) == 0
@@ -135,6 +142,28 @@ def test_shipped_outputs_match_golden_digests(command, config, output, digest, t
     if command == "saddle":
         report = json.loads((out / "saddle_report.json").read_text())
         assert report["escape_fraction"] == 1.0 and report["n_at_saddle"] == 0
+
+
+# every shipped config pinned above: (command, config, {output: digest})
+SHIPPED_GOLDENS = [
+    *[("run", f"{name}.yaml", dict(zip(("trace.csv", "certificate.json"), digests)))
+      for name, digests in sorted(GOLDEN_RUNS.items()) if name != "generic"],
+    ("track", "quadratic_track.yaml", {"tracking.csv": GAMMA_FREE_TRACK_DIGEST}),
+    *[(command, config, {output: digest}) for command, config, output, digest in SHIPPED_OUTPUTS],
+]
+
+
+@pytest.mark.parametrize("command, config, digests", SHIPPED_GOLDENS,
+                         ids=[f"{c}-{Path(f).stem}" for c, f, _ in SHIPPED_GOLDENS])
+def test_cli_child_matches_golden_digests(command, config, digests, tmp_path):
+    # main() above runs where numpy is loaded already, so the CLI's one-thread
+    # BLAS default never acts there; a child with no thread variable set has it
+    out = tmp_path / "out"
+    res = subprocess.run([sys.executable, "-m", "momlab.cli", command, "--config",
+                          str(CONFIG_DIR / config), "--out", str(out), "--quiet"],
+                         env=blas_free_env(), capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert {name: sha256(out / name) for name in digests} == digests
 
 
 # a generic sweep over heavy-ball (gamma 0) and gamma 0.5 cells, three random

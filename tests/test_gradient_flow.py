@@ -235,9 +235,9 @@ class TestTrackingError:
         for alpha in alphas:
             params = MomentumParams(alpha, beta, gamma,
                                     delta=2.0 * float(np.linalg.norm(g0)) * (1.0 + 1e-9))
-            steps = int(math.floor(1.0 / alpha)) + 1
+            steps = int(math.floor(1.0 / alpha))
             run(rung_p, x0 + alpha * 2.0 * g0, x0, params, StopRules(max_iters=steps),
-                sink=gradient_flow._TrackingErrors(traj, alpha, steps - 1))
+                sink=gradient_flow._TrackingErrors(traj, alpha, steps))
         assert counts["gradient"][0] == flow_counts["gradient"][0] + rung_counts["gradient"][0]
 
     @pytest.mark.parametrize("case", ["heavy_ball_8x8", "cut_short", "constant_flow"])
