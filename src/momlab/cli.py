@@ -46,7 +46,7 @@ from .certificates import (
     lyapunov_values,
 )
 from .config import ConfigError, ExperimentConfig, load_config
-from .optimizer import _ROW_BLOCK, StopRules, run, run_lockstep, safe_alpha
+from .optimizer import _ROW_BLOCK, StopRules, _RowSinks, run, run_lockstep, safe_alpha
 from .problems import estimate_lipschitz
 
 EXIT_OK = 0
@@ -407,15 +407,19 @@ def cmd_saddle(args) -> int:
         "notes": list(cfg.notes),
     }
     if analysis.classification == "strict_saddle":
+        # without a grad_tol and a box, every trial would run to max_iters and
+        # be inconclusive: a rule the config leaves unset gets a default
+        given = cfg.raw.get("stop") or {}
+        stop = StopRules(cfg.stop.max_iters,
+                         cfg.stop.grad_tol if "grad_tol" in given else 1e-9,
+                         cfg.stop.box_radius if "box_radius" in given else 100.0)
         exp = _self.escape_experiment(
             cfg.problem, point, params,
             radius=cfg.saddle["radius"], trials=cfg.saddle["trials"],
-            seed=cfg.saddle["seed"],
-            stop=StopRules(cfg.stop.max_iters, max(cfg.stop.grad_tol, 1e-9),
-                           cfg.stop.box_radius if not math.isinf(cfg.stop.box_radius) else 100.0),
-            analysis=analysis,
+            seed=cfg.saddle["seed"], stop=stop, analysis=analysis,
         )
         exp.to_json(out / "escape.json")
+        report["stop"] = dataclasses.asdict(stop)
         report["escape_fraction"] = exp.escape_fraction
         report["n_at_saddle"] = exp.n_at_saddle
         report["n_inconclusive"] = exp.n_inconclusive
@@ -460,7 +464,7 @@ def cmd_sweep(args) -> int:
             warnings.simplefilter("ignore")
             # each cell certifies while it steps, as in cmd_run
             done = run_lockstep(problem, x_m1s, x0s, params, stops,
-                                sinks=[Columns(problem, cert) for cert in certs])
+                                sink=_RowSinks(Columns(problem, cert) for cert in certs))
             for (_, b, g, s), cell, cert, cols in zip(chunk, cells, certs, done):
                 results, _, total_length = _certify(cell, cols, cert)
                 descent = cert.per_step.get("descent")

@@ -256,11 +256,12 @@ def _build_problem(section) -> tuple[Problem, list]:
         raise ConfigError(f"problem.kind: unknown kind {kind!r}")
     _mapping(section, "problem", ("kind", "seed") + PROBLEM_KEYS[kind])
     seed = _int_at_least(section.get("seed", 0), "problem.seed", 0)
-    rng = np.random.default_rng(seed)
     if kind == "quadratic":
         return synthetic(kind, dim=_int_at_least(section.get("dim", 2), "problem.dim", 1)), notes
     if kind in ("indefinite_quadratic", "quartic"):
         return synthetic(kind), notes
+    # only the seeded kinds below draw: numpy.random is not loaded for the others
+    rng = np.random.default_rng(seed)
     if kind == "matrix_factorization":
         m = _int_at_least(section.get("m", 3), "problem.m", 1)
         n = _int_at_least(section.get("n", 3), "problem.n", 1)

@@ -20,9 +20,13 @@ command passes a sink such as certificates.Columns, which reduces each
 block and drops it, so the trajectory is never held. run_lockstep() is
 the shared lockstep core for stacks of starts: it steps them together
 under the same stop rules, with one params and stop rules for all rows or
-one per row. Each row's blocks go to its own sink as run() would hand them
-(Columns for sweeps, _Endpoint for escape studies), so both loops record
-through the same take(points, grads) / finish(reason) protocol.
+one per row. It hands each block of the whole stack to one stack sink,
+take(rows, points, grads) / finish(reasons), whose block length it takes.
+Escape studies pass _Endpoints, which keeps x_K, grad f(x_K) and K per row
+and takes the block that fits one byte budget for the whole stack, so a
+study holds O(trials * dim) plus that budget. Sweeps pass _RowSinks, which
+hands each row's blocks of _ROW_BLOCK rows to its own run() sink (Columns)
+as run() would, through the same take(points, grads) / finish(reason).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -357,34 +361,83 @@ class _History:
         return None if self._gs is None else self._gs[:self.n]
 
 
-class _Endpoint:
-    """A run() sink that keeps where a run stopped: x_K, grad f(x_K), K and the reason.
+# bytes of lockstep blocks (the points and the gradients the loop holds) an
+# _Endpoints stack keeps for all its rows together: a block of 27 points per
+# row for 100 trials at dim 6, and at least one point per row at any size
+_ENDPOINT_BLOCK_BYTES = 1 << 18
 
-    It cuts the rows at the first point (x_0 or later) whose value or
+
+class _Endpoints:
+    """A run_lockstep sink that keeps where each row stopped: x_K, grad f(x_K) and K.
+
+    Its block is the number of points per row that fits _ENDPOINT_BLOCK_BYTES
+    for the whole stack, at least one. Each hand-off evaluates f, and grad f
+    when the loop holds none, in one stacked call over all handed rows not
+    cut yet. A row is cut at its first point (x_0 or later) whose value or
     gradient is not finite, with stop_reason 'diverged', as run() cuts its
-    Trace (_filled). finish returns the sink itself.
+    Trace (_filled). x and grad are (B, dim), n (points, K + 2) and cut are
+    (B,); finish returns the sink itself, with stop_reason a (B,) array.
     """
 
-    def __init__(self, problem: Problem):
-        self._problem, self.n, self._cut = problem, 0, False
-        self.x = self.grad = self.stop_reason = None
+    def __init__(self, problem: Problem, n: int):
+        self._problem = problem
+        self.x, self.grad = np.empty((n, problem.dim)), np.empty((n, problem.dim))
+        self.n, self.cut = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
+        self.block_rows = max(1, _ENDPOINT_BLOCK_BYTES // (2 * 8 * n * problem.dim))
+        self.stop_reason = None
 
-    def take(self, points, grads) -> None:
-        if self._cut:
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def take(self, rows, points, grads) -> None:
+        open_ = ~self.cut[rows]
+        if not open_.all():
+            rows, points = rows[open_], points[open_]
+            grads = None if grads is None else grads[open_]
+        k, m, dim = points.shape
+        if not k:
             return
-        _, grads, end = _filled(self._problem, points, grads, self.n == 0)
-        if end is not None:
-            points, grads, self._cut = points[:end], grads[:end], True
-        self.x, self.grad = points[-1].copy(), grads[-1].copy()
-        self.n += len(points)
+        flat = points.reshape(k * m, dim)
+        f = self._problem.value(flat).reshape(k, m)
+        if grads is None:
+            grads = np.ascontiguousarray(self._problem.gradient(flat)).reshape(k, m, dim)
+        bad = ~(np.isfinite(f) & np.isfinite(grads).all(axis=2))
+        bad[self.n[rows] == 0, 0] = False  # x_{-1} is never checked
+        cut = bad.any(axis=1)
+        last = np.where(cut, bad.argmax(axis=1), m - 1)
+        self.x[rows], self.grad[rows] = points[np.arange(k), last], grads[np.arange(k), last]
+        self.n[rows] += last + 1
+        self.cut[rows] = cut
 
-    def finish(self, reason: str) -> "_Endpoint":
-        self.stop_reason = "diverged" if self._cut else reason
+    def finish(self, reasons) -> "_Endpoints":
+        self.stop_reason = np.where(self.cut, "diverged", reasons)
         return self
 
     @property
-    def num_steps(self) -> int:
+    def num_steps(self) -> np.ndarray:
         return self.n - 2
+
+
+class _RowSinks:
+    """A run_lockstep sink that hands each row's blocks to that row's own run() sink.
+
+    Row b's blocks of _ROW_BLOCK points go to sinks[b].take(points, grads),
+    as run() hands them, and finish returns [sinks[b].finish(reason_b)].
+    """
+
+    def __init__(self, sinks: Iterable):
+        self.sinks = list(sinks)
+        self.block_rows = _ROW_BLOCK
+
+    def __len__(self) -> int:
+        return len(self.sinks)
+
+    def take(self, rows, points, grads) -> None:
+        for i, b in enumerate(rows):
+            self.sinks[b].take(points[i], None if grads is None else grads[i])
+
+    def finish(self, reasons) -> list:
+        return [sink.finish(reason) for sink, reason in zip(self.sinks, reasons)]
 
 
 def _by_row_block(n: int, rows) -> np.ndarray:
@@ -482,7 +535,7 @@ def run_lockstep(
     params: MomentumParams | Sequence[MomentumParams],
     stop: StopRules | Sequence[StopRules] | None = None,
     *,
-    sinks: Sequence,
+    sink,
 ):
     """Iterate every row of (B, dim) starts in lockstep until each one stops.
 
@@ -494,11 +547,17 @@ def run_lockstep(
     (gamma == 0) steps with grad f(x_k), as run() does. A row freezes once a
     rule fires.
 
-    sinks holds one sink per row: row b's points and the gradients the loop
-    holds (on grad_tol or heavy-ball rows) go to sinks[b].take in blocks of
-    _ROW_BLOCK rows, as run() hands them, no value is evaluated per step,
-    and [sinks[b].finish(reason_b)] is returned. A row whose f or grad f is
-    not finite is cut there by its sink (_Endpoint, Columns), as in run().
+    sink records the whole stack (len(sink) == B) and states its block
+    length, sink.block_rows points per row. The live rows' points, and the
+    gradients the loop holds (on grad_tol or heavy-ball rows), fill a
+    (rows, block_rows, dim) block; sink.take(rows, points, grads) receives
+    the original indices of the handed rows and views of their filled
+    points (grads None when the loop holds none). A full block is handed
+    before it is reused, and the rows that stop are handed their last
+    partial block and dropped from the live arrays. No value is evaluated
+    per step, and sink.finish(reasons), with each row's stop reason, is
+    returned. A row whose f or grad f is not finite is cut there by the
+    sink (_Endpoints, or Columns through _RowSinks), as in run().
     """
     prev = np.array(x_minus1, dtype=float, ndmin=2)
     cur = np.array(x_0, dtype=float, ndmin=2)
@@ -508,8 +567,8 @@ def run_lockstep(
             f"got shapes {prev.shape} and {cur.shape}"
         )
     n, dim = cur.shape
-    if len(sinks) != n:
-        raise ValueError(f"expected one sink per start ({n}), got {len(sinks)}")
+    if len(sink) != n:
+        raise ValueError(f"expected a sink of one row per start ({n}), got {len(sink)}")
     row_params = _each_row(params, MomentumParams, n)
     _warn_velocity(_row_norms(cur - prev), np.array([p.delta * p.alpha for p in row_params]))
     # one params: scalar coefficients; one per row: (B, 1) columns
@@ -530,35 +589,50 @@ def run_lockstep(
     need_g = check_tol or hb is not None
     gradient = problem.gradient
 
-    # point i of row b (x_{i-1}) goes to pts[b, i % size]; gs holds its
-    # gradient when the loop evaluates one
-    size = int(min(rules[:, 0].max() + 2, _ROW_BLOCK))
+    # the live rows' blocks: r points of each (x_{-1} first), and their
+    # gradients when the loop evaluates them; rows are the original indices
+    size = int(min(rules[:, 0].max() + 2, sink.block_rows))
     pts = np.empty((n, size, dim))
-    pts[:, 0], pts[:, 1] = prev, cur
+    pts[:, 0] = prev
     gs = None
     if need_g:
         gs = np.empty_like(pts)
         gs[:, 0] = gradient(prev)
+    r = 1
     reasons = np.full(n, "", dtype=object)
-
-    def hand(idx, filled):
-        """Give rows idx the first filled points of their block."""
-        for b in idx:
-            sinks[b].take(pts[b, :filled], None if gs is None else gs[b, :filled])
-
     rows, x0, k = np.arange(n), cur, 0
 
     def freeze(stopped, why):
-        """Stop the rows at x_k, where run() leaves them; return the live mask."""
-        idx = rows[stopped]
-        reasons[idx] = why
-        hand(idx, (k + 1) % size + 1)  # x_k is point k + 1, the last one recorded
-        return ~stopped
+        """Hand the stopped rows their blocks, which end at x_k, where run()
+        leaves them, and drop them; return the live rows' positions.
+
+        The stopped rows swap places with live rows behind them, so they end
+        up last: the hand-off and the live blocks are views, and only the
+        swapped rows' points are copied."""
+        nonlocal pts, gs
+        reasons[rows[stopped]] = why
+        n_live = stopped.size - np.count_nonzero(stopped)
+        holes = np.flatnonzero(stopped[:n_live])
+        movers = n_live + np.flatnonzero(~stopped[n_live:])
+        order = np.arange(stopped.size)
+        order[holes], order[movers] = movers, holes
+        for block in (pts, gs) if gs is not None else (pts,):
+            block[holes, :r], block[movers, :r] = block[movers, :r], block[holes, :r]
+        sink.take(rows[order[n_live:]], pts[n_live:, :r],
+                  None if gs is None else gs[n_live:, :r])
+        pts, gs = pts[:n_live], None if gs is None else gs[:n_live]
+        return order[:n_live]
 
     while True:
+        # x_k is point k + 1; a full block goes to the sink before it is reused
+        if r == size:
+            sink.take(rows, pts, gs)
+            r = 0
+        pts[:, r] = cur
         g = gradient(cur) if need_g else None
         if gs is not None:
-            gs[rows, (k + 1) % size] = g
+            gs[:, r] = g
+        r += 1
         # run()'s stop rules, lowest precedence first: a later rule wins
         hits = []
         if check_box:
@@ -573,7 +647,7 @@ def run_lockstep(
                 why[hit] = reason
             done = why != ""
             live = freeze(done, why[done])
-            if not live.any():
+            if not live.size:
                 break
             rows, prev, cur, x0, rules = rows[live], prev[live], cur[live], x0[live], rules[live]
             alpha, beta, gamma, hb = _select((alpha, beta, gamma), live)
@@ -592,20 +666,14 @@ def run_lockstep(
         x_next = (cur + beta * d) - alpha * g_step
         if not np.isfinite(x_next).all():
             live = freeze(~np.isfinite(x_next).all(axis=1), "diverged")
-            if not live.any():
+            if not live.size:
                 break
             rows, cur, x0, x_next, rules = rows[live], cur[live], x0[live], x_next[live], rules[live]
             alpha, beta, gamma, hb = _select((alpha, beta, gamma), live)
-        # x_{k+1} is point k + 2; a full block, whose last gradient was
-        # written above, goes to the sinks first
-        slot = (k + 2) % size
-        if slot == 0:
-            hand(rows, size)
-        pts[rows, slot] = x_next
         prev, cur = cur, x_next
         k += 1
 
-    return [sink.finish(reason) for sink, reason in zip(sinks, reasons)]
+    return sink.finish(reasons)
 
 
 def safe_alpha(M: float, params: MomentumParams) -> float:

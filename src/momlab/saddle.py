@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .optimizer import MomentumParams, StopRules, _Endpoint, run_lockstep, safe_alpha
+from .optimizer import MomentumParams, StopRules, _Endpoints, run_lockstep, safe_alpha
 from .problems import Problem
 
 __all__ = [
@@ -321,11 +321,15 @@ def escape_experiment(
 
     Per trial t, x_0 is uniform in B(saddle, radius) and x_{-1} uniform in
     B(x_0, delta * alpha), drawn from an RNG stream keyed by (seed, t).
-    All trials step together through run_lockstep, and each outcome equals
-    that of run() on the trial's start. A trial is 'at_saddle' when it
-    converges within 10 * radius * 1e-3 of the saddle; raw final distances
-    are recorded so outcomes can be re-thresholded. Requires the candidate
-    to be a strict saddle, beta != 0, and alpha <= min(safe_alpha,
+    All trials step together through run_lockstep into one _Endpoints sink,
+    and each outcome equals that of run() on the trial's start. The sink
+    keeps x_K, grad f(x_K) and K as (trials, dim) and (trials,) arrays, and
+    the lockstep blocks fit one byte budget for all trials
+    (optimizer._ENDPOINT_BLOCK_BYTES), so a study holds O(trials * dim)
+    plus that budget however long its trials run. A trial is 'at_saddle'
+    when it converges within 10 * radius * 1e-3 of the saddle; raw final
+    distances are recorded so outcomes can be re-thresholded. Requires the
+    candidate to be a strict saddle, beta != 0, and alpha <= min(safe_alpha,
     saddle_safe_alpha). A caller that has analyzed the saddle already passes
     that analysis (at any params), so the Hessian is not built again.
     """
@@ -356,19 +360,19 @@ def escape_experiment(
         x0s.append(_sample_ball(rng, saddle, radius))
         xm1s.append(_sample_ball(rng, x0s[-1], params.delta * params.alpha))
     ends = run_lockstep(problem, np.array(xm1s), np.array(x0s), params, stop,
-                        sinks=[_Endpoint(problem) for _ in range(trials)])
+                        sink=_Endpoints(problem, trials))
     # the axis-1 norm, as run()'s Trace.grad_norms computes it
-    grad_norms = np.linalg.norm([end.grad for end in ends], axis=1)
+    grad_norms = np.linalg.norm(ends.grad, axis=1).tolist()
     outcomes = []
-    for t, end in enumerate(ends):
-        label, dist = classify_limit(end.x, saddle, end.stop_reason, at_tol)
+    for t, (reason, iters) in enumerate(zip(ends.stop_reason, ends.num_steps.tolist())):
+        label, dist = classify_limit(ends.x[t], saddle, reason, at_tol)
         outcomes.append({
             "trial": t,
             "classification": label,
             "final_distance": dist,
-            "stop_reason": end.stop_reason,
-            "iters": end.num_steps,
-            "final_grad_norm": float(grad_norms[t]),
+            "stop_reason": reason,
+            "iters": iters,
+            "final_grad_norm": grad_norms[t],
         })
     return EscapeExperiment(
         saddle=saddle,

@@ -23,7 +23,7 @@ from momlab import (
     synthetic,
 )
 from momlab import optimizer, problems
-from momlab.optimizer import _Endpoint, _History, _row_norms
+from momlab.optimizer import _Endpoints, _History, _row_norms, _RowSinks
 from momlab.saddle import _sample_ball, classify_limit
 
 SCALES = st.sampled_from([1e-3, 0.3, 1.0, 10.0])
@@ -97,18 +97,32 @@ def _params(preset, alpha, beta, gamma, delta):
     return MomentumParams(alpha, beta, gamma, delta=delta)
 
 
-def _ends(p, xm1, x0, params, stop):
-    """run_lockstep's rows through _Endpoint sinks."""
-    return run_lockstep(p, xm1, x0, params, stop, sinks=[_Endpoint(p) for _ in x0])
+def _ends(p, xm1, x0, params, stop, block_rows=None):
+    """run_lockstep's rows through one _Endpoints sink, whose blocks hold
+    block_rows points per row when given (so they end mid-run)."""
+    sink = _Endpoints(p, len(x0))
+    if block_rows is not None:
+        sink.block_rows = block_rows
+    return run_lockstep(p, xm1, x0, params, stop, sink=sink)
+
+
+def test_endpoint_blocks_fit_one_budget_for_the_stack():
+    # points and held gradients of every row fit _ENDPOINT_BLOCK_BYTES, with
+    # at least one point per row however many rows there are
+    for dim, n, block_rows in [(6, 100, 27), (2, 1, 8192), (48, 10_000, 1)]:
+        sink = _Endpoints(synthetic("quadratic", dim=dim), n)
+        assert sink.block_rows == block_rows and len(sink) == n
+        assert 2 * 8 * n * dim * block_rows <= max(optimizer._ENDPOINT_BLOCK_BYTES, 16 * n * dim)
 
 
 def _assert_ends_equal_run(ends, traces):
     """Each row's x_K, grad f(x_K), K and stop reason are run()'s."""
-    for end, tr in zip(ends, traces, strict=True):
-        assert end.stop_reason == tr.stop_reason
-        assert end.num_steps == tr.num_steps
-        assert np.array_equal(end.x, tr.x(tr.num_steps))
-        assert np.array_equal(end.grad, tr.grads[-1], equal_nan=True)
+    assert len(ends) == len(traces)
+    for b, tr in enumerate(traces):
+        assert ends.stop_reason[b] == tr.stop_reason
+        assert ends.num_steps[b] == tr.num_steps
+        assert np.array_equal(ends.x[b], tr.x(tr.num_steps))
+        assert np.array_equal(ends.grad[b], tr.grads[-1], equal_nan=True)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -122,10 +136,11 @@ def _assert_ends_equal_run(ends, traces):
     max_iters=st.integers(0, 60),
     grad_tol=st.sampled_from([0.0, 1e-3, 0.1]),
     box_radius=st.sampled_from([0.5, 3.0, np.inf]),
+    block_rows=st.sampled_from([None, 1, 3]),
 )
 @settings(max_examples=12, deadline=None)
 def test_lockstep_rows_replay_run(kind, seed, preset, alpha, beta, gamma, delta,
-                                  max_iters, grad_tol, box_radius):
+                                  max_iters, grad_tol, box_radius, block_rows):
     p = make_problem(kind)
     params = _params(preset, alpha, beta, gamma, delta)
     stop = StopRules(max_iters, grad_tol, box_radius)
@@ -134,7 +149,7 @@ def test_lockstep_rows_replay_run(kind, seed, preset, alpha, beta, gamma, delta,
     xm1 = x0 + delta * alpha * rng.uniform(-0.5, 0.5, x0.shape)
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
-        ends = _ends(p, xm1, x0, params, stop)
+        ends = _ends(p, xm1, x0, params, stop, block_rows)
         traces = [run(p, xm1[b], x0[b], params, stop) for b in range(6)]
     _assert_ends_equal_run(ends, traces)
 
@@ -144,12 +159,14 @@ def test_lockstep_flags_divergence_like_run():
     x0 = np.array([[0.5], [3.0], [40.0]])
     params = MomentumParams(0.2, 0.5)
     with np.errstate(all="ignore"):
-        ends = _ends(p, x0, x0, params, StopRules(max_iters=200))
         ref = [run(p, x, x, params, StopRules(max_iters=200)) for x in x0]
-    reasons = [end.stop_reason for end in ends]
-    assert reasons == [tr.stop_reason for tr in ref]
-    assert "diverged" in reasons and "max_iters" in reasons
-    assert [end.num_steps for end in ends] == [tr.num_steps for tr in ref]
+        for block_rows in (None, 1, 2, 7):
+            ends = _ends(p, x0, x0, params, StopRules(max_iters=200), block_rows)
+            reasons = list(ends.stop_reason)
+            assert reasons == [tr.stop_reason for tr in ref]
+            assert "diverged" in reasons and "max_iters" in reasons
+            assert ends.num_steps.tolist() == [tr.num_steps for tr in ref]
+            _assert_ends_equal_run(ends, ref)
 
 
 def _replay(problem, saddle, params, radius, trials, seed, stop):
@@ -229,15 +246,15 @@ def _cert(params, x0):
 
 
 def _assert_sink_rows_equal_run(p, xm1, x0, params, stops):
-    """Row b of run_lockstep through _History sinks and through Columns sinks
+    """Row b of run_lockstep through _RowSinks of _History and of Columns sinks
     equals run(..., sink=) on start b, bit for bit; returns the histories."""
     n = len(x0)
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
         kept = run_lockstep(p, xm1, x0, params, stops,
-                            sinks=[_History(s.max_iters + 2) for s in stops])
+                            sink=_RowSinks(_History(s.max_iters + 2) for s in stops))
         cols = run_lockstep(p, xm1, x0, params, stops,
-                            sinks=[Columns(p, _cert(params[b], x0[b])) for b in range(n)])
+                            sink=_RowSinks(Columns(p, _cert(params[b], x0[b])) for b in range(n)))
         for b in range(n):
             tr = run(p, xm1[b], x0[b], params[b], stops[b])
             points, f, grads, reason = reference_run(p, xm1[b], x0[b], params[b], stops[b])
@@ -264,9 +281,9 @@ def _assert_sink_rows_equal_run(p, xm1, x0, params, stops):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.lists(ROW, min_size=1, max_size=7),
-       block=st.sampled_from([5, optimizer._ROW_BLOCK]))
+       block=st.sampled_from([5, optimizer._ROW_BLOCK]), end_block=st.sampled_from([None, 1, 4]))
 @settings(max_examples=12, deadline=None)
-def test_recorded_lockstep_rows_equal_run(kind, seed, rows, block):
+def test_recorded_lockstep_rows_equal_run(kind, seed, rows, block, end_block):
     # a sweep grid: per-row alpha, beta, gamma, presets and stop rules, so
     # heavy-ball rows step beside generic ones and rows stop at different
     # steps; with blocks of 5 rows, blocks end mid-run in both loops
@@ -281,7 +298,7 @@ def test_recorded_lockstep_rows_equal_run(kind, seed, rows, block):
         _assert_sink_rows_equal_run(p, xm1, x0, params, stops)
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore")
-            ends = _ends(p, xm1, x0, params, stops)
+            ends = _ends(p, xm1, x0, params, stops, end_block)
             _assert_ends_equal_run(
                 ends, [run(p, xm1[b], x0[b], params[b], stops[b]) for b in range(len(rows))])
 
@@ -300,15 +317,18 @@ def test_recorded_rows_cut_where_values_overflow():
     _assert_sink_rows_equal_run(p, xm1, x0, params, stops)
     with np.errstate(over="ignore"):
         cols = run_lockstep(p, xm1, x0, params, stops,
-                            sinks=[Columns(p, _cert(params[b], x0[b])) for b in range(4)])
-        ends = _ends(p, xm1, x0, params, stops)
+                            sink=_RowSinks(Columns(p, _cert(params[b], x0[b])) for b in range(4)))
         traces = [run(p, xm1[b], x0[b], params[b], stops[b]) for b in range(4)]
-    for rows in (cols, ends):
-        assert [r.stop_reason for r in rows] == ["diverged", "max_iters", "diverged", "max_iters"]
-        assert [r.num_steps for r in rows] == [1, 40, 1, 40]
-    # x_1 and grad f(x_1) are finite where the row is cut: only f overflows
-    assert np.isfinite(ends[0].x).all() and np.isfinite(ends[0].grad).all()
-    _assert_ends_equal_run(ends, traces)
+        # the cut at x_1 falls in the first block, or on the second one's first point
+        stacks = [_ends(p, xm1, x0, params, stops, block_rows) for block_rows in (None, 1, 2)]
+    for ends in stacks:
+        for reasons, steps in (([c.stop_reason for c in cols], [c.num_steps for c in cols]),
+                               (list(ends.stop_reason), ends.num_steps.tolist())):
+            assert reasons == ["diverged", "max_iters", "diverged", "max_iters"]
+            assert steps == [1, 40, 1, 40]
+        # x_1 and grad f(x_1) are finite where the row is cut: only f overflows
+        assert np.isfinite(ends.x[0]).all() and np.isfinite(ends.grad[0]).all()
+        _assert_ends_equal_run(ends, traces)
 
 
 def test_recorded_rows_across_buffer_growths():
@@ -346,12 +366,13 @@ def test_mixed_grid_reports_the_gradient_where_a_row_diverged():
     params = [MomentumParams.heavy_ball(0.1, 0.5), MomentumParams(1e200, 0.5, 0.5, delta=1.0)]
     stop = StopRules(max_iters=5)
     with np.errstate(over="ignore"):
-        ends = _ends(p, xm1, x0, params, stop)
         tr = run(p, xm1[1], x0[1], params[1], stop)
-    reasons = [end.stop_reason for end in ends]
-    assert reasons == ["max_iters", "diverged"] == ["max_iters", tr.stop_reason]
-    assert [end.num_steps for end in ends] == [5, 0]
-    assert np.array_equal(ends[1].grad, tr.grads[-1])
+        for block_rows in (None, 1):
+            ends = _ends(p, xm1, x0, params, stop, block_rows)
+            reasons = list(ends.stop_reason)
+            assert reasons == ["max_iters", "diverged"] == ["max_iters", tr.stop_reason]
+            assert ends.num_steps.tolist() == [5, 0]
+            assert np.array_equal(ends.grad[1], tr.grads[-1])
 
 
 def test_rows_whose_beta_differs_in_the_sign_of_zero():
@@ -372,5 +393,7 @@ def test_lockstep_params_per_row_must_match_the_starts():
         _ends(p, x0, x0, [MomentumParams(0.1)] * 2, None)
     with pytest.raises(ValueError, match="one StopRules per start"):
         _ends(p, x0, x0, MomentumParams(0.1), [StopRules()] * 4)
-    with pytest.raises(ValueError, match="one sink per start"):
-        run_lockstep(p, x0, x0, MomentumParams(0.1), sinks=[_History(10)] * 2)
+    with pytest.raises(ValueError, match=r"sink of one row per start \(3\), got 2"):
+        run_lockstep(p, x0, x0, MomentumParams(0.1), sink=_RowSinks([_History(10)] * 2))
+    with pytest.raises(ValueError, match=r"sink of one row per start \(3\), got 4"):
+        run_lockstep(p, x0, x0, MomentumParams(0.1), sink=_Endpoints(p, 4))

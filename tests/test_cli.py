@@ -222,6 +222,35 @@ class TestScipyImport:
         assert (out / output).exists()
 
 
+RANDOM_IN_PROCESS = """
+import sys
+import momlab.cli
+assert "numpy.random" not in sys.modules
+rc = momlab.cli.main(sys.argv[1:])
+print(rc, "numpy.random" in sys.modules)
+"""
+
+
+class TestNumpyRandomImport:
+    """A problem that draws no random numbers loads no numpy.random. The shipped
+    quadratic configs fix their start, and the Lipschitz constants that run and
+    sweep take are analytic."""
+
+    @pytest.mark.parametrize("command, config, output", [
+        ("run", "quadratic.yaml", "trace.csv"),
+        ("sweep", "quadratic_sweep.yaml", "sweep.csv"),
+        ("track", "quadratic_track.yaml", "tracking.csv"),
+    ], ids=["run", "sweep", "track"])
+    def test_command_leaves_numpy_random_unloaded(self, tmp_path, command, config, output):
+        out = tmp_path / "out"
+        res = subprocess.run([sys.executable, "-c", RANDOM_IN_PROCESS, command, "--config",
+                              str(CONFIG_DIR / config), "--out", str(out), "--quiet"],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["0", "False"]
+        assert (out / output).exists()
+
+
 # the public names momlab exported when it imported every submodule eagerly
 EXPORTED = """
 Desingularizer FitError RateReport check_rate fit_desingularizer measure_length
@@ -503,6 +532,30 @@ saddle: {point: origin, radius: 1.0e-3, trials: 4, seed: 5}
                      *seed_flag]) == 0
         report = json.loads((out / "saddle_report.json").read_text())
         assert report["meta"]["seeds"] == {"problem_seed": problem_seed, "saddle_seed": 5}
+
+    @pytest.mark.parametrize("stop, rules", [
+        ("{max_iters: 20000, grad_tol: 1.0e-12, box_radius: 3.0}",
+         {"max_iters": 20000, "grad_tol": 1e-12, "box_radius": 3.0}),
+        ("{max_iters: 20000}", {"max_iters": 20000, "grad_tol": 1e-9, "box_radius": 100.0}),
+    ], ids=["set", "unset"])
+    def test_study_runs_with_the_config_grad_tol(self, tmp_path, stop, rules):
+        # the factorization's trials escape and converge to a minimizer, where
+        # grad_tol stops them: a tolerance the config sets is the one used
+        cfg = write_config(tmp_path, f"""
+problem: {{kind: matrix_factorization, m: 3, n: 3, rank: 1, seed: 11}}
+params: {{alpha: auto, beta: 0.5, preset: heavy_ball}}
+stop: {stop}
+saddle: {{point: origin, radius: 1.0e-3, trials: 3, seed: 0}}
+""")
+        out = tmp_path / "out"
+        assert main(["saddle", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        report = json.loads((out / "saddle_report.json").read_text())
+        assert report["stop"] == rules
+        outcomes = json.loads((out / "escape.json").read_text())["outcomes"]
+        assert [o["stop_reason"] for o in outcomes] == ["grad_tol"] * 3
+        norms = [o["final_grad_norm"] for o in outcomes]
+        assert all(n < rules["grad_tol"] for n in norms)
+        assert any(n >= 1e-12 for n in norms) == (rules["grad_tol"] > 1e-12)
 
     def test_hessian_built_once_per_study(self, tmp_path, monkeypatch):
         from momlab import saddle

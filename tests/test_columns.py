@@ -36,7 +36,7 @@ from momlab import (
 from momlab import certificates, cli
 from momlab.analysis import check_rate, measure_length
 from momlab.cli import _certify, main, write_trace_csv
-from momlab.optimizer import _ROW_BLOCK
+from momlab.optimizer import _ROW_BLOCK, _RowSinks
 
 CHECKS = ("descent", "grad_bounds", "step_bounds", "rate", "length", "kl_fit")
 PRESETS = ["heavy_ball", "nesterov", "generic"]
@@ -194,7 +194,8 @@ def test_blocks_reach_the_sink(any_problem):
         with np.errstate(all="ignore"):
             trace = run(p, x0, x0, params, stop)
             sunk = [run(p, x0, x0, params, stop, sink=Blocks()),
-                    *run_lockstep(p, x0[None], x0[None], params, stop, sinks=[Blocks()])]
+                    *run_lockstep(p, x0[None], x0[None], params, stop,
+                                  sink=_RowSinks([Blocks()]))]
         for blocks, reason in sunk:
             assert reason == "max_iters" == trace.stop_reason
             assert [len(b) for b in blocks.points] == [B, B, 54]
@@ -343,11 +344,11 @@ def test_sweep_groups_fit_the_budget_with_held_gradients(tmp_path, monkeypatch,
     groups = []
     lockstep = cli.run_lockstep
 
-    def recorded(problem, x_minus1, x_0, params, stops, sinks):
+    def recorded(problem, x_minus1, x_0, params, stops, sink):
         keeps_gradients = any(p.gamma == 0.0 for p in params) or any(s.grad_tol > 0 for s in stops)
         assert keeps_gradients == (held == 2)
         groups.append(len(x_0))
-        return lockstep(problem, x_minus1, x_0, params, stops, sinks=sinks)
+        return lockstep(problem, x_minus1, x_0, params, stops, sink=sink)
 
     monkeypatch.setattr(cli, "run_lockstep", recorded)
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out"),

@@ -66,8 +66,41 @@ GOLDEN_RUNS = {
 }
 
 
+# cli._platform() in the CLI process the digests in this file were made in
+# (as a report's meta.platform records it)
+DIGEST_PLATFORM = {
+    "numpy": "2.4.6",
+    "blas": {"name": "scipy-openblas", "version": "0.3.31.188.0", "core": "SkylakeX",
+             "threads": 1},
+    "simd": ["X86_V2", "X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
+    "env": {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": None,
+            "NPY_DISABLE_CPU_FEATURES": None},
+}
+
+
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def platforms(out: Path) -> str:
+    """A digest failure's note: the platform the digests were made on beside
+    the one that wrote out (its report's meta.platform, or this process's)."""
+    reports = sorted(out.glob("*report.json"))
+    here = (json.loads(reports[0].read_text())["meta"]["platform"] if reports
+            else cli._platform())
+    return (f"digests made on {json.dumps(DIGEST_PLATFORM, sort_keys=True)}\n"
+            f"outputs made on {json.dumps(here, sort_keys=True)}")
+
+
+def test_digest_failure_note_names_both_platforms(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(CONFIG_DIR / "quadratic.yaml"), "--out", str(out),
+                 "--quiet"]) == 0
+    made, here = (line.split(" on ", 1)[1] for line in platforms(out).splitlines())
+    assert json.loads(made) == DIGEST_PLATFORM
+    report = json.loads((out / "report.json").read_text())
+    assert json.loads(here) == report["meta"]["platform"]
+    assert DIGEST_PLATFORM.keys() == cli._platform().keys()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
@@ -80,8 +113,8 @@ def test_run_outputs_match_golden_digests(name, tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out), "--quiet"]) == 0
     trace_digest, certificate_digest = GOLDEN_RUNS[name]
-    assert sha256(out / "trace.csv") == trace_digest
-    assert sha256(out / "certificate.json") == certificate_digest
+    assert sha256(out / "trace.csv") == trace_digest, platforms(out)
+    assert sha256(out / "certificate.json") == certificate_digest, platforms(out)
     report = json.loads((out / "report.json").read_text())
     if name == "stable_axis":
         # ||grad f(x)|| = ||x||: the run ends within 1e-10 of the saddle
@@ -97,7 +130,7 @@ def test_gamma_free_tracking_matches_golden_digest(tmp_path):
     out = tmp_path / "out"
     config = CONFIG_DIR / "quadratic_track.yaml"
     assert main(["track", "--config", str(config), "--out", str(out), "--quiet"]) == 0
-    assert sha256(out / "tracking.csv") == GAMMA_FREE_TRACK_DIGEST
+    assert sha256(out / "tracking.csv") == GAMMA_FREE_TRACK_DIGEST, platforms(out)
 
 
 # a non-quadratic flow: heavy ball on a 4x4 rank-2 factorization, whose
@@ -118,7 +151,7 @@ def test_factorization_tracking_matches_golden_digest(tmp_path):
     assert main(["track", "--config", str(config), "--out", str(out), "--quiet"]) == 0
     assert sha256(out / "tracking.csv") == (
         "99fb5f0fa89ea0c5adf257514ea73efc81d66bae17df6a40172a170d4c431d0e"
-    )
+    ), platforms(out)
 
 
 SHIPPED_OUTPUTS = [
@@ -138,7 +171,7 @@ SHIPPED_OUTPUTS = [
 def test_shipped_outputs_match_golden_digests(command, config, output, digest, tmp_path):
     out = tmp_path / "out"
     assert main([command, "--config", str(CONFIG_DIR / config), "--out", str(out), "--quiet"]) == 0
-    assert sha256(out / output) == digest
+    assert sha256(out / output) == digest, platforms(out)
     if command == "saddle":
         report = json.loads((out / "saddle_report.json").read_text())
         assert report["escape_fraction"] == 1.0 and report["n_at_saddle"] == 0
@@ -163,7 +196,7 @@ def test_cli_child_matches_golden_digests(command, config, digests, tmp_path):
                           str(CONFIG_DIR / config), "--out", str(out), "--quiet"],
                          env=blas_free_env(), capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert {name: sha256(out / name) for name in digests} == digests
+    assert {name: sha256(out / name) for name in digests} == digests, platforms(out)
 
 
 # a generic sweep over heavy-ball (gamma 0) and gamma 0.5 cells, three random
@@ -191,7 +224,7 @@ def _mixed_sweep(tmp_path) -> str:
 
 
 def test_mixed_sweep_matches_golden_digest(tmp_path):
-    assert _mixed_sweep(tmp_path) == MIXED_SWEEP_DIGEST
+    assert _mixed_sweep(tmp_path) == MIXED_SWEEP_DIGEST, platforms(tmp_path / "out")
 
 
 @pytest.mark.parametrize("group_bytes, row_block, groups", [
@@ -209,5 +242,5 @@ def test_sweep_groups_write_the_same_bytes(group_bytes, row_block, groups, tmp_p
     lockstep = cli.run_lockstep
     monkeypatch.setattr(cli, "run_lockstep",
                         lambda *args, **kw: calls.append(len(args[1])) or lockstep(*args, **kw))
-    assert _mixed_sweep(tmp_path) == MIXED_SWEEP_DIGEST
+    assert _mixed_sweep(tmp_path) == MIXED_SWEEP_DIGEST, platforms(tmp_path / "out")
     assert len(calls) == groups and sum(calls) == 18

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import make_problem
+from conftest import make_problem, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +19,7 @@ from momlab import (
     saddle_safe_alpha,
     synthetic,
 )
+from momlab.optimizer import _ROW_BLOCK
 from momlab.saddle import rank_condition_holds
 
 P_HB = MomentumParams(0.1, 0.5, 0.0)
@@ -198,6 +199,30 @@ class TestEscape:
                                 stop=StopRules(max_iters=20_000, grad_tol=1e-9, box_radius=10.0))
         assert exp.escape_fraction == 1.0
         assert exp.n_at_saddle == 0
+
+    def test_study_memory_does_not_grow_with_row_blocks(self):
+        # a study keeps x_K, grad f(x_K) and K per trial, and its lockstep
+        # blocks fit one byte budget for all trials: 1,000 more trials must add
+        # far less than a block of _ROW_BLOCK points and gradients per trial
+        # (2 x 1,000 x 256 x 2 x 8 B = 8.2 MB)
+        p = synthetic("indefinite_quadratic")
+        params = MomentumParams(0.27, 0.5)
+        stop = StopRules(max_iters=20_000, grad_tol=1e-9, box_radius=10.0)
+        peaks = [traced_peak(lambda: escape_experiment(p, np.zeros(2), params, radius=1e-3,
+                                                       trials=trials, stop=stop))[1]
+                 for trials in (1000, 2000)]
+        assert peaks[1] - peaks[0] < 1000 * _ROW_BLOCK * p.dim * 8 / 4
+
+    def test_study_evaluates_f_once_per_point_in_stacked_calls(self, counted):
+        p, counts = counted(synthetic("indefinite_quadratic"))
+        params = MomentumParams(0.27, 0.5)
+        analysis = analyze_critical_point(p, np.zeros(2), params)
+        counts["value"][:] = counts["gradient"][:] = [0, 0]
+        exp = escape_experiment(p, np.zeros(2), params, radius=1e-3, trials=50, seed=1,
+                                stop=StopRules(max_iters=5_000, grad_tol=1e-9, box_radius=10.0),
+                                analysis=analysis)
+        assert counts["value"] == [0, sum(o["iters"] + 2 for o in exp.outcomes)]
+        assert counts["gradient"][0] == 0
 
     def test_stable_axis_converges_to_saddle(self):
         p = synthetic("indefinite_quadratic")
