@@ -11,20 +11,25 @@ Exit codes: 0 all requested checks pass, 2 at least one check failed,
 1 configuration or runtime error. The default output directory comes from
 $MOMLAB_OUT (falling back to ./momlab_out). Every output embeds the config
 hash and the seeds used; CSV files are deterministic given config + seed.
+A command creates its output directory only once its inputs are accepted.
+
+Importing this module loads only argparse and the package version: numpy
+and every momlab module load when a command first reaches one of their
+names, so `--version` and `--help` start without numpy, and `track` and
+`saddle` never load the certificate checks.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
-import json
+import importlib
 import math
 import os
 import sys
 import time
 import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 # momlab's matmuls sit far below OpenBLAS's threading threshold, so its idle
 # worker only spins; any of these variables, or numpy loaded first, overrides
@@ -32,37 +37,42 @@ if "numpy" not in sys.modules and not any(
         v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import numpy as np
-
 from . import __version__
-from .analysis import FitError, check_rate, fit_desingularizer, measure_length
-from .certificates import (
-    Columns,
-    build_certificate,
-    check_descent,
-    check_gradient_bound,
-    check_length_formula,
-    check_step_bound,
-    lyapunov_values,
-)
-from .config import ConfigError, ExperimentConfig, load_config
-from .optimizer import _ROW_BLOCK, StopRules, _RowSinks, run, run_lockstep, safe_alpha
-from .problems import estimate_lipschitz
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
 
-# names that only track and saddle call: they resolve on first use through
-# the package's lazy exports, which import their module. The commands call
-# them through this module (_self), so a name rebound here is the one called
-_LAZY = ("tracking_ladder", "analyze_critical_point", "escape_experiment", "saddle_safe_alpha")
+# name -> the module it comes from, imported when a command first reaches the
+# name: a momlab module lends the name itself, any other module is bound whole.
+# The commands call every such name through this module (_self), so a name
+# rebound here, as a tracer does, is the one called
+_LAZY = {
+    "np": "numpy", "csv": "csv", "dataclasses": "dataclasses", "json": "json",
+    **dict.fromkeys(("FitError", "check_rate", "fit_desingularizer", "measure_length"),
+                    ".analysis"),
+    **dict.fromkeys(("Columns", "build_certificate", "check_descent", "check_gradient_bound",
+                     "check_length_formula", "check_step_bound", "lyapunov_values"),
+                    ".certificates"),
+    **dict.fromkeys(("ConfigError", "_positive", "load_config"), ".config"),
+    "tracking_ladder": ".gradient_flow",
+    **dict.fromkeys(("_ROW_BLOCK", "StopRules", "_RowSinks", "run", "run_lockstep",
+                     "safe_alpha"), ".optimizer"),
+    "estimate_lipschitz": ".problems",
+    **dict.fromkeys(("analyze_critical_point", "escape_experiment", "saddle_safe_alpha"),
+                    ".saddle"),
+}
 
 
 def __getattr__(name):
-    if name not in _LAZY:
+    source = _LAZY.get(name)
+    if source is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(sys.modules[__package__], name)
+    module = importlib.import_module(source, __package__)
+    value = getattr(module, name) if source.startswith(".") else module
     globals()[name] = value
     return value
 
@@ -77,7 +87,7 @@ def _fmt(v) -> str:
 def _write_csv(path, header, rows, meta: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(f"# {meta}\n")
-        w = csv.writer(fh, lineterminator="\n")
+        w = _self.csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
 
@@ -116,9 +126,9 @@ def _platform() -> dict:
         value = fn()
         return value.decode() if isinstance(value, bytes) else value
 
-    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    blas = getattr(_self.np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
     return {
-        "numpy": np.__version__,
+        "numpy": _self.np.__version__,
         "blas": {
             "name": blas.get("name", "unknown"),
             "version": blas.get("version", "unknown"),
@@ -154,22 +164,22 @@ def _prepare(cfg: ExperimentConfig, alpha: float | None, seed_offset: int = 0,
     """
     x0, seeds = cfg.resolve_x0(seed_offset)
     if cfg.x_minus1_spec is not None:
-        x_m1 = np.asarray(cfg.x_minus1_spec, dtype=float)
+        x_m1 = _self.np.asarray(cfg.x_minus1_spec, dtype=float)
     else:
         x_m1 = x0.copy()
 
     if cfg.lipschitz_center == "x0":
         center = x0
     elif cfg.lipschitz_center == "origin":
-        center = np.zeros(cfg.problem.dim)
+        center = _self.np.zeros(cfg.problem.dim)
     else:
-        center = np.asarray(cfg.lipschitz_center, dtype=float)
+        center = _self.np.asarray(cfg.lipschitz_center, dtype=float)
     radius = cfg.lipschitz_radius or cfg.problem.suggested_box
     reach = max(abs(cfg.beta), abs(cfg.gamma))
     lipschitz = {} if lipschitz is None else lipschitz
     key = (center.tobytes(), radius, cfg.lipschitz_mode, reach, cfg.lipschitz_seed)
     if key not in lipschitz:
-        lipschitz[key] = estimate_lipschitz(
+        lipschitz[key] = _self.estimate_lipschitz(
             cfg.problem, center, radius,
             mode=cfg.lipschitz_mode, reach=reach, seed=cfg.lipschitz_seed,
         )
@@ -179,14 +189,14 @@ def _prepare(cfg: ExperimentConfig, alpha: float | None, seed_offset: int = 0,
     if alpha is None:
         alpha = cfg.alpha_spec
     if alpha == "auto":
-        alpha = 0.9 * safe_alpha(M, cfg.momentum_params(1e-6))
+        alpha = 0.9 * _self.safe_alpha(M, cfg.momentum_params(1e-6))
     params = cfg.momentum_params(alpha)
     stop = cfg.stop
     if math.isinf(stop.box_radius):
         # keep iterates inside the certified ball by default
-        slack = radius - float(np.linalg.norm(x0 - center))
-        stop = StopRules(stop.max_iters, stop.grad_tol, max(slack, 1e-6))
-    cert = build_certificate(M, L, params, center, radius, cfg.m_crit, strict=False)
+        slack = radius - float(_self.np.linalg.norm(x0 - center))
+        stop = _self.StopRules(stop.max_iters, stop.grad_tol, max(slack, 1e-6))
+    cert = _self.build_certificate(M, L, params, center, radius, cfg.m_crit, strict=False)
     return x0, x_m1, params, stop, cert, seeds
 
 
@@ -195,7 +205,7 @@ def _certify(cfg: ExperimentConfig, trace, cert):
 
     The per-step checks are stored in cert.per_step.
     """
-    cols = Columns.of(trace, cert)
+    cols = _self.Columns.of(trace, cert)
     results = {}
     # the fit's least-squares temporaries are the largest of any check: it
     # runs before the per-step reports are held
@@ -203,20 +213,20 @@ def _certify(cfg: ExperimentConfig, trace, cert):
     if "kl_fit" in cfg.checks or "length" in cfg.checks:
         f_star = cfg.problem.info.get("f_star")
         try:
-            psi = fit_desingularizer(cols.f[1:], cols.grad_norms[1:], f_star=f_star)
-        except FitError as e:
+            psi = _self.fit_desingularizer(cols.f[1:], cols.grad_norms[1:], f_star=f_star)
+        except _self.FitError as e:
             results["kl_fit_error"] = str(e)
     if "descent" in cfg.checks:
-        cert.per_step["descent"] = check_descent(cols, cert)
+        cert.per_step["descent"] = _self.check_descent(cols, cert)
     if "grad_bounds" in cfg.checks:
-        cert.per_step["gradient_bound"] = check_gradient_bound(cols, cert)
+        cert.per_step["gradient_bound"] = _self.check_gradient_bound(cols, cert)
     if "step_bounds" in cfg.checks:
-        cert.per_step["step_bound"] = check_step_bound(cols, cert)
-    total_length, _ = measure_length(cols)
+        cert.per_step["step_bound"] = _self.check_step_bound(cols, cert)
+    total_length, _ = _self.measure_length(cols)
     if "rate" in cfg.checks:
-        results["rate"] = check_rate(cols, cert, total_length)
+        results["rate"] = _self.check_rate(cols, cert, total_length)
     if "length" in cfg.checks and psi is not None:
-        results["length"] = check_length_formula(cols, cert, psi)
+        results["length"] = _self.check_length_formula(cols, cert, psi)
     return results, psi, total_length
 
 
@@ -243,14 +253,14 @@ def write_trace_csv(path, trace, cert, meta: str) -> None:
     csv.writer rows of those strings: the text of every row at once would
     raise a long run's peak memory.
     """
-    cols = Columns.of(trace, cert)
+    cols = _self.Columns.of(trace, cert)
     rows = cols.num_steps + 1
     slack = {name: rep.slack for name, rep in cert.per_step.items()}
     columns = [
         cols.f[1:],
         cols.grad_norms[1:],
         cols.step_norms[1:],
-        lyapunov_values(cols, cert.lam),
+        _self.lyapunov_values(cols, cert.lam),
         slack.get("descent"),
         slack.get("gradient_bound"),
     ]
@@ -264,24 +274,26 @@ def write_trace_csv(path, trace, cert, meta: str) -> None:
         for start, end in zip(edges, edges[1:]):
             row = "%d" + "".join(",%.17g" if n >= end else "," for n in filled) + "\n"
             present = [c for c, n in zip(columns, filled) if n >= end]
-            for i in range(start, end, _ROW_BLOCK):
-                j = min(i + _ROW_BLOCK, end)
+            for i in range(start, end, _self._ROW_BLOCK):
+                j = min(i + _self._ROW_BLOCK, end)
                 cells = zip(range(i, j), *[c[i:j].tolist() for c in present])
                 fh.write("".join(map(row.__mod__, cells)))
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config, args.seed, command="run")
+    cfg = _self.load_config(args.config, args.seed, command="run")
+    alpha = None if args.alpha is None else _self._positive(args.alpha, "--alpha")
+    x0, x_m1, params, stop, cert, seeds = _prepare(cfg, alpha)
     out = _out_dir(args)
-    x0, x_m1, params, stop, cert, seeds = _prepare(cfg, args.alpha)
-    meta = f"config_sha256={cfg.config_hash} seeds={json.dumps(seeds, sort_keys=True)}"
+    meta = f"config_sha256={cfg.config_hash} seeds={_self.json.dumps(seeds, sort_keys=True)}"
     # a diverging run overflows in its checks and its trace.csv columns as
     # well as in its steps; its report says so
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         # the run hands its rows to the checks' columns a block at a time
         # and never holds its trajectory
-        cols = run(cfg.problem, x_m1, x0, params, stop, sink=Columns(cfg.problem, cert))
+        cols = _self.run(cfg.problem, x_m1, x0, params, stop,
+                         sink=_self.Columns(cfg.problem, cert))
         results, psi, total_length = _certify(cfg, cols, cert)
         write_trace_csv(out / "trace.csv", cols, cert, meta)
     cert.to_json(out / "certificate.json")
@@ -319,7 +331,7 @@ def cmd_run(args) -> int:
     if "kl_fit_error" in results:
         report["kl_fit"] = {"error": results["kl_fit_error"]}
     with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, indent=1)
+        _self.json.dump(report, fh, indent=1)
 
     ok = _passed_everything(cols, cert, results)
     for name, rep in cert.per_step.items():
@@ -336,15 +348,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_track(args) -> int:
-    cfg = load_config(args.config, args.seed, command="track")
+    cfg = _self.load_config(args.config, args.seed, command="track")
     if cfg.track is None:
-        raise ConfigError("track: section required for the track command")
-    out = _out_dir(args)
+        raise _self.ConfigError("track: section required for the track command")
     x0, seeds = cfg.resolve_x0()
     maxes, slope = _self.tracking_ladder(
         cfg.problem, x0, cfg.beta, cfg.track["alphas"], cfg.track["horizon"], gamma=cfg.gamma
     )
-    meta = f"config_sha256={cfg.config_hash} seeds={json.dumps(seeds, sort_keys=True)}"
+    meta = f"config_sha256={cfg.config_hash} seeds={_self.json.dumps(seeds, sort_keys=True)}"
+    out = _out_dir(args)
     _write_csv(
         out / "tracking.csv",
         ["alpha", "max_error"],
@@ -363,40 +375,40 @@ def cmd_track(args) -> int:
         "notes": list(cfg.notes),
     }
     with open(out / "tracking_report.json", "w") as fh:
-        json.dump(report, fh, indent=1)
+        _self.json.dump(report, fh, indent=1)
     _say(args, f"tracking slope {slope:.4f} over {len(maxes)} step sizes; outputs in {out}")
     return EXIT_OK
 
 
 def cmd_saddle(args) -> int:
-    cfg = load_config(args.config, args.seed, command="saddle")
+    cfg = _self.load_config(args.config, args.seed, command="saddle")
     if cfg.saddle is None:
-        raise ConfigError("saddle: section required for the saddle command")
+        raise _self.ConfigError("saddle: section required for the saddle command")
     if cfg.beta == 0.0:
-        raise ConfigError(
+        raise _self.ConfigError(
             "params.beta: the escape guarantee requires beta != 0; "
             "set a nonzero momentum coefficient"
         )
-    out = _out_dir(args)
+    alpha = cfg.alpha_spec if args.alpha is None else _self._positive(args.alpha, "--alpha")
     point = (
-        np.zeros(cfg.problem.dim)
+        _self.np.zeros(cfg.problem.dim)
         if cfg.saddle["point"] == "origin"
-        else np.asarray(cfg.saddle["point"], dtype=float)
+        else _self.np.asarray(cfg.saddle["point"], dtype=float)
     )
     # probe step size: alpha 'auto' uses both ceilings; the analysis rejects
     # a point that is not critical, naming ||grad f||
     probe = cfg.momentum_params(1e-6)
     analysis = _self.analyze_critical_point(cfg.problem, point, probe)
-    m_tilde = float(np.max(np.abs(analysis.hessian_eigs)))
-    alpha = cfg.alpha_spec if args.alpha is None else args.alpha
+    m_tilde = float(abs(analysis.hessian_eigs).max())
     if alpha == "auto":
         alpha = 0.9 * min(
-            safe_alpha(max(m_tilde, 1e-12), probe), _self.saddle_safe_alpha(m_tilde, probe)
+            _self.safe_alpha(max(m_tilde, 1e-12), probe), _self.saddle_safe_alpha(m_tilde, probe)
         )
     params = cfg.momentum_params(alpha)
     # report map spectrum at the step size actually used; the Hessian
     # spectrum does not depend on it
     analysis = analysis.for_params(params)
+    out = _out_dir(args)
 
     report = {
         "meta": _meta(cfg, {"problem_seed": cfg.raw["problem"].get("seed", 0),
@@ -410,7 +422,7 @@ def cmd_saddle(args) -> int:
         # without a grad_tol and a box, every trial would run to max_iters and
         # be inconclusive: a rule the config leaves unset gets a default
         given = cfg.raw.get("stop") or {}
-        stop = StopRules(cfg.stop.max_iters,
+        stop = _self.StopRules(cfg.stop.max_iters,
                          cfg.stop.grad_tol if "grad_tol" in given else 1e-9,
                          cfg.stop.box_radius if "box_radius" in given else 100.0)
         exp = _self.escape_experiment(
@@ -419,7 +431,7 @@ def cmd_saddle(args) -> int:
             seed=cfg.saddle["seed"], stop=stop, analysis=analysis,
         )
         exp.to_json(out / "escape.json")
-        report["stop"] = dataclasses.asdict(stop)
+        report["stop"] = _self.dataclasses.asdict(stop)
         report["escape_fraction"] = exp.escape_fraction
         report["n_at_saddle"] = exp.n_at_saddle
         report["n_inconclusive"] = exp.n_inconclusive
@@ -428,7 +440,7 @@ def cmd_saddle(args) -> int:
     else:
         _say(args, f"candidate classified {analysis.classification}; no escape study run")
     with open(out / "saddle_report.json", "w") as fh:
-        json.dump(report, fh, indent=1)
+        _self.json.dump(report, fh, indent=1)
     _say(args, f"outputs in {out}")
     return EXIT_OK
 
@@ -441,12 +453,11 @@ _SWEEP_GROUP_BYTES = 1 << 23
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config, args.seed, command="sweep")
+    cfg = _self.load_config(args.config, args.seed, command="sweep")
     if cfg.sweep is None:
-        raise ConfigError("sweep: section required for the sweep command")
-    out = _out_dir(args)
+        raise _self.ConfigError("sweep: section required for the sweep command")
     problem = cfg.problem
-    block = min(cfg.stop.max_iters + 2, _ROW_BLOCK)
+    block = min(cfg.stop.max_iters + 2, _self._ROW_BLOCK)
     # run_lockstep holds a block of gradients beside each cell's points when
     # a cell steps heavy ball (gamma 0) or the cells stop on grad_tol
     held = 2 if cfg.stop.grad_tol > 0 or any(g == 0.0 for _, _, g, _ in cfg.sweep) else 1
@@ -455,7 +466,8 @@ def cmd_sweep(args) -> int:
     rows = []
     for i in range(0, len(cfg.sweep), group):
         chunk = cfg.sweep[i:i + group]
-        cells = [dataclasses.replace(cfg, alpha_spec=a, beta=b, gamma=g) for a, b, g, _ in chunk]
+        cells = [_self.dataclasses.replace(cfg, alpha_spec=a, beta=b, gamma=g)
+                 for a, b, g, _ in chunk]
         x0s, x_m1s, params, stops, certs, _ = zip(*[
             _prepare(cell, None, s, lipschitz) for cell, (_, _, _, s) in zip(cells, chunk)
         ])
@@ -463,8 +475,8 @@ def cmd_sweep(args) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             # each cell certifies while it steps, as in cmd_run
-            done = run_lockstep(problem, x_m1s, x0s, params, stops,
-                                sink=_RowSinks(Columns(problem, cert) for cert in certs))
+            sinks = _self._RowSinks(_self.Columns(problem, cert) for cert in certs)
+            done = _self.run_lockstep(problem, x_m1s, x0s, params, stops, sink=sinks)
             for (_, b, g, s), cell, cert, cols in zip(chunk, cells, certs, done):
                 results, _, total_length = _certify(cell, cols, cert)
                 descent = cert.per_step.get("descent")
@@ -477,6 +489,7 @@ def cmd_sweep(args) -> int:
                 ])
 
     meta = f"config_sha256={cfg.config_hash} cells={len(rows)}"
+    out = _out_dir(args)
     _write_csv(
         out / "sweep.csv",
         ["alpha", "beta", "gamma", "seed", "converged", "length", "min_slack", "rate_sup"],
@@ -511,7 +524,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as e:
+    except _self.ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as e:  # runtime failures also map to exit 1

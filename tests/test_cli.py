@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from momlab import config as momlab_config
 from momlab.cli import main
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
+TRACED = Path(__file__).parent.parent / "perfbench" / "traced.py"
 
 
 def momlab(*argv, env_extra=None):
@@ -279,13 +281,19 @@ for name in sys.argv[1:]:
     assert name in dir(momlab) and namespace[name] is getattr(momlab, name), name
 """
 
-# runs the CLI in-process; prints its exit code and the momlab modules loaded
+# runs the CLI in-process; its last line gives the exit code and the numpy,
+# yaml and momlab modules loaded
 LOADED = """
 import sys
 import momlab.cli
-rc = momlab.cli.main(sys.argv[1:])
-print(rc, *sorted(m for m in sys.modules if m.startswith("momlab.")))
+try:
+    rc = momlab.cli.main(sys.argv[1:])
+except SystemExit as e:  # argparse exits after --version, --help or a usage error
+    rc = e.code
+print(rc, *sorted(m for m in sys.modules if m.startswith("momlab.") or m in ("numpy", "yaml")))
 """
+
+CERTIFICATE_STACK = {"momlab.certificates", "momlab.analysis"}
 
 
 class TestLazyImports:
@@ -295,15 +303,24 @@ class TestLazyImports:
         res = subprocess.run([sys.executable, "-c", LOADED, *argv], capture_output=True,
                              text=True)
         assert res.returncode == 0, res.stderr
-        return res.stdout.split()
+        return res.stdout.splitlines()[-1].split()
+
+    @pytest.mark.parametrize("argv, rc", [
+        (("--version",), "0"), (("run", "--help"), "0"), (("run", "--no-such-flag"), "2"),
+    ], ids=["version", "help", "usage_error"])
+    def test_startup_loads_no_numpy(self, argv, rc):
+        assert self.loaded(*argv) == [rc, "momlab.cli"]
 
     def test_run_loads_neither_saddle_nor_gradient_flow(self, tmp_path):
-        out = tmp_path / "out"
-        rc, *modules = self.loaded("run", "--config", str(CONFIG_DIR / "quadratic.yaml"),
-                                   "--out", str(out), "--quiet")
-        assert rc == "0" and (out / "trace.csv").exists()
-        assert "momlab.optimizer" in modules
-        assert "momlab.saddle" not in modules and "momlab.gradient_flow" not in modules
+        # and neither does sweep, the other command that certifies
+        for command, config, output in (("run", "quadratic.yaml", "trace.csv"),
+                                        ("sweep", "quadratic_sweep.yaml", "sweep.csv")):
+            out = tmp_path / command
+            rc, *modules = self.loaded(command, "--config", str(CONFIG_DIR / config),
+                                       "--out", str(out), "--quiet")
+            assert rc == "0" and (out / output).exists()
+            assert {"momlab.optimizer", *CERTIFICATE_STACK} <= set(modules)
+            assert "momlab.saddle" not in modules and "momlab.gradient_flow" not in modules
 
     @pytest.mark.parametrize("command, config, module, absent", [
         ("track", "quadratic_track.yaml", "momlab.gradient_flow", "momlab.saddle"),
@@ -314,6 +331,7 @@ class TestLazyImports:
         rc, *modules = self.loaded(command, "--config", str(CONFIG_DIR / config),
                                    "--out", str(tmp_path / "out"), "--quiet")
         assert rc == "0" and module in modules and absent not in modules
+        assert not CERTIFICATE_STACK & set(modules)
 
     def test_every_exported_name_imports(self):
         res = subprocess.run([sys.executable, "-c", LAZY_EXPORTS, *EXPORTED],
@@ -327,30 +345,46 @@ class TestLazyImports:
             momlab.no_such_name
 
     def test_commands_call_lazy_names_through_the_module(self, tmp_path, monkeypatch):
-        # a name rebound on momlab.cli, as a tracer does, is the one called
-        calls = []
-        for name in ("tracking_ladder", "analyze_critical_point", "escape_experiment"):
+        # a name rebound on momlab.cli, as perfbench's tracer does, is the one
+        # called: every name it wraps there, and the two that sweeps and
+        # certified runs step through
+        spec = importlib.util.spec_from_file_location("traced", TRACED)
+        traced = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(traced)
+        names = {*traced.TARGETS["momlab.cli"], "Columns", "run_lockstep"}
+        calls = set()
+        for name in names:
             fn = getattr(momlab_cli, name)
-            monkeypatch.setattr(momlab_cli, name,
-                                lambda *a, _fn=fn, _name=name, **k: calls.append(_name)
-                                or _fn(*a, **k))
-        for command, config in (("track", "quadratic_track.yaml"),
-                                ("saddle", "indefinite_saddle.yaml")):
-            assert main([command, "--config", str(CONFIG_DIR / config),
-                         "--out", str(tmp_path / command), "--quiet"]) == 0
-        assert calls == ["tracking_ladder", "analyze_critical_point", "escape_experiment"]
+            if isinstance(fn, type):
+                def init(self, *a, _fn=fn, _name=name, **k):
+                    calls.add(_name)
+                    _fn.__init__(self, *a, **k)
+                rebound = type(name, (fn,), {"__init__": init})
+            else:
+                def rebound(*a, _fn=fn, _name=name, **k):
+                    calls.add(_name)
+                    return _fn(*a, **k)
+            monkeypatch.setattr(momlab_cli, name, rebound)
+        for command, config in (("run", "quadratic.yaml"), ("track", "quadratic_track.yaml"),
+                                ("saddle", "indefinite_saddle.yaml"),
+                                ("sweep", "quadratic_sweep.yaml")):
+            assert momlab_cli.main([command, "--config", str(CONFIG_DIR / config),
+                                    "--out", str(tmp_path / command), "--quiet"]) == 0
+        assert sorted(calls) == sorted(names)
         with pytest.raises(AttributeError, match="no_such_name"):
             momlab_cli.no_such_name
 
 
-# imports the CLI, numpy first when asked; prints the process's thread count
-# and the environment variables the import set or changed
+# imports the CLI, numpy first when asked, else numpy after it, as a command
+# does on first use; prints the process's thread count and the environment
+# variables the CLI's import set or changed
 BLAS_DEFAULT = """
 import json, os, sys
 if sys.argv[1:] == ["numpy_first"]:
     import numpy
 before = dict(os.environ)
 import momlab.cli
+import numpy
 print(len(os.listdir("/proc/self/task")),
       json.dumps({k: v for k, v in os.environ.items() if before.get(k) != v}))
 """
@@ -456,6 +490,18 @@ class TestFlags:
                   "--alpha", "0.1", "--quiet"])
         assert exc.value.code == 2
         assert "--alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("command, config", [
+        ("run", "quadratic.yaml"), ("saddle", "indefinite_saddle.yaml")])
+    def test_alpha_flag_obeys_the_params_alpha_rule(self, tmp_path, capsys, command, config,
+                                                    alpha):
+        # rejected before anything is written: no output directory either
+        out = tmp_path / "out"
+        assert main([command, "--config", str(CONFIG_DIR / config), "--out", str(out),
+                     "--alpha", alpha, "--quiet"]) == 1
+        assert "--alpha" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_override_bad_config_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "params: {alpha: 0.1}\n")
@@ -601,6 +647,7 @@ saddle: {point: [1.0, 1.0], trials: 5}
         res = momlab("saddle", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert res.returncode == 1
         assert "grad" in res.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweepCommand:
