@@ -3,7 +3,8 @@
 Momentum iterates track this flow at the sampling times k * alpha with an
 O(alpha) error over any fixed horizon. This module integrates the flow with
 the adaptive embedded Dormand-Prince 5(4) pair, a numpy port of scipy's
-solve_ivp(method="RK45") that reproduces its numbers bit for bit, measures
+solve_ivp(method="RK45") that reproduces its numbers bit for bit (its
+grad_tol event included, through a port of scipy's brentq), measures
 trajectory arc length, computes discrete-vs-continuous tracking errors, and
 evaluates the explicit tracking constants obtained by diagonalizing the
 momentum companion matrix [[1+beta, -beta], [1, 0]] (x) I_n.
@@ -180,6 +181,58 @@ class _DenseFlow:
         return out
 
 
+# Brent's root finder (Brent, Algorithms for Minimization without Derivatives,
+# 1973, ch. 4), ported operation for operation from scipy.optimize.brentq in
+# scipy's optimize/Zeros/brentq.c and optimize/_zeros_py.py (BSD-3-Clause,
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers), so every
+# root, and so every event time, equals scipy's bit for bit.
+def _brentq(f, xa, xb, xtol, rtol, maxiter=100) -> float:
+    """A root of f in [xa, xb], where f(xa) and f(xb) differ in sign."""
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = call(xpre), call(xcur)
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"root finder failed to converge after {maxiter} iterations")
+
+
 def _dormand_prince(rhs, ts, ys, segments, t_bound, rtol, event=None) -> bool:
     """Step y' = rhs(y) from (ts[-1], ys[-1]) to t_bound, appending each step.
 
@@ -230,10 +283,8 @@ def _dormand_prince(rhs, ts, ys, segments, t_bound, rtol, event=None) -> bool:
         if event is not None:
             g_new = event(y)
             if g >= 0 and g_new <= 0:
-                # imported here: only the grad_tol stop rule needs a root finder
-                from scipy.optimize import brentq
-                t = np.float64(brentq(lambda s: event(_interpolate(segment, np.asarray(s))),
-                                      segment[0], t, xtol=4 * _EPS, rtol=4 * _EPS))
+                t = np.float64(_brentq(lambda s: event(_interpolate(segment, np.asarray(s))),
+                                       segment[0], t, xtol=4 * _EPS, rtol=4 * _EPS))
                 y = _interpolate(segment, t)
                 if len(ts) == first or t != ts[-1]:  # else the previous step ends there
                     ts.append(t)
@@ -292,7 +343,7 @@ def integrate_flow(
     if np.linalg.norm(problem.gradient(x0)) <= grad_tol:
         # already critical enough: constant trajectory
         return FlowTrajectory(np.array([0.0]), x0[None, :], np.zeros(1), np.zeros(1),
-                              beta, "grad_tol", problem)
+                              beta, "grad_tol" if grad_tol > 0 else "horizon", problem)
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
 

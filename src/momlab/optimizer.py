@@ -68,12 +68,14 @@ class MomentumParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not abs(self.beta) < 1:
             raise ValueError(f"beta must lie in (-1, 1), got {self.beta}")
-        if self.delta < 0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be nonnegative and finite, got {self.delta}")
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
         if self.preset == "heavy_ball" and self.gamma != 0.0:
@@ -100,12 +102,13 @@ class StopRules:
     box_radius: float = np.inf
 
     def __post_init__(self):
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
-        if self.grad_tol < 0:
-            raise ValueError("grad_tol must be >= 0")
-        if self.box_radius <= 0:
-            raise ValueError("box_radius must be positive")
+        if not self.max_iters >= 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if not 0 <= self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be nonnegative and finite, got {self.grad_tol}")
+        # inf, the default, switches the box off; nan would too, silently
+        if not self.box_radius > 0:
+            raise ValueError(f"box_radius must be positive, got {self.box_radius}")
 
 
 @dataclass

@@ -37,9 +37,10 @@ class Problem:
     gradient a (dim,) array; for a stack they return (B,) and (B, dim), and
     row b is bit-for-bit the result for the point z[b]. value and gradient
     must be finite for finite inputs (all shipped problems are polynomial).
-    hessian_vec is optional and single-point: it takes x and v of shape
-    (dim,) and, when present, is the exact directional derivative of the
-    gradient.
+    hessian_vec is optional: when present, it is the exact directional
+    derivative of the gradient at one point x of shape (dim,), along v of
+    shape (dim,) or a stack of directions (B, dim), whose row b is bit for
+    bit the result for v[b].
     """
 
     name: str
@@ -214,9 +215,9 @@ def matrix_factorization(M: np.ndarray, r: int) -> Problem:
         X, Y = _split_xy(z, m, n, r)
         U, V = _split_xy(np.asarray(v, dtype=float), m, n, r)
         R = X @ Y.T - M
-        dR = U @ Y.T + X @ V.T
+        dR = U @ Y.T + X @ _T(V)
         gX = 2.0 * (dR @ Y + R @ V)
-        gY = 2.0 * (dR.T @ X + R.T @ U)
+        gY = 2.0 * (_T(dR) @ X + R.T @ U)
         return _join(gX, gY)
 
     box = max(2.0, 1.5 * math.sqrt(np.linalg.norm(M, "fro") + 1.0))
@@ -244,16 +245,22 @@ def matrix_sensing(A: Sequence[np.ndarray], b: np.ndarray, r: int) -> Problem:
         raise ValueError("all sensing matrices must share one shape")
     if r < 1:
         raise ValueError("rank r must be >= 1")
-    A_stack = np.stack(A)  # (p, m, n)
-    A_flat = A_stack.reshape(len(A), m * n)
+    A_flat = np.stack(A).reshape(len(A), m * n)  # row i is A_i flattened row-major
     dim = (m + n) * r
     mr, mn = m * r, m * n
 
+    def measure(P):
+        """<A_i, P>_F for each i, per point: one matrix-vector product per
+        point, as a batched tensordot sums in another order and would not
+        match single points bit for bit."""
+        return (A_flat @ P.reshape(P.shape[:-2] + (mn, 1)))[..., 0]
+
+    def combine(c):
+        """sum_i c_i A_i per point, assembled once."""
+        return (c[..., None, :] @ A_flat).reshape(c.shape[:-1] + (m, n))
+
     def residuals(X, Y):
-        # one matrix-vector product per point: a batched tensordot sums in
-        # another order and would not match single points bit for bit
-        P = X @ _T(Y)
-        return (A_flat @ P.reshape(P.shape[:-2] + (m * n, 1)))[..., 0] - b
+        return measure(X @ _T(Y)) - b
 
     def value(z):
         X, Y = _split_xy(z, m, n, r)
@@ -268,21 +275,16 @@ def matrix_sensing(A: Sequence[np.ndarray], b: np.ndarray, r: int) -> Problem:
             S2 = 2.0 * (res[None, :] @ A_flat).reshape(m, n)
             return np.concatenate([(S2 @ Y).T, (S2.T @ X).T], axis=None)
         X, Y = _split_xy(z, m, n, r)
-        res = residuals(X, Y)
-        # sum_i res_i A_i, assembled once
-        S = (res[..., None, :] @ A_flat).reshape(res.shape[:-1] + (m, n))
+        S = combine(residuals(X, Y))
         return _join(2.0 * S @ Y, 2.0 * _T(S) @ X)
 
     def hessian_vec(z, v):
         X, Y = _split_xy(z, m, n, r)
         U, V = _split_xy(np.asarray(v, dtype=float), m, n, r)
-        res = residuals(X, Y)
-        dP = U @ Y.T + X @ V.T
-        dres = np.tensordot(A_stack, dP, axes=([1, 2], [0, 1]))
-        S = np.tensordot(res, A_stack, axes=(0, 0))
-        dS = np.tensordot(dres, A_stack, axes=(0, 0))
+        S = combine(residuals(X, Y))
+        dS = combine(measure(U @ Y.T + X @ _T(V)))
         gX = 2.0 * (dS @ Y + S @ V)
-        gY = 2.0 * (dS.T @ X + S.T @ U)
+        gY = 2.0 * (_T(dS) @ X + S.T @ U)
         return _join(gX, gY)
 
     return Problem(
@@ -377,9 +379,9 @@ def linear_network(Xbar: np.ndarray, Ybar: np.ndarray, widths: Sequence[int]) ->
         back, dback = E, dE
         grads = [None] * l
         for j in range(l - 1, -1, -1):
-            grads[j] = 2.0 * (dback @ acts[j].T + back @ dacts[j].T)
+            grads[j] = 2.0 * (dback @ acts[j].T + back @ _T(dacts[j]))
             if j:
-                dback = Ws[j].T @ dback + Vs[j].T @ back
+                dback = Ws[j].T @ dback + _T(Vs[j]) @ back
                 back = Ws[j].T @ back
         return _join(*grads)
 
@@ -431,7 +433,7 @@ def synthetic(name: str, dim: int = 2) -> Problem:
             dim=1,
             value=lambda x: _per_point(_col_pow(x, 0, 4)),
             gradient=lambda x: (4.0 * _col_pow(x, 0, 3))[..., None],
-            hessian_vec=lambda x, v: np.array([12.0 * x[0] ** 2 * v[0]]),
+            hessian_vec=lambda x, v: 12.0 * x[0] ** 2 * v[..., :1],
             suggested_box=1.5,
             info={"kind": "quartic", "f_star": 0.0},
         )

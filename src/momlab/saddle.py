@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .optimizer import MomentumParams, StopRules, _Endpoints, run_lockstep, safe_alpha
+from .optimizer import _ROW_BLOCK, MomentumParams, StopRules, _Endpoints, run_lockstep, safe_alpha
 from .problems import Problem
 
 __all__ = [
@@ -40,7 +40,8 @@ __all__ = [
     "dense_hessian",
 ]
 
-DENSE_HESSIAN_MAX_DIM = 400
+# one dense eigensolve of that size takes about a second on one thread
+DENSE_HESSIAN_MAX_DIM = 2000
 # analyze_critical_point accepts x when ||grad f(x)|| <= CRITICAL_GRAD_TOL, and
 # counts a Hessian eigenvalue as zero within EIG_RTOL * (1 + ||H||)
 CRITICAL_GRAD_TOL = 1e-8
@@ -84,19 +85,26 @@ def momentum_map(problem: Problem, x, y, params: MomentumParams):
     return top, x.copy()
 
 
-def dense_hessian(problem: Problem, x) -> np.ndarray:
-    """Assemble the Hessian from dim unit-vector products (dim <= 400)."""
+def _check_dense(problem: Problem) -> None:
     if not problem.has_hessian:
         raise ValueError(f"{problem.name} exposes no Hessian-vector product")
     if problem.dim > DENSE_HESSIAN_MAX_DIM:
-        raise ValueError(f"dense assembly limited to dim <= {DENSE_HESSIAN_MAX_DIM}")
+        raise ValueError(f"{problem.name} has dim {problem.dim}: the dense Hessian is "
+                         f"limited to dim <= {DENSE_HESSIAN_MAX_DIM}")
+
+
+def dense_hessian(problem: Problem, x) -> np.ndarray:
+    """The symmetrized Hessian, from one stacked product per _ROW_BLOCK unit vectors.
+
+    Row i of a product with e_i is column i of H, so the stack is H^T,
+    which the symmetrization 0.5 (H + H^T) absorbs.
+    """
+    _check_dense(problem)
     x = problem.check_point(x)
-    H = np.empty((problem.dim, problem.dim))
-    e = np.zeros(problem.dim)
-    for i in range(problem.dim):
-        e[i] = 1.0
-        H[:, i] = problem.hessian_vec(x, e)
-        e[i] = 0.0
+    n = problem.dim
+    H = np.empty((n, n))
+    for i in range(0, n, _ROW_BLOCK):
+        H[i:i + _ROW_BLOCK] = problem.hessian_vec(x, np.eye(min(_ROW_BLOCK, n - i), n, k=i))
     return 0.5 * (H + H.T)
 
 
@@ -116,11 +124,10 @@ def map_jacobian(problem: Problem, x, params: MomentumParams, y=None) -> np.ndar
 class CriticalPointAnalysis:
     point: np.ndarray
     grad_norm: float
-    hessian_eigs: np.ndarray          # sorted ascending; extremes only in iterative mode
+    hessian_eigs: np.ndarray          # all dim eigenvalues, sorted ascending
     classification: str               # local_min_candidate | strict_saddle | degenerate
     map_spectral_radius: float
     unstable_roots: list = field(default_factory=list)  # (eig index, root) with |root| > 1
-    eigs_are_extremes_only: bool = False
 
     def for_params(self, params: MomentumParams) -> "CriticalPointAnalysis":
         """The same point and Hessian spectrum, with the map's roots at params."""
@@ -136,7 +143,6 @@ class CriticalPointAnalysis:
             "unstable_roots": [
                 {"eig_index": int(i), "root": [r.real, r.imag]} for i, r in self.unstable_roots
             ],
-            "eigs_are_extremes_only": self.eigs_are_extremes_only,
         }
 
 
@@ -163,35 +169,20 @@ def analyze_critical_point(
     Rejects points with ||grad f|| > CRITICAL_GRAD_TOL; the smallest Hessian
     eigenvalue classifies the point as a strict saddle below
     -EIG_RTOL * (1 + ||H||), a local-minimum candidate above +EIG_RTOL *
-    (1 + ||H||), and degenerate in between. Uses dense eigensolve up to
-    dim 400; above that only the extreme Hessian eigenvalues are computed
-    iteratively (they determine the classification, and the root modulus is
-    monotone toward extreme eigenvalues, so the spectral radius over the
-    extremes is reported).
+    (1 + ||H||), and degenerate in between. Every Hessian eigenvalue comes
+    from one dense symmetric eigensolve (dense_hessian, then eigvalsh), so
+    the map's roots are those of the whole spectrum. Problems above
+    DENSE_HESSIAN_MAX_DIM dimensions are rejected before any evaluation.
     """
+    _check_dense(problem)
     x = problem.check_point(x)
     gn = float(np.linalg.norm(problem.gradient(x)))
     if gn > CRITICAL_GRAD_TOL:
         raise ValueError(
             f"not a critical point: ||grad f|| = {gn:.3g} > {CRITICAL_GRAD_TOL:.3g}"
         )
-    extremes_only = problem.dim > DENSE_HESSIAN_MAX_DIM
-    if extremes_only:
-        from scipy.sparse.linalg import LinearOperator, eigsh
-
-        op = LinearOperator(
-            (problem.dim, problem.dim),
-            matvec=lambda v: problem.hessian_vec(x, v),
-            dtype=float,
-        )
-        lo = eigsh(op, k=1, which="SA", tol=1e-8, return_eigenvectors=False)
-        hi = eigsh(op, k=1, which="LA", tol=1e-8, return_eigenvectors=False)
-        eigs = np.sort(np.concatenate([lo, hi]))
-        h_norm = float(np.max(np.abs(eigs)))
-    else:
-        H = dense_hessian(problem, x)
-        eigs = np.linalg.eigvalsh(H)
-        h_norm = float(np.max(np.abs(eigs))) if eigs.size else 0.0
+    eigs = np.linalg.eigvalsh(dense_hessian(problem, x))
+    h_norm = float(np.max(np.abs(eigs))) if eigs.size else 0.0
 
     tol_eig = EIG_RTOL * (1.0 + h_norm)
     if eigs[0] < -tol_eig:
@@ -209,7 +200,6 @@ def analyze_critical_point(
         classification=classification,
         map_spectral_radius=radius,
         unstable_roots=unstable,
-        eigs_are_extremes_only=extremes_only,
     )
 
 

@@ -45,6 +45,21 @@ def test_batched_rows_equal_single_points(kind, B, seed, scale):
         assert np.array_equal(grads[b], p.gradient(Z[b]))
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("B", [0, 1, 2, 7])
+@given(seed=st.integers(0, 2**32 - 1), scale=SCALES)
+@settings(max_examples=15, deadline=None)
+def test_stacked_hessian_vec_rows_equal_single_calls(kind, B, seed, scale):
+    p = make_problem(kind)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(p.dim) * scale
+    V = rng.standard_normal((B, p.dim))
+    hvps = p.hessian_vec(x, V)
+    assert hvps.shape == (B, p.dim)
+    for b in range(B):
+        assert np.array_equal(hvps[b], p.hessian_vec(x, V[b]))
+
+
 @pytest.mark.parametrize("kind", ["matrix_factorization", "matrix_sensing", "linear_network"])
 def test_stacked_join_writes_into_views_of_its_output(kind, monkeypatch):
     # every block target of a stacked _join is a view of the returned array

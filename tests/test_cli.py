@@ -1,6 +1,8 @@
+import dataclasses
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -9,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import blas_free_env
+from test_golden import SHIPPED_GOLDENS, sha256
 
 from momlab import cli as momlab_cli
 from momlab import config as momlab_config
+from momlab import synthetic, trajectory_length
 from momlab.cli import main
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -180,48 +184,102 @@ checks: [descent]
 """
 
 
-# runs the CLI in-process; prints its exit code and the scipy modules loaded
-IN_PROCESS = """
+# runs in a child where `import scipy` fails: the CLI on each [command,
+# config, out] of the JSON list in argv[1], then a flow that stops on grad_tol
+# and a 500-dim dense analysis; prints what they gave as one JSON line
+WITHOUT_SCIPY = """
+import json
 import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    raise SystemExit("the scipy blocker let scipy load")
 import momlab.cli
-assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
-rc = momlab.cli.main(sys.argv[1:])
-print(rc, any(m.split(".")[0] == "scipy" for m in sys.modules))
+import numpy as np
+from momlab import MomentumParams, analyze_critical_point, synthetic, trajectory_length
+
+exits = [momlab.cli.main([command, "--config", config, "--out", out, "--quiet"])
+         for command, config, out in json.loads(sys.argv[1])]
+flow = trajectory_length(synthetic("quartic"), [np.array([0.8])], grad_tol=1e-6)
+analysis = analyze_critical_point(synthetic("quadratic", dim=500), np.zeros(500),
+                                  MomentumParams(0.1, 0.5))
+print(json.dumps({"exits": exits, "flow": flow.per_sample,
+                  "eigs": analysis.hessian_eigs.tolist()}))
 """
 
 
+@pytest.fixture(scope="class")
+def without_scipy(tmp_path_factory):
+    """(outputs, result): every shipped config's outputs written in the child
+    above, keyed by (command, config), and the child's JSON line."""
+    root = tmp_path_factory.mktemp("without_scipy")
+    outputs = {(command, config): root / f"{command}-{Path(config).stem}"
+               for command, config, _ in SHIPPED_GOLDENS}
+    runs = [[command, str(CONFIG_DIR / config), str(out)]
+            for (command, config), out in outputs.items()]
+    res = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, json.dumps(runs)],
+                         env=blas_free_env(), capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    result = json.loads(res.stdout.splitlines()[-1])
+    assert result["exits"] == [0] * len(runs), res.stderr
+    return outputs, result
+
+
 class TestScipyImport:
-    """No command loads scipy on the shipped configs, nor does importing the CLI."""
+    """scipy is only the tests' oracle: every command runs on every shipped
+    config, the flow's grad_tol event finds its root, and a 500-dim saddle
+    analysis gets its whole spectrum, in a child where `import scipy` fails."""
 
-    def in_process(self, *argv):
-        res = subprocess.run([sys.executable, "-c", IN_PROCESS, *argv],
-                             capture_output=True, text=True)
-        assert res.returncode == 0, res.stderr
-        return res.stdout.split()
+    def assert_golden(self, without_scipy, command):
+        outputs, _ = without_scipy
+        runs = [(config, digests) for c, config, digests in SHIPPED_GOLDENS if c == command]
+        assert runs
+        for config, digests in runs:
+            out = outputs[command, config]
+            assert {name: sha256(out / name) for name in digests} == digests, config
 
-    def test_run_leaves_scipy_unloaded(self, tmp_path):
-        cfg = CONFIG_DIR / "quadratic.yaml"
-        out = tmp_path / "out"
-        assert self.in_process("run", "--config", str(cfg), "--out", str(out), "--quiet") == [
-            "0", "False"]
-        assert (out / "trace.csv").exists()
+    def test_child_covers_every_shipped_config(self):
+        assert sorted(config for _, config, _ in SHIPPED_GOLDENS) == sorted(
+            p.name for p in CONFIG_DIR.glob("*.yaml"))
 
-    def test_track_leaves_scipy_unloaded(self, tmp_path):
-        cfg = CONFIG_DIR / "quadratic_track.yaml"
-        out = tmp_path / "out"
-        assert self.in_process("track", "--config", str(cfg), "--out", str(out), "--quiet") == [
-            "0", "False"]
-        assert len((out / "tracking.csv").read_text().splitlines()) > 2
+    def test_run_leaves_scipy_unloaded(self, without_scipy):
+        self.assert_golden(without_scipy, "run")
 
-    @pytest.mark.parametrize("command, config, output", [
-        ("sweep", "quadratic_sweep.yaml", "sweep.csv"),
-        ("saddle", "indefinite_saddle.yaml", "escape.json"),
-    ], ids=["sweep", "saddle"])
-    def test_command_leaves_scipy_unloaded(self, tmp_path, command, config, output):
-        out = tmp_path / "out"
-        assert self.in_process(command, "--config", str(CONFIG_DIR / config), "--out", str(out),
-                               "--quiet") == ["0", "False"]
-        assert (out / output).exists()
+    def test_track_leaves_scipy_unloaded(self, without_scipy):
+        self.assert_golden(without_scipy, "track")
+
+    @pytest.mark.parametrize("command", ["sweep", "saddle"])
+    def test_command_leaves_scipy_unloaded(self, without_scipy, command):
+        self.assert_golden(without_scipy, command)
+
+    def test_flow_stops_on_grad_tol(self, without_scipy):
+        flow = without_scipy[1]["flow"]
+        assert not flow[0]["truncated"]
+        assert flow == trajectory_length(synthetic("quartic"), [np.array([0.8])],
+                                         grad_tol=1e-6).per_sample
+
+    def test_dense_analysis_gives_every_eigenvalue(self, without_scipy):
+        assert without_scipy[1]["eigs"] == [1.0] * 500
+
+    def test_runtime_dependencies_are_numpy_and_pyyaml(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+        with open(CONFIG_DIR.parent / "pyproject.toml", "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        names = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower()
+                 for d in project["dependencies"]}
+        assert names == {"numpy", "pyyaml"}
+        assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])
 
 
 RANDOM_IN_PROCESS = """
@@ -604,16 +662,45 @@ saddle: {{point: origin, radius: 1.0e-3, trials: 3, seed: 0}}
         assert any(n >= 1e-12 for n in norms) == (rules["grad_tol"] > 1e-12)
 
     def test_hessian_built_once_per_study(self, tmp_path, monkeypatch):
+        # one build per study, and one stacked hessian_vec call per build at
+        # each shipped saddle's dim: [dim, hessian_vec calls] per build
         from momlab import saddle
 
-        calls = []
+        builds = []
         build = saddle.dense_hessian
-        monkeypatch.setattr(saddle, "dense_hessian", lambda *a: calls.append(a) or build(*a))
-        cfg = CONFIG_DIR / "indefinite_saddle.yaml"
-        assert main(["saddle", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                     "--quiet"]) == 0
-        assert (tmp_path / "out" / "escape.json").exists()
-        assert len(calls) == 1
+
+        def counting(problem, x):
+            builds.append([problem.dim, 0])
+            hvp = problem.hessian_vec
+
+            def counted(*args):
+                builds[-1][1] += 1
+                return hvp(*args)
+
+            return build(dataclasses.replace(problem, hessian_vec=counted), x)
+
+        monkeypatch.setattr(saddle, "dense_hessian", counting)
+        for config in ("indefinite_saddle.yaml", "factorization_saddle.yaml"):
+            out = tmp_path / config
+            assert main(["saddle", "--config", str(CONFIG_DIR / config), "--out", str(out),
+                         "--quiet"]) == 0
+            assert (out / "escape.json").exists()
+        assert builds == [[2, 1], [6, 1]]
+
+    def test_dim_above_dense_limit_rejected(self, tmp_path, capsys):
+        from momlab.saddle import DENSE_HESSIAN_MAX_DIM
+
+        dim = DENSE_HESSIAN_MAX_DIM + 1
+        cfg = write_config(tmp_path, f"""
+problem: {{kind: quadratic, dim: {dim}}}
+params: {{alpha: 0.1, beta: 0.5}}
+saddle: {{point: origin, trials: 5}}
+""")
+        out = tmp_path / "out"
+        assert main(["saddle", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"dim {dim}" in err and f"dim <= {DENSE_HESSIAN_MAX_DIM}" in err
+        assert not out.exists()
 
     def test_convex_quadratic_no_escape_study(self, tmp_path):
         cfg = write_config(tmp_path, """

@@ -4,6 +4,8 @@ scipy stays as the oracle: each test integrates the same right-hand side
 with solve_ivp(rtol=1e-10, atol=1e-12, dense_output=True), chunked as
 integrate_flow chunks the grad_tol rule, and asserts exact equality of the
 step times, the states (with arc length and energy), and the dense output.
+The grad_tol event's root finder, a port of scipy's brentq, is also checked
+against brentq directly.
 """
 
 import math
@@ -13,8 +15,10 @@ from conftest import ALL_KINDS, make_problem
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import OdeSolution, solve_ivp
+from scipy.optimize import brentq
 
 from momlab import integrate_flow, trajectory_length
+from momlab.gradient_flow import _EPS, _brentq
 
 
 def scipy_flow(problem, x0, beta, horizon=None, grad_tol=0.0):
@@ -119,3 +123,20 @@ def test_grad_tol_flow_equals_solve_ivp_with_events(kind, beta, grad_tol, seed):
                                "truncated": not hit or t[-1] >= 1e6}]
     if kind == "quartic" and grad_tol == 1e-6:
         assert chunks > 5  # the slow quartic flow takes many doubling chunks
+
+
+@given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 10.0]),
+       xtol=st.sampled_from([4 * _EPS, 2e-12, 1e-6]))
+@settings(max_examples=200, deadline=None)
+def test_brentq_port_equals_scipy(seed, scale, xtol):
+    # the grad_tol event's root finder, on random cubics and their brackets
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(4)
+    a, b = np.sort(rng.standard_normal(2)) * scale
+
+    def f(x):
+        return np.polyval(coeffs, x)
+
+    assume(f(a) * f(b) < 0)
+    root = _brentq(f, a, b, xtol=xtol, rtol=4 * _EPS)
+    assert root == brentq(f, a, b, xtol=xtol, rtol=4 * _EPS)

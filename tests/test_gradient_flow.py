@@ -298,6 +298,10 @@ class TestTrackingError:
         traj = integrate_flow(p, np.zeros(2), grad_tol=1e-9)
         assert traj.terminated == "grad_tol"
         assert traj.f_values.tolist() == [0.0] and traj.grad_norms.tolist() == [0.0]
+        # with no grad_tol rule set, only the horizon can have stopped the flow
+        traj = integrate_flow(p, np.zeros(2), horizon=1.0)
+        assert traj.terminated == "horizon"
+        assert traj.f_values.tolist() == [0.0] and traj.grad_norms.tolist() == [0.0]
 
 
 class TestTrackingConstants:

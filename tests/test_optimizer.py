@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -28,6 +29,26 @@ class TestMomentumParams:
             MomentumParams(alpha=0.1, beta=0.5, gamma=0.1, preset="heavy_ball")
         with pytest.raises(ValueError):
             MomentumParams(alpha=0.1, beta=0.5, gamma=0.1, preset="nesterov")
+
+    @pytest.mark.parametrize("kw", [dict(alpha=math.inf), dict(alpha=math.nan),
+                                    dict(gamma=math.nan), dict(gamma=math.inf),
+                                    dict(delta=math.nan), dict(delta=math.inf)],
+                             ids=["alpha-inf", "alpha-nan", "gamma-nan", "gamma-inf",
+                                  "delta-nan", "delta-inf"])
+    def test_rejects_nonfinite(self, kw):
+        field = next(iter(kw))
+        with pytest.raises(ValueError, match=field):
+            MomentumParams(**{"alpha": 0.1, "beta": 0.5, **kw})
+
+    @pytest.mark.parametrize("kw", [dict(box_radius=math.nan), dict(grad_tol=math.nan),
+                                    dict(grad_tol=math.inf), dict(max_iters=math.nan)],
+                             ids=["box-nan", "grad_tol-nan", "grad_tol-inf", "max_iters-nan"])
+    def test_stop_rules_reject_nonfinite(self, kw):
+        # a NaN box or tolerance would switch its rule off: a quadratic run at
+        # alpha 2.5 grew to 1.9e9 and stopped on max_iters
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            StopRules(**kw)
+        assert StopRules(box_radius=math.inf).box_radius == math.inf  # the default
 
     def test_presets(self):
         hb = MomentumParams.heavy_ball(0.1, 0.5)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from conftest import make_problem, traced_peak
+from conftest import ALL_KINDS, make_problem, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momlab import (
     MomentumParams,
+    Problem,
     StopRules,
     analyze_critical_point,
     characteristic_roots,
@@ -20,7 +21,8 @@ from momlab import (
     synthetic,
 )
 from momlab.optimizer import _ROW_BLOCK
-from momlab.saddle import rank_condition_holds
+from momlab import saddle
+from momlab.saddle import DENSE_HESSIAN_MAX_DIM, rank_condition_holds
 
 P_HB = MomentumParams(0.1, 0.5, 0.0)
 
@@ -85,6 +87,15 @@ class TestJacobian:
                 ])
                 assert det == pytest.approx(prod, rel=1e-8, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_dense_hessian_equals_unit_vector_products(self, kind, monkeypatch):
+        # blocks of two directions, so every family's H spans several calls
+        monkeypatch.setattr(saddle, "_ROW_BLOCK", 2)
+        p = make_problem(kind)
+        x = np.random.default_rng(3).standard_normal(p.dim)
+        H = np.column_stack([p.hessian_vec(x, e) for e in np.eye(p.dim)])
+        assert np.array_equal(dense_hessian(p, x), 0.5 * (H + H.T))
+
     def test_dense_hessian_matches_known(self):
         p = synthetic("indefinite_quadratic")
         H = dense_hessian(p, np.array([0.3, -0.7]))
@@ -138,12 +149,14 @@ class TestAnalyze:
         assert moved.to_dict() == fresh.to_dict()
         assert probe.to_dict() != fresh.to_dict()
 
-    def test_large_dim_uses_extreme_eigenvalues(self):
-        p = synthetic("quadratic", dim=500)  # above the dense-assembly cutoff
-        res = analyze_critical_point(p, np.zeros(500), P_HB)
-        assert res.eigs_are_extremes_only
-        assert res.classification == "local_min_candidate"
-        assert res.hessian_eigs == pytest.approx([1.0, 1.0], abs=1e-6)
+    def test_rejects_dim_above_dense_limit_before_evaluating(self):
+        def unreachable(*args):
+            raise AssertionError("evaluated above the dense limit")
+
+        dim = DENSE_HESSIAN_MAX_DIM + 1
+        p = Problem("wide", dim, unreachable, unreachable, hessian_vec=unreachable)
+        with pytest.raises(ValueError, match=f"dim {dim}: .* dim <= {DENSE_HESSIAN_MAX_DIM}"):
+            analyze_critical_point(p, np.zeros(dim), P_HB)
 
 
 class TestSaddleSafeAlpha:
