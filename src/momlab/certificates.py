@@ -8,8 +8,10 @@ a block of rows at a time: as run()'s sink while a trajectory is stepped,
 so that it is never held (every CLI command certifies this way), or from a
 stored Trace's own arrays, reduced afresh on each call. Columns is
 the one implementation of every per-row quantity the checks and trace.csv
-read. All constant formulas are pure functions of (M, L, alpha, beta,
-gamma, delta, m); the golden values are pinned in the test suite.
+read; it fills and cuts its blocks by optimizer._filled, as run()'s Trace
+and escape studies' endpoints are. All constant formulas are pure
+functions of (M, L, alpha, beta, gamma, delta, m); the golden values are
+pinned in the test suite.
 """
 
 from __future__ import annotations
@@ -340,10 +342,10 @@ class Columns:
     The columns, for points x_{-1}..x_K:
 
     - f and grad_norms (||grad f(x_k)||, as np.linalg.norm rounds it), one
-      per point; f, and grads when a block carries none, are evaluated in
-      batch, and the rows end at the first point (x_0 or later) whose value
-      or gradient is not finite, with stop_reason 'diverged', by the rule
-      run() cuts its Trace with (optimizer._filled);
+      per point; f, and grads when a block carries none, are filled by
+      optimizer._filled, and the rows end at the first point (x_0 or later)
+      whose value or gradient is not finite, with stop_reason 'diverged':
+      the one rule every recorder, run()'s Trace included, cuts by;
     - grad_row_norms, the same norms as per-row dot products
       (problems._row_norms), which the gradient bound reads;
     - step_norms, ||x_k - x_{k-1}|| for k = 0..K;
@@ -399,8 +401,9 @@ class Columns:
             return
         first = self._last is None
         if f is None:
-            f, grads, end = _filled(self._problem, points, grads, first)
-            if end is not None:
+            f, grads, bad = _filled(self._problem, points, grads, first)
+            if bad.any():
+                end = int(bad.argmax()) + 1
                 points, grads, f = points[:end], grads[:end], f[:end]
                 self._cut = True
         if self._exit is None:

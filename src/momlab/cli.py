@@ -225,8 +225,9 @@ def _certify(cfg: ExperimentConfig, trace, cert):
     total_length, _ = _self.measure_length(cols)
     if "rate" in cfg.checks:
         results["rate"] = _self.check_rate(cols, cert, total_length)
-    if "length" in cfg.checks and psi is not None:
-        results["length"] = _self.check_length_formula(cols, cert, psi)
+    if "length" in cfg.checks:
+        # a requested check whose fit failed is reported, and fails, as None
+        results["length"] = None if psi is None else _self.check_length_formula(cols, cert, psi)
     return results, psi, total_length
 
 
@@ -235,7 +236,7 @@ def _passed_everything(cols, cert, results) -> bool:
     if "rate" in results:
         ok = ok and results["rate"].passed
     if "length" in results:
-        ok = ok and results["length"].passed
+        ok = ok and results["length"] is not None and results["length"].passed
     if cert.per_step or results:
         # a run that diverged or abandoned the certified ball cannot certify,
         # even though the out-of-ball steps themselves are only 'uncertified'
@@ -313,7 +314,7 @@ def cmd_run(args) -> int:
         report["rate"] = results["rate"].summary()
     if "length" in results:
         rep = results["length"]
-        report["length"] = {
+        report["length"] = {"error": results["kl_fit_error"]} if rep is None else {
             "total_length": rep.total_length,
             "bound": rep.bound,
             "ratio": rep.ratio,
@@ -341,8 +342,9 @@ def cmd_run(args) -> int:
         _say(args, f"rate: sup (k+1)*min||grad|| = {results['rate'].sup_product:.6g}"
                    f" <= c_alpha = {results['rate'].c_alpha:.6g}: {results['rate'].passed}")
     if "length" in results:
-        _say(args, f"length: {results['length'].total_length:.6g}"
-                   f" <= {results['length'].bound:.6g}: {results['length'].passed}")
+        rep = results["length"]
+        _say(args, f"length: {results['kl_fit_error']}" if rep is None else
+                   f"length: {rep.total_length:.6g} <= {rep.bound:.6g}: {rep.passed}")
     _say(args, f"outputs in {out}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

@@ -32,8 +32,10 @@ Schema (defaults in parentheses):
     stop:
       max_iters: 2000; grad_tol: 0.0; box_radius: lipschitz.radius
     checks: [descent, grad_bounds, step_bounds, rate, length, kl_fit]
+                             # default all but length and kl_fit; a sweep
+                             # takes only descent and rate (its default)
     m_crit: int              # critical-value count bound (problem default)
-    track: {horizon: 1.0, alphas: [..]}
+    track: {horizon: 1.0, alphas: [..]}   # horizon >= every alpha
     saddle: {point: origin | [..], radius: 1e-3, trials: 100, seed: 0}
     sweep: {alphas: [..], betas: [..], gammas: [..], seeds: [..]}
 
@@ -42,10 +44,12 @@ that the chosen kind does not use and, by load_config, keys the command
 it loads for does not read (COMMAND_KEYS): track reads only
 problem, params.beta/gamma/preset, init.x0 and track; saddle only problem,
 params, stop and saddle; run everything but track, saddle and sweep; sweep
-everything but track and saddle. Numbers (scalars and vector entries)
-must be finite and not booleans, vectors must have problem-dim entries,
-seeds are integers >= 0 and sizes integers >= 1, and neither track.alphas
-nor a sweep list may repeat a value.
+everything but m_crit, track and saddle, and of the checks only the two
+sweep.csv reports. Numbers (scalars and vector entries) must be finite and
+not booleans, vectors must have problem-dim entries, seeds are integers
+>= 0 and sizes integers >= 1, and neither track.alphas nor a sweep list may
+repeat a value. track.horizon is at least every track.alphas entry, or
+that rung would take no step.
 A sweep cell is the config with its (alpha, beta, gamma) replaced; under a
 heavy_ball or nesterov preset each cell's gamma follows the preset (0, or
 the cell's beta), so sweep.gammas may be left out, and a value that
@@ -94,10 +98,13 @@ PROBLEM_KEYS = {
 # it reads only some keys of that section; load_config rejects the others
 COMMAND_KEYS = {
     "run": ("problem", "params", "init", "lipschitz", "stop", "checks", "m_crit"),
-    "sweep": ("problem", "params", "init", "lipschitz", "stop", "checks", "m_crit", "sweep"),
+    "sweep": ("problem", "params", "init", "lipschitz", "stop", "checks", "sweep"),
     "track": ("problem", "params.beta", "params.gamma", "params.preset", "init.x0", "track"),
     "saddle": ("problem", "params", "stop", "saddle"),
 }
+# the checks sweep.csv reports (descent's min slack and rate's sup), and a
+# sweep's default; its length column is the path length, which every cell has
+SWEEP_CHECKS = ("descent", "rate")
 
 
 class ConfigError(ValueError):
@@ -317,7 +324,8 @@ def load_config(path, seed: Optional[int] = None, *, command: str) -> Experiment
     """Read and validate a YAML config for command; seed, when given, replaces problem.seed.
 
     command is one of COMMAND_KEYS; once the config itself is valid, every
-    key that command does not read is rejected.
+    key that command does not read is rejected, and for a sweep every check
+    sweep.csv does not report (SWEEP_CHECKS, also its default).
     """
     if command not in COMMAND_KEYS:
         raise ValueError(f"unknown command {command!r}; known: {', '.join(COMMAND_KEYS)}")
@@ -334,6 +342,11 @@ def load_config(path, seed: Optional[int] = None, *, command: str) -> Experiment
         raw["problem"] = dict(_need(raw, "problem", "<top>"), seed=seed)
     cfg = parse_config(raw)
     _check_command_keys(raw, command)
+    if command == "sweep":
+        cfg.checks = tuple(raw.get("checks", SWEEP_CHECKS))
+        for c in cfg.checks:
+            if c not in SWEEP_CHECKS:
+                raise ConfigError(f"checks: {c} is not reported by the sweep command")
     return cfg
 
 
@@ -462,6 +475,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         alphas = [_positive(a, "track.alphas") for a in alphas]
         if len(set(alphas)) < len(alphas):
             raise ConfigError("track.alphas: a repeated step size adds no point to the slope fit")
+        if horizon < max(alphas):
+            raise ConfigError(f"track.horizon: {horizon} is below the largest of track.alphas "
+                              f"({max(alphas)}), so that rung would take no step")
         track = {"horizon": horizon, "alphas": alphas}
 
     saddle = raw.get("saddle")

@@ -459,11 +459,16 @@ def tracking_ladder(problem: Problem, x0, beta: float, alphas, horizon: float,
     x_0 + alpha / (1 - beta) * grad f(x_0), so its error shows the O(alpha)
     tracking regime, not a from-rest transient. Its sink measures the error
     against the flow as it steps (_TrackingErrors): no objective value is
-    evaluated and no iterate kept. Returns (max_errors, slope).
+    evaluated and no iterate kept. Returns (max_errors, slope). A horizon
+    below the largest alpha is rejected: that rung would take no step and
+    report exact tracking.
     """
     alphas = [float(a) for a in alphas]
     if len(alphas) < 2:
         raise ValueError("need at least two step sizes to fit a slope")
+    if horizon < max(alphas):
+        raise ValueError(f"horizon {horizon} is below the largest step size {max(alphas)}: "
+                         "that rung would take no step")
     x0 = problem.check_point(x0)
     scale = 1.0 / (1.0 - beta)
     g0 = problem.gradient(x0)

@@ -13,11 +13,13 @@ objective values and gradients: enough to replay the recursion bit-for-bit
 the certificate checks without re-evaluating the objective. run() is the
 one loop for a single trajectory: it makes one single-point gradient call
 per step for every preset and hands its recorded rows to a sink a block of
-_ROW_BLOCK rows at a time. By default the blocks are kept and run returns
-the Trace, whose f and grads columns are evaluated in batch once it stops;
-a Trace lives in memory only, for library callers and tests. Every
-command passes a sink such as certificates.Columns, which reduces each
-block and drops it, so the trajectory is never held. run_lockstep() is
+_ROW_BLOCK rows at a time. Every recorder fills a block's f, and its
+grads when the loop held none, and cuts the run at its first point whose
+value or gradient is not finite by one rule, _filled. By default the sink
+is _History, which keeps the filled blocks and returns the Trace; a Trace
+lives in memory only, for library callers and tests. Every command passes
+a sink such as certificates.Columns, which reduces each block and drops
+it, so the trajectory is never held. run_lockstep() is
 the shared lockstep core for stacks of starts: it steps them together
 under the same stop rules, with one params and stop rules for all rows or
 one per row. It hands each block of the whole stack to one stack sink,
@@ -228,14 +230,13 @@ def run(
     records the iterates, and the gradients it holds, in a buffer of
     _ROW_BLOCK rows and hands each full block, and the last partial one, to
     sink.take(points, grads) (grads None when the loop holds none); the
-    block is reused once take returns. With a sink, run returns
-    sink.finish(stop_reason).
+    block is reused once take returns. run returns sink.finish(stop_reason).
 
-    Without one, run keeps the blocks in buffers that double up to
-    max_iters + 2 points and returns the Trace: its f column, and its grads
-    column when the loop did not hold it, are evaluated in batch, and it is
-    cut at the first point (x_0 or later) whose value or gradient is not
-    finite, as a per-step check of both would have stopped there.
+    The default sink, _History, returns the Trace: its f column, and its
+    grads column when the loop did not hold it, are evaluated a block at a
+    time, and it is cut at the first point (x_0 or later) whose value or
+    gradient is not finite, as a per-step check of both would have stopped
+    there.
     """
     stop = stop or StopRules()
     x_prev = problem.check_point(x_minus1)
@@ -247,19 +248,19 @@ def run(
     reuse = gamma == 0.0
     check_box = not math.isinf(radius)
     cap = max_iters + 2
-    keep = _History(cap) if sink is None else sink
+    if sink is None:
+        sink = _History(problem, params, cap)
     # one block of iterates and, when the loop needs them, grad f(x_k); r of
     # its rows are filled
     size = min(cap, _ROW_BLOCK)
     pts = np.empty((size, problem.dim))
-    pts[0], pts[1] = x_prev, x_curr
+    pts[0] = x_prev
     gs = g_curr = None
     if reuse or grad_tol > 0:
         gs = np.empty_like(pts)
         gs[0] = gradient(x_prev)
-        gs[1] = g_curr = gradient(x_curr)
-    r = 2
-    reason = "max_iters"
+        g_curr = gradient(x_curr)
+    r = 1
     x0_ref = x_curr
 
     # 1-D norms are math.sqrt(v.dot(v)), which is what np.linalg.norm computes
@@ -272,6 +273,14 @@ def run(
     dist = 0.0
     k = 0
     while True:
+        # x_k is point k + 1; a full block goes to the sink before it is reused
+        if r == size:
+            sink.take(pts, gs)
+            r = 0
+        pts[r] = x_curr
+        if gs is not None:
+            gs[r] = g_curr
+        r += 1
         if grad_tol > 0 and math.sqrt(g_curr.dot(g_curr)) < grad_tol:
             reason = "grad_tol"
             break
@@ -295,20 +304,13 @@ def run(
         elif not np.isfinite(x_next).all():
             reason = "diverged"
             break
-        if r == size:
-            keep.take(pts, gs)
-            r = 0
-        pts[r] = x_next
         if gs is not None:
-            gs[r] = g_curr = gradient(x_next)
-        r += 1
+            g_curr = gradient(x_next)
         x_prev, x_curr = x_curr, x_next
         k += 1
 
-    keep.take(pts[:r], None if gs is None else gs[:r])
-    if sink is not None:
-        return sink.finish(reason)
-    return _trace(problem, keep.points, keep.grads, params, reason)
+    sink.take(pts[:r], None if gs is None else gs[:r])
+    return sink.finish(reason)
 
 
 # rows per recorded block and per batched value / gradient call when a
@@ -319,22 +321,33 @@ _ROW_BLOCK = 256
 
 
 class _History:
-    """A run() sink that keeps every recorded row.
+    """run()'s default sink: it keeps every recorded row and returns the Trace.
 
-    The rows go into buffers that start at the first block's size and double
-    up to cap points, one buffer at a time, so at most one old buffer is
-    alive. points and grads are the filled prefixes; grads is None when the
-    loop held no gradients. finish returns the history itself.
+    take fills each block by _filled and cuts the run at the first point
+    (x_0 or later) whose value or gradient is not finite, as Columns does;
+    later blocks are ignored. The points, f and grads go into buffers that
+    start at the first block's size and double up to cap points, grown one
+    at a time, so at most one old buffer is alive. finish(reason) returns
+    the Trace of the kept rows, the buffers' prefixes, with stop_reason
+    'diverged' if the run was cut.
     """
 
-    def __init__(self, cap: int):
-        self.cap, self.n = cap, 0
-        self._pts = self._gs = None
+    def __init__(self, problem: Problem, params: MomentumParams, cap: int):
+        self._problem, self._params, self.cap = problem, params, cap
+        self.n, self._cut = 0, False
+        self._pts = self._f = self._gs = None
 
     def take(self, points, grads) -> None:
+        if self._cut:
+            return
+        f, grads, bad = _filled(self._problem, points, grads, self.n == 0)
+        if bad.any():
+            end = int(bad.argmax()) + 1
+            points, f, grads = points[:end], f[:end], grads[:end]
+            self._cut = True
         self._pts = self._kept(self._pts, points)
-        if grads is not None:
-            self._gs = self._kept(self._gs, grads)
+        self._f = self._kept(self._f, f)
+        self._gs = self._kept(self._gs, grads)
         self.n += len(points)
 
     def _kept(self, buf, rows):
@@ -342,26 +355,16 @@ class _History:
             return rows.copy()
         end = self.n + len(rows)
         while len(buf) < end:
-            grown = np.empty((min(2 * len(buf), self.cap), buf.shape[1]))
+            grown = np.empty((min(2 * len(buf), self.cap), *buf.shape[1:]))
             grown[:len(buf)] = buf
             buf = grown
         buf[self.n:end] = rows
         return buf
 
-    def finish(self, reason: str) -> "_History":
-        return self
-
-    @property
-    def num_steps(self) -> int:
-        return self.n - 2
-
-    @property
-    def points(self) -> np.ndarray:
-        return self._pts[:self.n]
-
-    @property
-    def grads(self) -> Optional[np.ndarray]:
-        return None if self._gs is None else self._gs[:self.n]
+    def finish(self, reason: str) -> Trace:
+        n = self.n
+        return Trace(points=self._pts[:n], f=self._f[:n], grads=self._gs[:n],
+                     params=self._params, stop_reason="diverged" if self._cut else reason)
 
 
 # bytes of lockstep blocks (the points and the gradients the loop holds) an
@@ -374,12 +377,12 @@ class _Endpoints:
     """A run_lockstep sink that keeps where each row stopped: x_K, grad f(x_K) and K.
 
     Its block is the number of points per row that fits _ENDPOINT_BLOCK_BYTES
-    for the whole stack, at least one. Each hand-off evaluates f, and grad f
-    when the loop holds none, in one stacked call over all handed rows not
-    cut yet. A row is cut at its first point (x_0 or later) whose value or
-    gradient is not finite, with stop_reason 'diverged', as run() cuts its
-    Trace (_filled). x and grad are (B, dim), n (points, K + 2) and cut are
-    (B,); finish returns the sink itself, with stop_reason a (B,) array.
+    for the whole stack, at least one. Each hand-off fills all handed rows
+    not cut yet by one stacked _filled, and a row is cut at its first point
+    (x_0 or later) whose value or gradient is not finite, with stop_reason
+    'diverged', as run() cuts its Trace. x and grad are (B, dim), n (points,
+    K + 2) and cut are (B,); finish returns the sink itself, with
+    stop_reason a (B,) array.
     """
 
     def __init__(self, problem: Problem, n: int):
@@ -397,15 +400,10 @@ class _Endpoints:
         if not open_.all():
             rows, points = rows[open_], points[open_]
             grads = None if grads is None else grads[open_]
-        k, m, dim = points.shape
+        k, m, _ = points.shape
         if not k:
             return
-        flat = points.reshape(k * m, dim)
-        f = self._problem.value(flat).reshape(k, m)
-        if grads is None:
-            grads = np.ascontiguousarray(self._problem.gradient(flat)).reshape(k, m, dim)
-        bad = ~(np.isfinite(f) & np.isfinite(grads).all(axis=2))
-        bad[self.n[rows] == 0, 0] = False  # x_{-1} is never checked
+        _, grads, bad = _filled(self._problem, points, grads, self.n[rows] == 0)
         cut = bad.any(axis=1)
         last = np.where(cut, bad.argmax(axis=1), m - 1)
         self.x[rows], self.grad[rows] = points[np.arange(k), last], grads[np.arange(k), last]
@@ -457,58 +455,25 @@ def _by_row_block(n: int, rows) -> np.ndarray:
     return out
 
 
-def _filled(problem: Problem, points: np.ndarray, grads: Optional[np.ndarray], first: bool):
-    """(f, grads, end) of one block of a run's points.
+def _filled(problem: Problem, points: np.ndarray, grads: Optional[np.ndarray], first):
+    """(f, grads, bad) of one block of a run's points, (m, dim) or stacked (k, m, dim).
 
-    f, and grads when they are None, are evaluated in one batched call
-    each; grads is C-contiguous whatever layout a problem's batched gradient
-    has, since the row norms of a column-major stack would round
-    differently. end is None when every value and gradient is finite, and
-    otherwise counts the rows a trace keeps: up to and including the first
-    row with one that is not. The block's first row is exempt when first is
-    set: x_{-1} is never checked.
+    The one rule every recorder fills and cuts a run by. f, and grads when
+    they are None, are evaluated in one batched call each over all the
+    block's points; grads is C-contiguous whatever layout a problem's
+    batched gradient has, since the row norms of a column-major stack would
+    round differently. bad, of shape (m,) or (k, m), marks each point whose
+    value or gradient is not finite: a run is cut at its first one. A row's
+    first point is exempt where first is set (a bool, or (k,) bools): x_{-1}
+    is never checked.
     """
-    f = problem.value(points)
+    flat = points.reshape(-1, points.shape[-1])
+    f = problem.value(flat).reshape(points.shape[:-1])
     if grads is None:
-        grads = np.ascontiguousarray(problem.gradient(points))
-    bad = ~(np.isfinite(f) & np.isfinite(grads).all(axis=1))
-    if first:
-        bad[0] = False
-    return f, grads, int(np.argmax(bad)) + 1 if bad.any() else None
-
-
-def _trace_columns(problem: Problem, points: np.ndarray, grads: Optional[np.ndarray]):
-    """(points, f, grads, diverged): the trace arrays of a run's points.
-
-    The columns are filled by _filled a row block at a time. If some row
-    i >= 1 has a value or gradient that is not finite, the arrays end at the
-    first such row and diverged is True.
-    """
-    n = len(points)
-    f = np.empty(n)
-    batched = grads is None
-    if batched:
-        grads = np.empty_like(points)
-    for i in range(0, n, _ROW_BLOCK):
-        j = min(i + _ROW_BLOCK, n)
-        f[i:j], g, end = _filled(problem, points[i:j], None if batched else grads[i:j], i == 0)
-        if batched:
-            grads[i:j] = g
-        if end is not None:
-            return points[:i + end], f[:i + end], grads[:i + end], True
-    return points, f, grads, False
-
-
-def _trace(problem: Problem, points, grads, params: MomentumParams, reason: str) -> Trace:
-    """The Trace of a run that stopped for reason, its columns filled by _trace_columns."""
-    points, f, grads, diverged = _trace_columns(problem, points, grads)
-    return Trace(
-        points=points,
-        f=f,
-        grads=grads,
-        params=params,
-        stop_reason="diverged" if diverged else reason,
-    )
+        grads = np.ascontiguousarray(problem.gradient(flat)).reshape(points.shape)
+    bad = ~(np.isfinite(f) & np.isfinite(grads).all(axis=-1))
+    bad[..., 0] &= np.logical_not(first)
+    return f, grads, bad
 
 
 def _each_row(given, kind, n: int) -> list:

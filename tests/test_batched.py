@@ -262,12 +262,12 @@ def _cert(params, x0):
 
 def _assert_sink_rows_equal_run(p, xm1, x0, params, stops):
     """Row b of run_lockstep through _RowSinks of _History and of Columns sinks
-    equals run(..., sink=) on start b, bit for bit; returns the histories."""
+    equals run(..., sink=) on start b, bit for bit; returns the Traces."""
     n = len(x0)
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
-        kept = run_lockstep(p, xm1, x0, params, stops,
-                            sink=_RowSinks(_History(s.max_iters + 2) for s in stops))
+        kept = run_lockstep(p, xm1, x0, params, stops, sink=_RowSinks(
+            _History(p, params[b], stops[b].max_iters + 2) for b in range(n)))
         cols = run_lockstep(p, xm1, x0, params, stops,
                             sink=_RowSinks(Columns(p, _cert(params[b], x0[b])) for b in range(n)))
         for b in range(n):
@@ -275,16 +275,12 @@ def _assert_sink_rows_equal_run(p, xm1, x0, params, stops):
             points, f, grads, reason = reference_run(p, xm1[b], x0[b], params[b], stops[b])
             assert tr.stop_reason == reason and tr.points.tobytes() == points.tobytes()
             assert tr.f.tobytes() == f.tobytes() and tr.grads.tobytes() == grads.tobytes()
-            want = run(p, xm1[b], x0[b], params[b], stops[b],
-                       sink=_History(stops[b].max_iters + 2))
-            # bit for bit: the sign of a zero and a NaN's payload count
-            assert kept[b].points.tobytes() == want.points.tobytes()
-            if want.grads is not None:
-                assert kept[b].grads.tobytes() == want.grads.tobytes()
-            elif kept[b].grads is not None:
-                # the loop held grad f(x_k) for a heavy-ball or grad_tol row
-                # beside this one: it is the trace's column, up to any cut
-                assert kept[b].grads[:len(tr.grads)].tobytes() == tr.grads.tobytes()
+            # bit for bit: the sign of a zero and a NaN's payload count; a
+            # heavy-ball or grad_tol row beside this one makes the loop hold
+            # grad f(x_k), which must equal the column run() fills
+            assert kept[b].stop_reason == tr.stop_reason and kept[b].params == tr.params
+            for name in ("points", "f", "grads"):
+                assert getattr(kept[b], name).tobytes() == getattr(tr, name).tobytes(), name
             ref = run(p, xm1[b], x0[b], params[b], stops[b],
                       sink=Columns(p, _cert(params[b], x0[b])))
             assert cols[b].stop_reason == ref.stop_reason == tr.stop_reason
@@ -409,6 +405,7 @@ def test_lockstep_params_per_row_must_match_the_starts():
     with pytest.raises(ValueError, match="one StopRules per start"):
         _ends(p, x0, x0, MomentumParams(0.1), [StopRules()] * 4)
     with pytest.raises(ValueError, match=r"sink of one row per start \(3\), got 2"):
-        run_lockstep(p, x0, x0, MomentumParams(0.1), sink=_RowSinks([_History(10)] * 2))
+        run_lockstep(p, x0, x0, MomentumParams(0.1),
+                     sink=_RowSinks([_History(p, MomentumParams(0.1), 10)] * 2))
     with pytest.raises(ValueError, match=r"sink of one row per start \(3\), got 4"):
         run_lockstep(p, x0, x0, MomentumParams(0.1), sink=_Endpoints(p, 4))

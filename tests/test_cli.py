@@ -163,6 +163,30 @@ checks: [descent, kl_fit]
         assert rc == 2
         assert (out / "trace.csv").exists() and (out / "certificate.json").exists()
 
+    @pytest.mark.parametrize("checks", ["[length]", "[length, kl_fit]", "[kl_fit]"])
+    def test_length_check_whose_fit_fails_is_reported_and_fails(self, tmp_path, capsys,
+                                                                checks):
+        # from the minimizer f is constant: the KL fit has no sample. A
+        # requested length check reports the fit's error and fails the run;
+        # a kl_fit alone stays informational
+        cfg = write_config(tmp_path, f"""
+problem: {{kind: quadratic, dim: 2}}
+init: {{x0: [0.0, 0.0]}}
+stop: {{max_iters: 50}}
+checks: {checks}
+""")
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg), "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        assert report["iterations"] == 50
+        assert "only 0 samples" in report["kl_fit"]["error"]
+        if "length" in checks:
+            assert report["length"] == report["kl_fit"]
+            assert f"length: {report['kl_fit']['error']}" in capsys.readouterr().err
+            assert rc == 2
+        else:
+            assert "length" not in report and rc == 0
+
     def test_report_gives_one_path_length(self, tmp_path):
         # the length check and the rate constant read the same total: summed
         # pairwise (np.sum), the shipped quadratic's 2,000 steps sum to

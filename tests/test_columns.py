@@ -33,7 +33,7 @@ from momlab import (
     run_lockstep,
     safe_alpha,
 )
-from momlab import certificates, cli
+from momlab import certificates, cli, optimizer
 from momlab.analysis import check_rate, measure_length
 from momlab.cli import _certify, main, write_trace_csv
 from momlab.optimizer import _ROW_BLOCK, _RowSinks
@@ -96,7 +96,8 @@ def _assert_streaming_equals_stored(tmp_path, p, x0, params, stop, ML):
     if "rate" in res_a:
         assert res_a["rate"].summary() == res_b["rate"].summary()
     if "length" in res_a:
-        assert vars(res_a["length"]) == vars(res_b["length"])
+        # a LengthReport, or None where the KL fit failed
+        assert res_a["length"] == res_b["length"]
     assert res_a.get("kl_fit_error") == res_b.get("kl_fit_error")
     assert psi_a == psi_b
     assert total_a == total_b or (math.isnan(total_a) and math.isnan(total_b))
@@ -144,15 +145,23 @@ def test_each_stop_rule(tmp_path, rule, kind, preset, scale):
 
 
 # around the first block edge, where the first block ends, and around the
-# edges after the fourth and eighth blocks
-@pytest.mark.parametrize("cut", [1, 2, B - 2, B - 1, B, B + 1,
-                                 4 * B - 2, 4 * B - 1, 4 * B, 4 * B + 1, 8 * B - 1, 8 * B])
+# edges after the fourth and eighth blocks; and with blocks of 1, 3 and 7
+# rows, around the first and second block edges
+@pytest.mark.parametrize("cut, block", [
+    *(pytest.param(cut, B, id=str(cut))
+      for cut in [1, 2, B - 2, B - 1, B, B + 1,
+                  4 * B - 2, 4 * B - 1, 4 * B, 4 * B + 1, 8 * B - 1, 8 * B]),
+    *(pytest.param(cut, block, id=f"{cut}-block{block}") for block in (1, 3, 7)
+      for cut in sorted({1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1})),
+])
 @pytest.mark.parametrize("preset", ["heavy_ball", "generic"])
-def test_value_cut_at_block_edges(tmp_path, cut, preset):
-    # f is inf at exactly the point with index cut: both paths end there; a
-    # short step keeps every point of the run distinct
+def test_value_cut_at_block_edges(tmp_path, monkeypatch, cut, block, preset):
+    # f is inf at exactly the point with index cut: run()'s Trace, its
+    # Columns and a lockstep row's _Endpoints all end there, as 'diverged';
+    # a short step keeps every point of the run distinct
+    monkeypatch.setattr(optimizer, "_ROW_BLOCK", block)
     p, x0, params, ML = _setup("matrix_factorization", preset, 5, scale=0.05)
-    stop = StopRules(max_iters=8 * B + 52)
+    stop = StopRules(max_iters=8 * B + 52 if block == B else cut + 10 * block + 10)
     points = run(p, x0, x0, params, stop).points
     target = points[cut]
     assert np.all(points[1:] == target, axis=1).sum() == 1  # x_{-1} is never checked
@@ -166,6 +175,11 @@ def test_value_cut_at_block_edges(tmp_path, cut, preset):
     holed_p = Problem(name=p.name, dim=p.dim, value=holed, gradient=p.gradient)
     trace = _assert_streaming_equals_stored(tmp_path, holed_p, x0, params, stop, ML)
     assert trace.stop_reason == "diverged" and len(trace.points) == cut + 1
+    ends = optimizer._Endpoints(holed_p, 1)
+    ends.block_rows = block
+    ends = run_lockstep(holed_p, x0[None], x0[None], params, stop, sink=ends)
+    assert ends.stop_reason.tolist() == ["diverged"] and ends.num_steps.tolist() == [cut - 1]
+    assert np.array_equal(ends.x[0], target) and np.array_equal(ends.grad[0], trace.grads[-1])
 
 
 def test_blocks_reach_the_sink(any_problem):

@@ -137,6 +137,9 @@ def test_load_config_needs_a_known_command(tmp_path):
     ("sweep", {"sweep": "{gammas: [0.2, 0.2]}", "params": "{alpha: 0.1, beta: 0.5}"},
      "sweep.gammas"),
     ("sweep", {"sweep": "{gammas: [null, 0.0]}"}, "sweep.gammas"),  # heavy ball: both are 0
+    # a rung whose alpha exceeds the horizon takes no step
+    ("track", {"track": "{horizon: 0.001, alphas: [0.1, 0.05]}"}, "track.horizon"),
+    ("track", {"track": "{horizon: 0.07, alphas: [0.05, 0.1]}"}, "track.horizon"),
 ])
 def test_range_and_shape_errors_name_their_field(tmp_path, capsys, command, sections, field):
     rc, err = cli(tmp_path, capsys, command, config_text(**sections))
@@ -226,6 +229,8 @@ SADDLE = {
      "track"),
     ("sweep", {**BASE, "sweep": "{betas: [0.1]}", "saddle": "{point: origin, trials: 3}"},
      "saddle"),
+    # m_crit enters only the length formula, which no sweep output reads
+    ("sweep", {**BASE, "sweep": "{betas: [0.1]}", "m_crit": "2"}, "m_crit"),
 ])
 def test_key_the_command_does_not_read_rejected(tmp_path, capsys, command, sections, field):
     text = "".join(f"{key}: {body}\n" for key, body in sections.items())
@@ -233,6 +238,23 @@ def test_key_the_command_does_not_read_rejected(tmp_path, capsys, command, secti
     assert rc == 1
     assert f"error: {field}: not used by the {command} command" in err
     assert not (tmp_path / "out").exists()  # rejected before anything ran
+
+
+@pytest.mark.parametrize("check", ["grad_bounds", "step_bounds", "length", "kl_fit"])
+def test_check_the_sweep_does_not_report_rejected(tmp_path, capsys, check):
+    # sweep.csv reports descent's min slack and rate's sup, and nothing of
+    # the other checks
+    text = config_text(checks=f"[descent, {check}, rate]", sweep="{betas: [0.1]}")
+    rc, err = cli(tmp_path, capsys, "sweep", text)
+    assert rc == 1
+    assert f"error: checks: {check} is not reported by the sweep command" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_checks_default_to_what_it_reports(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(config_text(checks=None, sweep="{betas: [0.1]}"))
+    assert load_config(path, command="sweep").checks == ("descent", "rate")
 
 
 @pytest.mark.parametrize("command, sections", [

@@ -129,14 +129,18 @@ def test_grad_tol_flow_equals_solve_ivp_with_events(kind, beta, grad_tol, seed):
        xtol=st.sampled_from([4 * _EPS, 2e-12, 1e-6]))
 @settings(max_examples=200, deadline=None)
 def test_brentq_port_equals_scipy(seed, scale, xtol):
-    # the grad_tol event's root finder, on random cubics and their brackets
+    # the grad_tol event's root finder, on random cubics and brackets that
+    # straddle a sign change by construction: the constant term puts the
+    # level f = 0 a random fraction of the way from f(a) to f(b)
     rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(4)
+    coeffs = np.append(rng.standard_normal(3), 0.0)
     a, b = np.sort(rng.standard_normal(2)) * scale
+    fa, fb = np.polyval(coeffs, [a, b])
+    coeffs[3] = -(fa + rng.uniform(0.1, 0.9) * (fb - fa))
 
     def f(x):
         return np.polyval(coeffs, x)
 
-    assume(f(a) * f(b) < 0)
+    assert f(a) * f(b) < 0
     root = _brentq(f, a, b, xtol=xtol, rtol=4 * _EPS)
     assert root == brentq(f, a, b, xtol=xtol, rtol=4 * _EPS)

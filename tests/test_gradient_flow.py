@@ -176,6 +176,17 @@ class TestTrackingError:
         assert np.all(np.diff(maxes) < 0)
         assert slope >= 0.9
 
+    def test_ladder_rejects_a_rung_that_takes_no_step(self):
+        # floor(horizon / alpha) = 0 steps would read as exact tracking
+        p = synthetic("quadratic")
+        x0 = np.array([1.0, 0.0])
+        for horizon, alphas in [(0.001, [0.1, 0.05]), (0.07, [0.05, 0.1])]:
+            with pytest.raises(ValueError, match="no step"):
+                tracking_ladder(p, x0, 0.5, alphas, horizon)
+        # at horizon == alpha the rung takes one step and tracks inexactly
+        maxes, slope = tracking_ladder(p, x0, 0.5, [0.1, 0.05], 0.1)
+        assert min(maxes) > 0 and math.isfinite(slope)
+
     def test_ladder_slope_on_matrix_factorization(self):
         # larger curvature constants push the O(alpha) regime to finer steps
         p = make_problem("matrix_factorization", seed=8)
