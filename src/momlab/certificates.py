@@ -394,11 +394,12 @@ class Columns:
         cols.finish(trace.stop_reason)
         return cols
 
-    def take(self, points: np.ndarray, grads: Optional[np.ndarray], f=None) -> None:
+    def take(self, points: np.ndarray, grads: Optional[np.ndarray], f=None) -> bool:
         """Reduce the next block of points (with their gradients and values,
-        each evaluated here when None); rows after a cut are ignored."""
+        each evaluated here when None); rows after a cut are ignored.
+        Returns whether the run is cut, so run() can stop stepping."""
         if self._cut:
-            return
+            return True
         first = self._last is None
         if f is None:
             f, grads, bad = _filled(self._problem, points, grads, first)
@@ -427,6 +428,7 @@ class Columns:
             self._parts[name].append(column)
         self._last = points[-1].copy()
         self._n += len(points)
+        return self._cut
 
     def finish(self, reason: str) -> "Columns":
         """Join the columns of a run that stopped for reason; returns self."""

@@ -15,20 +15,24 @@ one loop for a single trajectory: it makes one single-point gradient call
 per step for every preset and hands its recorded rows to a sink a block of
 _ROW_BLOCK rows at a time. Every recorder fills a block's f, and its
 grads when the loop held none, and cuts the run at its first point whose
-value or gradient is not finite by one rule, _filled. By default the sink
-is _History, which keeps the filled blocks and returns the Trace; a Trace
-lives in memory only, for library callers and tests. Every command passes
-a sink such as certificates.Columns, which reduces each block and drops
-it, so the trajectory is never held. run_lockstep() is
-the shared lockstep core for stacks of starts: it steps them together
-under the same stop rules, with one params and stop rules for all rows or
-one per row. It hands each block of the whole stack to one stack sink,
-take(rows, points, grads) / finish(reasons), whose block length it takes.
-Escape studies pass _Endpoints, which keeps x_K, grad f(x_K) and K per row
-and takes the block that fits one byte budget for the whole stack, so a
-study holds O(trials * dim) plus that budget. Sweeps pass _RowSinks, which
-hands each row's blocks of _ROW_BLOCK rows to its own run() sink (Columns)
-as run() would, through the same take(points, grads) / finish(reason).
+value or gradient is not finite by one rule, _filled. A run() sink's take
+returns a truthy value once it has cut the run: run() then stops stepping
+at that hand-off and returns sink.finish, so it steps at most one block
+past the cut. By default the sink is _History, which keeps the filled
+blocks and returns the Trace; a Trace lives in memory only, for library
+callers and tests. Every command passes a sink such as
+certificates.Columns, which reduces each block and drops it, so the
+trajectory is never held. run_lockstep() is the shared lockstep core for
+stacks of starts: it steps them together under the same stop rules, with
+one params and stop rules for all rows or one per row. It hands each
+block of the whole stack to one stack sink, take(rows, points, grads) /
+finish(reasons), whose block length it takes, and steps on whatever take
+returns. Escape studies pass _Endpoints, which keeps x_K, grad f(x_K) and
+K per row and takes the block that fits one byte budget for the whole
+stack, so a study holds O(trials * dim) plus that budget. Sweeps pass
+_RowSinks, which hands each row's blocks of _ROW_BLOCK rows to its own
+run() sink (Columns) as run() would, through the same take(points, grads)
+/ finish(reason).
 """
 
 from __future__ import annotations
@@ -230,7 +234,11 @@ def run(
     records the iterates, and the gradients it holds, in a buffer of
     _ROW_BLOCK rows and hands each full block, and the last partial one, to
     sink.take(points, grads) (grads None when the loop holds none); the
-    block is reused once take returns. run returns sink.finish(stop_reason).
+    block is reused once take returns. A take that returns a truthy value
+    has cut the run: run stops stepping there. run returns
+    sink.finish(stop_reason), 'diverged' after such a cut. alpha, beta and
+    gamma are held as 0-d float64 arrays, which give the same products as
+    the floats without converting them on every multiply.
 
     The default sink, _History, returns the Trace: its f column, and its
     grads column when the loop did not hold it, are evaluated a block at a
@@ -243,9 +251,12 @@ def run(
     x_curr = problem.check_point(x_0)
     _warn_velocity(np.linalg.norm(x_curr - x_prev), params.delta * params.alpha)
     gradient = problem.gradient
-    alpha, beta, gamma = params.alpha, params.beta, params.gamma
+    reuse = params.gamma == 0.0
+    # 0-d float64 arrays give the same IEEE products as the Python floats,
+    # without converting a float on every multiply
+    alpha, beta, gamma = (np.array(getattr(params, a), dtype=float)
+                          for a in ("alpha", "beta", "gamma"))
     grad_tol, max_iters, radius = stop.grad_tol, stop.max_iters, stop.box_radius
-    reuse = gamma == 0.0
     check_box = not math.isinf(radius)
     cap = max_iters + 2
     if sink is None:
@@ -275,7 +286,8 @@ def run(
     while True:
         # x_k is point k + 1; a full block goes to the sink before it is reused
         if r == size:
-            sink.take(pts, gs)
+            if sink.take(pts, gs):
+                return sink.finish("diverged")
             r = 0
         pts[r] = x_curr
         if gs is not None:
@@ -325,11 +337,11 @@ class _History:
 
     take fills each block by _filled and cuts the run at the first point
     (x_0 or later) whose value or gradient is not finite, as Columns does;
-    later blocks are ignored. The points, f and grads go into buffers that
-    start at the first block's size and double up to cap points, grown one
-    at a time, so at most one old buffer is alive. finish(reason) returns
-    the Trace of the kept rows, the buffers' prefixes, with stop_reason
-    'diverged' if the run was cut.
+    it returns whether the run is cut, and later blocks are ignored. The
+    points, f and grads go into buffers that start at the first block's
+    size and double up to cap points, grown one at a time, so at most one
+    old buffer is alive. finish(reason) returns the Trace of the kept rows,
+    the buffers' prefixes, with stop_reason 'diverged' if the run was cut.
     """
 
     def __init__(self, problem: Problem, params: MomentumParams, cap: int):
@@ -337,9 +349,9 @@ class _History:
         self.n, self._cut = 0, False
         self._pts = self._f = self._gs = None
 
-    def take(self, points, grads) -> None:
+    def take(self, points, grads) -> bool:
         if self._cut:
-            return
+            return True
         f, grads, bad = _filled(self._problem, points, grads, self.n == 0)
         if bad.any():
             end = int(bad.argmax()) + 1
@@ -349,6 +361,7 @@ class _History:
         self._f = self._kept(self._f, f)
         self._gs = self._kept(self._gs, grads)
         self.n += len(points)
+        return self._cut
 
     def _kept(self, buf, rows):
         if buf is None:

@@ -166,6 +166,19 @@ def _norms_in_place(V: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(V, axis=1))
 
 
+def _product(*inner):
+    """The 2-D product of a one-point kernel whose products have these inner sizes.
+
+    ndarray.dot makes the BLAS call @ makes for 2-D operands and skips the
+    gufunc dispatch, which costs more than the arithmetic at these sizes.
+    A product over an inner size of 1 (an outer product, or one by a 1x1
+    operand, which dot takes as a scalar) goes another way in dot, whose
+    underflowing products keep a sign (-0.0) where @ gives +0.0: a kernel
+    with such a product keeps @.
+    """
+    return np.matmul if 1 in inner else np.ndarray.dot
+
+
 def _col_pow(x, i, k):
     """x[..., i] ** k as a float64 scalar power, one point at a time.
 
@@ -193,6 +206,7 @@ def matrix_factorization(M: np.ndarray, r: int) -> Problem:
     m, n = M.shape
     dim = (m + n) * r
     mr = m * r
+    dot = _product(r, n, m)
 
     def value(z):
         X, Y = _split_xy(z, m, n, r)
@@ -203,13 +217,14 @@ def matrix_factorization(M: np.ndarray, r: int) -> Problem:
         if z.ndim == 1:
             # _split_xy and _join for one point, with 2R formed once:
             # (2R).T equals 2 R.T in values and layout, and every operand
-            # keeps the stacked path's shape and strides, so no bit changes
+            # keeps the stacked path's shape and strides, so no bit changes;
+            # dot is ndarray.dot unless _product keeps @ for these sizes
             X, Y = z[:mr].reshape(r, m).T, z[mr:].reshape(r, n).T
-            R2 = 2.0 * (X @ Y.T - M)
-            return np.concatenate([(R2 @ Y).T, (R2.T @ X).T], axis=None)
+            R2 = 2.0 * (dot(X, Y.T) - M)
+            return np.concatenate([dot(R2, Y).T, dot(R2.T, X).T], axis=None)
         X, Y = _split_xy(z, m, n, r)
-        R = X @ _T(Y) - M
-        return _join(2.0 * R @ Y, 2.0 * _T(R) @ X)
+        R2 = 2.0 * (X @ _T(Y) - M)
+        return _join(R2 @ Y, _T(R2) @ X)
 
     def hessian_vec(z, v):
         X, Y = _split_xy(z, m, n, r)
@@ -248,6 +263,7 @@ def matrix_sensing(A: Sequence[np.ndarray], b: np.ndarray, r: int) -> Problem:
     A_flat = np.stack(A).reshape(len(A), m * n)  # row i is A_i flattened row-major
     dim = (m + n) * r
     mr, mn = m * r, m * n
+    dot = _product(r, mn, len(A), n, m)
 
     def measure(P):
         """<A_i, P>_F for each i, per point: one matrix-vector product per
@@ -271,12 +287,12 @@ def matrix_sensing(A: Sequence[np.ndarray], b: np.ndarray, r: int) -> Problem:
             # residuals, _split_xy and _join for one point, with 2S formed
             # once, bit for bit as in matrix_factorization
             X, Y = z[:mr].reshape(r, m).T, z[mr:].reshape(r, n).T
-            res = (A_flat @ (X @ Y.T).reshape(mn, 1))[:, 0] - b
-            S2 = 2.0 * (res[None, :] @ A_flat).reshape(m, n)
-            return np.concatenate([(S2 @ Y).T, (S2.T @ X).T], axis=None)
+            res = dot(A_flat, dot(X, Y.T).reshape(mn, 1))[:, 0] - b
+            S2 = 2.0 * dot(res[None, :], A_flat).reshape(m, n)
+            return np.concatenate([dot(S2, Y).T, dot(S2.T, X).T], axis=None)
         X, Y = _split_xy(z, m, n, r)
-        S = combine(residuals(X, Y))
-        return _join(2.0 * S @ Y, 2.0 * _T(S) @ X)
+        S2 = 2.0 * combine(residuals(X, Y))
+        return _join(S2 @ Y, _T(S2) @ X)
 
     def hessian_vec(z, v):
         X, Y = _split_xy(z, m, n, r)
@@ -325,6 +341,8 @@ def linear_network(Xbar: np.ndarray, Ybar: np.ndarray, widths: Sequence[int]) ->
     # W_j^T of one point is z[a:b].reshape(cols, rows): C-contiguous, the
     # layout of the transpose of _block's column-major view
     layers = [(offsets[j], offsets[j + 1], widths[j], widths[j + 1]) for j in range(l)]
+    # forward: n_0..n_{l-1}; back-propagation: n_2..n_l; gradients: the samples
+    dot = _product(*widths[:-1], *widths[2:], Xbar.shape[1])
 
     def split(z):
         return [_block(z, offsets[j], offsets[j + 1], widths[j + 1], widths[j]) for j in range(l)]
@@ -347,13 +365,13 @@ def linear_network(Xbar: np.ndarray, Ybar: np.ndarray, widths: Sequence[int]) ->
             Wts = [z[a:b].reshape(cols, rows) for a, b, cols, rows in layers]
             acts = [Xbar]
             for Wt in Wts:
-                acts.append(Wt.T @ acts[-1])
+                acts.append(dot(Wt.T, acts[-1]))
             back = acts[-1] - Ybar
             grads = [None] * l
             for j in range(l - 1, -1, -1):
-                grads[j] = ((2.0 * back) @ acts[j].T).T
+                grads[j] = dot(2.0 * back, acts[j].T).T
                 if j:
-                    back = Wts[j] @ back
+                    back = dot(Wts[j], back)
             return np.concatenate(grads, axis=None)
         Ws = split(z)
         acts = forward(Ws)

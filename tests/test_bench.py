@@ -1,0 +1,36 @@
+"""scripts/bench.py writes a row of every layer it times, on a tiny budget."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from conftest import ALL_KINDS, blas_free_env
+
+ROOT = Path(__file__).parent.parent
+
+
+def test_bench_appends_a_row(tmp_path):
+    out = tmp_path / "bench.json"
+    argv = [sys.executable, str(ROOT / "scripts" / "bench.py"), "--out", str(out), "--smoke"]
+    for label in ("first", "second"):
+        subprocess.run([*argv, "--label", label], check=True, capture_output=True, cwd=tmp_path,
+                       env=blas_free_env())
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["label"] for row in rows] == ["first", "second"]
+    row = rows[-1]
+    assert row["perfbench"] is None and len(row["src_sha256"]) == 64
+    assert row["platform"]["blas"]["threads"] in (1, "unknown")
+    assert set(row["bytecode_cache"]) == {"writes", "present_at_start"}
+    assert list(row["grad_us"]) == ALL_KINDS
+    assert all(g["single_us"] > 0 and g["stacked_us"] > 0 for g in row["grad_us"].values())
+    runs = row["run_us_per_step"]
+    assert list(runs) == ["mf_heavy_ball", "sensing_nesterov", "network_generic"]
+    assert all(r["steps"] == 30 and r["stop_reason"] == "max_iters" and r["us_per_step"] > 0
+               for r in runs.values())
+    lockstep = row["lockstep_us_per_row_step"]
+    assert list(lockstep) == list(runs)
+    for by_rows in lockstep.values():
+        assert list(by_rows) == ["1", "8", "64"]
+        assert all(r["row_steps"] == 10 * int(b) and r["us_per_row_step"] > 0
+                   for b, r in by_rows.items())

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import ALL_KINDS, make_problem, overflowing, traced_peak
+from conftest import ALL_KINDS, make_problem, overflowing, reference_run, traced_peak
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -142,6 +142,27 @@ def test_each_stop_rule(tmp_path, rule, kind, preset, scale):
     trace = _assert_streaming_equals_stored(tmp_path, p, x0, params, stop, ML)
     assert trace.stop_reason == ("diverged" if rule == "overflow" else rule)
     assert 0 < trace.num_steps < 1100 or rule == "max_iters"
+
+
+def test_run_stops_stepping_once_its_sink_cuts(tmp_path, counted):
+    # the overflow case of test_each_stop_rule: f overflows after 34 steps
+    # while the iterates stay finite, so only the sink sees the cut; run()
+    # stops at the hand-off of the block that holds it
+    p, x0, params, ML = _setup("indefinite_quadratic", "heavy_ball", 3, scale=1.5)
+    p, counts = counted(overflowing(p))
+    stop = StopRules(max_iters=1100)
+    points, f, grads, _ = reference_run(p, x0, x0, params, stop)
+    for sink in (None, Columns(p, build_certificate(*ML, params, x0, 2.0, strict=False))):
+        counts["gradient"][0] = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            source = run(p, x0, x0, params, stop, sink=sink)
+        assert source.stop_reason == "diverged" and source.num_steps == 34
+        assert np.array_equal(source.f, f)
+        assert counts["gradient"][0] <= len(points) + B
+    assert np.array_equal(source.grad_norms, np.linalg.norm(grads, axis=1))
+    trace = _assert_streaming_equals_stored(tmp_path, p, x0, params, stop, ML)
+    assert np.array_equal(trace.points, points) and np.array_equal(trace.grads, grads)
 
 
 # around the first block edge, where the first block ends, and around the

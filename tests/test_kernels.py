@@ -5,7 +5,9 @@ single point through a kernel of their own. It must give the same bits as
 row b of a stacked call on that point, and as the frozen copy of the shared
 code path in oracles.py, so that a change to both paths cannot slip through.
 Shapes are drawn to hit the edges: m != n, rank 1 and rank above min(m, n),
-one measurement, widths of 1 and a one-layer network.
+one measurement, widths of 1 and a one-layer network, and the shapes where
+ndarray.dot, which the kernels call, would take another path than @: a
+product by a 1x1 operand, matrix-vector products and inner sizes of 1.
 """
 
 import numpy as np
@@ -76,3 +78,37 @@ def test_kernels_at_edge_shapes():
         Yb = rng.standard_normal((widths[-1], 3))
         _assert_kernel(linear_network(Xb, Yb, widths),
                        lambda z: network_gradient(Xb, Yb, widths, z), rng, 1.0)
+    # 1x1 (scalar) operands, matrix-vector products and inner sizes of 1
+    for shape, r in [((1, 1), 1), ((1, 1), 3), ((1, 4), 2), ((4, 1), 2)]:
+        M = rng.standard_normal(shape)
+        _assert_kernel(matrix_factorization(M, r), lambda z: factorization_gradient(M, r, z),
+                       rng, 1.0)
+    for shape, count, r in [((2, 3), 1, 2), ((1, 1), 3, 2)]:  # one measurement, a 1x1 target
+        A, b = [rng.standard_normal(shape) for _ in range(count)], rng.standard_normal(count)
+        _assert_kernel(matrix_sensing(A, b, r), lambda z: sensing_gradient(A, b, r, z), rng, 1.0)
+    for widths in [(1, 1), (1, 4, 1), (3, 1, 1, 2), (4, 6, 6, 6, 4)]:  # one sample
+        Xb = rng.standard_normal((widths[0], 1))
+        Yb = rng.standard_normal((widths[-1], 1))
+        _assert_kernel(linear_network(Xb, Yb, widths),
+                       lambda z: network_gradient(Xb, Yb, widths, z), rng, 1.0)
+
+
+def test_kernels_keep_the_sign_of_underflow():
+    # a product over an inner size of 1 that underflows is -0.0 in
+    # ndarray.dot and +0.0 in @; with zero targets the sign reaches the
+    # gradient, so a kernel with such a product must keep @
+    rng = np.random.default_rng(1)
+    tiny = 1e-160
+    for shape, r in [((1, 1), 1), ((1, 1), 3), ((1, 4), 2), ((4, 1), 2), ((3, 1), 1)]:
+        M = np.zeros(shape)
+        _assert_kernel(matrix_factorization(M, r), lambda z: factorization_gradient(M, r, z),
+                       rng, tiny)
+    for shape, count, r in [((1, 1), 1, 1), ((1, 1), 3, 2)]:
+        A, b = [rng.standard_normal(shape) for _ in range(count)], np.zeros(count)
+        _assert_kernel(matrix_sensing(A, b, r), lambda z: sensing_gradient(A, b, r, z),
+                       rng, tiny)
+    for widths, target in [((1, 4, 1), 0.0), ((3, 1, 1, 2), 0.0), ((4, 6, 6, 6, 4), 1.0)]:
+        Xb = rng.standard_normal((widths[0], 1))
+        Yb = target * rng.standard_normal((widths[-1], 1))
+        _assert_kernel(linear_network(Xb, Yb, widths),
+                       lambda z: network_gradient(Xb, Yb, widths, z), rng, tiny)
