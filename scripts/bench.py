@@ -1,7 +1,9 @@
-"""Layer timings of one momlab source tree, appended as a row to BENCH_27.json.
+"""Layer timings of one momlab source tree, appended as a row to a BENCH_*.json file.
 
     python scripts/bench.py --label change
     python scripts/bench.py --root ../parent --label parent
+
+--out names the file, BENCH_27.json by default.
 
 --root is the root of a momlab checkout (src/momlab, configs/, perfbench/,
 tests/conftest.py); its momlab is the one measured. A row records:
@@ -14,6 +16,8 @@ tests/conftest.py); its momlab is the one measured. A row records:
   as `momlab run` sets them up;
 - lockstep_us_per_row_step: run_lockstep() with an _Endpoints sink on the
   same problems at B = 1, 8 and 64 starts;
+- lockstep_columns_us_per_row_step: the same, with a _RowSinks sink of one
+  certificates.Columns per row, as `momlab sweep` steps its cells;
 - perfbench: the result line of each perfbench workload, as printed, at
   seed 0 and 30 seconds;
 - the platform fingerprint of `momlab` reports (cli._platform()), whether
@@ -114,23 +118,28 @@ def run_rows(runs: dict, steps: int, repeats: int) -> dict:
     return rows
 
 
-def lockstep_rows(runs: dict, steps: int, repeats: int) -> dict:
+def lockstep_rows(runs: dict, steps: int, repeats: int, columns: bool) -> dict:
+    """run_lockstep() µs per row-step into one _Endpoints sink, or into
+    _RowSinks of one Columns per row when columns is set."""
     import numpy as np
-    from momlab.optimizer import StopRules, _Endpoints, run_lockstep
+    from momlab.certificates import Columns
+    from momlab.optimizer import StopRules, _Endpoints, _RowSinks, run_lockstep
 
     rng = np.random.default_rng(0)
     rows = {}
-    for name, (p, x_m1, x0, params, stop, _) in runs.items():
+    for name, (p, x_m1, x0, params, stop, cert) in runs.items():
         stop = StopRules(steps, stop.grad_tol, stop.box_radius)
         rows[name] = {}
         for B in LOCKSTEP_ROWS:
             starts = x0 + 1e-3 * rng.standard_normal((B, p.dim))
             starts[0] = x0
-            ends = []
-            us = best_us(lambda: ends.append(
-                run_lockstep(p, starts + (x_m1 - x0), starts, params, stop,
-                             sink=_Endpoints(p, B))), 1, repeats)
-            row_steps = int(ends[-1].num_steps.sum())
+            done = []
+            us = best_us(lambda: done.append(run_lockstep(
+                p, starts + (x_m1 - x0), starts, params, stop,
+                sink=_RowSinks(Columns(p, cert) for _ in range(B)) if columns
+                else _Endpoints(p, B))), 1, repeats)
+            row_steps = (sum(cols.num_steps for cols in done[-1]) if columns
+                         else int(done[-1].num_steps.sum()))
             rows[name][str(B)] = {"row_steps": row_steps, "us_per_row_step": us / row_steps}
     return rows
 
@@ -185,7 +194,10 @@ def main(argv=None) -> int:
         "budget": budget,
         "grad_us": gradient_rows(budget["calls"], repeats),
         "run_us_per_step": run_rows(runs, budget["steps"], repeats),
-        "lockstep_us_per_row_step": lockstep_rows(runs, budget["lockstep_steps"], repeats),
+        "lockstep_us_per_row_step": lockstep_rows(runs, budget["lockstep_steps"], repeats,
+                                                  columns=False),
+        "lockstep_columns_us_per_row_step": lockstep_rows(runs, budget["lockstep_steps"],
+                                                          repeats, columns=True),
         "perfbench": None if args.smoke else perfbench_lines(root),
     }
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"rows": []}

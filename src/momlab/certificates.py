@@ -8,10 +8,11 @@ a block of rows at a time: as run()'s sink while a trajectory is stepped,
 so that it is never held (every CLI command certifies this way), or from a
 stored Trace's own arrays, reduced afresh on each call. Columns is
 the one implementation of every per-row quantity the checks and trace.csv
-read; it fills and cuts its blocks by optimizer._filled, as run()'s Trace
-and escape studies' endpoints are. All constant formulas are pure
-functions of (M, L, alpha, beta, gamma, delta, m); the golden values are
-pinned in the test suite.
+read; it fills its blocks and cuts them at a point that is not finite by
+the rule run()'s Trace and escape studies' endpoints are cut by, and
+reports the cut to the loop, which stops the run. All constant formulas
+are pure functions of (M, L, alpha, beta, gamma, delta, m); the golden
+values are pinned in the test suite.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .optimizer import _ROW_BLOCK, MomentumParams, _by_row_block, _filled, safe_alpha
+from .optimizer import _ROW_BLOCK, MomentumParams, _by_row_block, _until_cut, safe_alpha
 from .problems import Problem, _dot_self, _norms_in_place, _row_norms
 
 __all__ = [
@@ -343,9 +344,9 @@ class Columns:
 
     - f and grad_norms (||grad f(x_k)||, as np.linalg.norm rounds it), one
       per point; f, and grads when a block carries none, are filled by
-      optimizer._filled, and the rows end at the first point (x_0 or later)
-      whose value or gradient is not finite, with stop_reason 'diverged':
-      the one rule every recorder, run()'s Trace included, cuts by;
+      optimizer._until_cut, and take cuts the block at its first point
+      (x_0 or later) whose value or gradient is not finite and reports the
+      cut: the one rule every recorder, run()'s Trace included, cuts by;
     - grad_row_norms, the same norms as per-row dot products
       (problems._row_norms), which the gradient bound reads;
     - step_norms, ||x_k - x_{k-1}|| for k = 0..K;
@@ -373,7 +374,6 @@ class Columns:
         self._last = None     # the last point taken
         self._n = 0           # points taken
         self._exit = None     # index of the first point outside the ball
-        self._cut = False
         self.stop_reason = None
 
     @classmethod
@@ -396,17 +396,12 @@ class Columns:
 
     def take(self, points: np.ndarray, grads: Optional[np.ndarray], f=None) -> bool:
         """Reduce the next block of points (with their gradients and values,
-        each evaluated here when None); rows after a cut are ignored.
-        Returns whether the run is cut, so run() can stop stepping."""
-        if self._cut:
-            return True
+        each evaluated here when None). Returns whether the block was cut
+        at a point that is not finite, so the loop stops the run there."""
         first = self._last is None
+        cut = False
         if f is None:
-            f, grads, bad = _filled(self._problem, points, grads, first)
-            if bad.any():
-                end = int(bad.argmax()) + 1
-                points, grads, f = points[:end], grads[:end], f[:end]
-                self._cut = True
+            points, f, grads, cut = _until_cut(self._problem, points, grads, first)
         if self._exit is None:
             out = np.flatnonzero(~(_norms_in_place(points - self._center) <= self._limit))
             if out.size:
@@ -428,11 +423,11 @@ class Columns:
             self._parts[name].append(column)
         self._last = points[-1].copy()
         self._n += len(points)
-        return self._cut
+        return cut
 
     def finish(self, reason: str) -> "Columns":
         """Join the columns of a run that stopped for reason; returns self."""
-        self.stop_reason = "diverged" if self._cut else reason
+        self.stop_reason = reason
         # one column at a time, each column's parts dropped once it is joined
         parts = self._parts
         del self._parts

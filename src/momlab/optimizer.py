@@ -14,25 +14,28 @@ the certificate checks without re-evaluating the objective. run() is the
 one loop for a single trajectory: it makes one single-point gradient call
 per step for every preset and hands its recorded rows to a sink a block of
 _ROW_BLOCK rows at a time. Every recorder fills a block's f, and its
-grads when the loop held none, and cuts the run at its first point whose
-value or gradient is not finite by one rule, _filled. A run() sink's take
-returns a truthy value once it has cut the run: run() then stops stepping
-at that hand-off and returns sink.finish, so it steps at most one block
-past the cut. By default the sink is _History, which keeps the filled
-blocks and returns the Trace; a Trace lives in memory only, for library
-callers and tests. Every command passes a sink such as
-certificates.Columns, which reduces each block and drops it, so the
-trajectory is never held. run_lockstep() is the shared lockstep core for
-stacks of starts: it steps them together under the same stop rules, with
-one params and stop rules for all rows or one per row. It hands each
-block of the whole stack to one stack sink, take(rows, points, grads) /
-finish(reasons), whose block length it takes, and steps on whatever take
-returns. Escape studies pass _Endpoints, which keeps x_K, grad f(x_K) and
+grads when the loop held none, by one rule, _filled, and keeps the block
+up to its first point whose value or gradient is not finite. A sink only
+fills, reduces and reports: a run() sink's take returns whether it cut
+the block there (None is no cut). The two loops alone decide when a row
+stops and why: run() stops stepping at a hand-off that reports a cut and
+returns sink.finish('diverged'), so it steps at most one block past the
+cut. By default the sink is _History, which keeps the filled blocks and
+returns the Trace; a Trace lives in memory only, for library callers and
+tests. Every command passes a sink such as certificates.Columns, which
+reduces each block and drops it, so the trajectory is never held.
+run_lockstep() is the shared lockstep core for stacks of starts: it
+steps them together under the same stop rules, with one params and stop
+rules for all rows or one per row. It hands each block of the whole
+stack to one stack sink, take(rows, points, grads) / finish(reasons),
+whose block length it takes; take returns a (k,) bool mask of the handed
+rows it cut, and run_lockstep stops those rows as 'diverged', as run()
+does. Escape studies pass _Endpoints, which keeps x_K, grad f(x_K) and
 K per row and takes the block that fits one byte budget for the whole
 stack, so a study holds O(trials * dim) plus that budget. Sweeps pass
 _RowSinks, which hands each row's blocks of _ROW_BLOCK rows to its own
 run() sink (Columns) as run() would, through the same take(points, grads)
-/ finish(reason).
+/ finish(reason), and reports the rows whose sinks cut.
 """
 
 from __future__ import annotations
@@ -96,9 +99,6 @@ class MomentumParams:
     @staticmethod
     def nesterov(alpha, beta, delta=0.0):
         return MomentumParams(alpha, beta, beta, "nesterov", delta)
-
-    def replace_alpha(self, alpha: float) -> "MomentumParams":
-        return MomentumParams(alpha, self.beta, self.gamma, self.preset, self.delta)
 
 
 @dataclass(frozen=True)
@@ -234,17 +234,18 @@ def run(
     records the iterates, and the gradients it holds, in a buffer of
     _ROW_BLOCK rows and hands each full block, and the last partial one, to
     sink.take(points, grads) (grads None when the loop holds none); the
-    block is reused once take returns. A take that returns a truthy value
-    has cut the run: run stops stepping there. run returns
-    sink.finish(stop_reason), 'diverged' after such a cut. alpha, beta and
-    gamma are held as 0-d float64 arrays, which give the same products as
-    the floats without converting them on every multiply.
+    block is reused once take returns. take returns whether the sink cut
+    the block at a point (x_0 or later) whose value or gradient is not
+    finite, as a per-step check of both would have stopped there: run
+    stops stepping at such a hand-off, and returns
+    sink.finish(stop_reason), with stop_reason 'diverged' when the last
+    take cut. alpha, beta and gamma are held as 0-d float64 arrays, which
+    give the same products as the floats without converting them on every
+    multiply.
 
     The default sink, _History, returns the Trace: its f column, and its
     grads column when the loop did not hold it, are evaluated a block at a
-    time, and it is cut at the first point (x_0 or later) whose value or
-    gradient is not finite, as a per-step check of both would have stopped
-    there.
+    time.
     """
     stop = stop or StopRules()
     x_prev = problem.check_point(x_minus1)
@@ -321,8 +322,8 @@ def run(
         x_prev, x_curr = x_curr, x_next
         k += 1
 
-    sink.take(pts[:r], None if gs is None else gs[:r])
-    return sink.finish(reason)
+    cut = sink.take(pts[:r], None if gs is None else gs[:r])
+    return sink.finish("diverged" if cut else reason)
 
 
 # rows per recorded block and per batched value / gradient call when a
@@ -335,33 +336,26 @@ _ROW_BLOCK = 256
 class _History:
     """run()'s default sink: it keeps every recorded row and returns the Trace.
 
-    take fills each block by _filled and cuts the run at the first point
-    (x_0 or later) whose value or gradient is not finite, as Columns does;
-    it returns whether the run is cut, and later blocks are ignored. The
-    points, f and grads go into buffers that start at the first block's
-    size and double up to cap points, grown one at a time, so at most one
-    old buffer is alive. finish(reason) returns the Trace of the kept rows,
-    the buffers' prefixes, with stop_reason 'diverged' if the run was cut.
+    take keeps each block up to its first point (x_0 or later) whose value
+    or gradient is not finite, by _until_cut, as Columns does, and returns
+    whether it cut the block there. The points, f and grads go into buffers
+    that start at the first block's size and double up to cap points, grown
+    one at a time, so at most one old buffer is alive. finish(reason)
+    returns the Trace of the kept rows, the buffers' prefixes.
     """
 
     def __init__(self, problem: Problem, params: MomentumParams, cap: int):
         self._problem, self._params, self.cap = problem, params, cap
-        self.n, self._cut = 0, False
+        self.n = 0
         self._pts = self._f = self._gs = None
 
     def take(self, points, grads) -> bool:
-        if self._cut:
-            return True
-        f, grads, bad = _filled(self._problem, points, grads, self.n == 0)
-        if bad.any():
-            end = int(bad.argmax()) + 1
-            points, f, grads = points[:end], f[:end], grads[:end]
-            self._cut = True
+        points, f, grads, cut = _until_cut(self._problem, points, grads, self.n == 0)
         self._pts = self._kept(self._pts, points)
         self._f = self._kept(self._f, f)
         self._gs = self._kept(self._gs, grads)
         self.n += len(points)
-        return self._cut
+        return cut
 
     def _kept(self, buf, rows):
         if buf is None:
@@ -377,7 +371,7 @@ class _History:
     def finish(self, reason: str) -> Trace:
         n = self.n
         return Trace(points=self._pts[:n], f=self._f[:n], grads=self._gs[:n],
-                     params=self._params, stop_reason="diverged" if self._cut else reason)
+                     params=self._params, stop_reason=reason)
 
 
 # bytes of lockstep blocks (the points and the gradients the loop holds) an
@@ -390,41 +384,35 @@ class _Endpoints:
     """A run_lockstep sink that keeps where each row stopped: x_K, grad f(x_K) and K.
 
     Its block is the number of points per row that fits _ENDPOINT_BLOCK_BYTES
-    for the whole stack, at least one. Each hand-off fills all handed rows
-    not cut yet by one stacked _filled, and a row is cut at its first point
-    (x_0 or later) whose value or gradient is not finite, with stop_reason
-    'diverged', as run() cuts its Trace. x and grad are (B, dim), n (points,
-    K + 2) and cut are (B,); finish returns the sink itself, with
-    stop_reason a (B,) array.
+    for the whole stack, at least one. Each hand-off fills the handed rows
+    by one stacked _filled, keeps each row up to its first point (x_0 or
+    later) whose value or gradient is not finite, as run()'s sinks do, and
+    returns the (k,) mask of the rows it cut there. x and grad are
+    (B, dim), n (points, K + 2) is (B,); finish returns the sink itself,
+    with stop_reason the (B,) array of reasons it is given.
     """
 
     def __init__(self, problem: Problem, n: int):
         self._problem = problem
         self.x, self.grad = np.empty((n, problem.dim)), np.empty((n, problem.dim))
-        self.n, self.cut = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
+        self.n = np.zeros(n, dtype=int)
         self.block_rows = max(1, _ENDPOINT_BLOCK_BYTES // (2 * 8 * n * problem.dim))
         self.stop_reason = None
 
     def __len__(self) -> int:
         return len(self.n)
 
-    def take(self, rows, points, grads) -> None:
-        open_ = ~self.cut[rows]
-        if not open_.all():
-            rows, points = rows[open_], points[open_]
-            grads = None if grads is None else grads[open_]
+    def take(self, rows, points, grads) -> np.ndarray:
         k, m, _ = points.shape
-        if not k:
-            return
         _, grads, bad = _filled(self._problem, points, grads, self.n[rows] == 0)
         cut = bad.any(axis=1)
         last = np.where(cut, bad.argmax(axis=1), m - 1)
         self.x[rows], self.grad[rows] = points[np.arange(k), last], grads[np.arange(k), last]
         self.n[rows] += last + 1
-        self.cut[rows] = cut
+        return cut
 
     def finish(self, reasons) -> "_Endpoints":
-        self.stop_reason = np.where(self.cut, "diverged", reasons)
+        self.stop_reason = reasons
         return self
 
     @property
@@ -436,7 +424,8 @@ class _RowSinks:
     """A run_lockstep sink that hands each row's blocks to that row's own run() sink.
 
     Row b's blocks of _ROW_BLOCK points go to sinks[b].take(points, grads),
-    as run() hands them, and finish returns [sinks[b].finish(reason_b)].
+    as run() hands them; take returns the mask of the handed rows whose
+    sinks cut, and finish returns [sinks[b].finish(reason_b)].
     """
 
     def __init__(self, sinks: Iterable):
@@ -446,9 +435,9 @@ class _RowSinks:
     def __len__(self) -> int:
         return len(self.sinks)
 
-    def take(self, rows, points, grads) -> None:
-        for i, b in enumerate(rows):
-            self.sinks[b].take(points[i], None if grads is None else grads[i])
+    def take(self, rows, points, grads) -> np.ndarray:
+        return np.array([bool(self.sinks[b].take(points[i], None if grads is None else grads[i]))
+                         for i, b in enumerate(rows)])
 
     def finish(self, reasons) -> list:
         return [sink.finish(reason) for sink, reason in zip(self.sinks, reasons)]
@@ -489,6 +478,16 @@ def _filled(problem: Problem, points: np.ndarray, grads: Optional[np.ndarray], f
     return f, grads, bad
 
 
+def _until_cut(problem: Problem, points: np.ndarray, grads: Optional[np.ndarray], first: bool):
+    """(points, f, grads, cut) of one block of a run's (m, dim) points, filled
+    by _filled and ended at its first bad point; cut tells whether it was."""
+    f, grads, bad = _filled(problem, points, grads, first)
+    if not bad.any():
+        return points, f, grads, False
+    end = int(bad.argmax()) + 1
+    return points[:end], f[:end], grads[:end], True
+
+
 def _each_row(given, kind, n: int) -> list:
     """given as n instances of kind: one shared by every row, or a sequence of n."""
     rows = [given] * n if isinstance(given, kind) else list(given)
@@ -525,20 +524,21 @@ def run_lockstep(
     rule and step count of run(problem, x_minus1[b], x_0[b], params[b],
     stop[b]): one params gives scalar coefficients, a sequence gives (B, 1)
     columns in the same elementwise expressions, and a heavy-ball row
-    (gamma == 0) steps with grad f(x_k), as run() does. A row freezes once a
-    rule fires.
+    (gamma == 0) steps with grad f(x_k), as run() does.
 
     sink records the whole stack (len(sink) == B) and states its block
     length, sink.block_rows points per row. The live rows' points, and the
     gradients the loop holds (on grad_tol or heavy-ball rows), fill a
     (rows, block_rows, dim) block; sink.take(rows, points, grads) receives
     the original indices of the handed rows and views of their filled
-    points (grads None when the loop holds none). A full block is handed
-    before it is reused, and the rows that stop are handed their last
-    partial block and dropped from the live arrays. No value is evaluated
-    per step, and sink.finish(reasons), with each row's stop reason, is
-    returned. A row whose f or grad f is not finite is cut there by the
-    sink (_Endpoints, or Columns through _RowSinks), as in run().
+    points (grads None when the loop holds none), and returns the (k,) mask
+    of the handed rows it cut at a point whose f or grad f is not finite
+    (_Endpoints, or Columns through _RowSinks), or None for no cut. A full
+    block is handed before it is reused. A row stops once a rule fires,
+    its x_{k+1} is not finite, or the sink cuts it, 'diverged' in the last
+    two cases as in run(): it is handed the rest of its block, if any, and
+    dropped from the live arrays. No value is evaluated per step, and
+    sink.finish(reasons), with each row's stop reason, is returned.
     """
     prev = np.array(x_minus1, dtype=float, ndmin=2)
     cur = np.array(x_0, dtype=float, ndmin=2)
@@ -581,34 +581,51 @@ def run_lockstep(
         gs[:, 0] = gradient(prev)
     r = 1
     reasons = np.full(n, "", dtype=object)
-    rows, x0, k = np.arange(n), cur, 0
+    rows, x0, k, g = np.arange(n), cur, 0, None
 
     def freeze(stopped, why):
-        """Hand the stopped rows their blocks, which end at x_k, where run()
-        leaves them, and drop them; return the live rows' positions.
+        """Stop the stopped rows for why: hand them their blocks, which end
+        where run() leaves them, unless the blocks are empty, and drop them
+        from every live array. A row the sink cuts there stops as
+        'diverged'. Returns whether any row is still live.
 
         The stopped rows swap places with live rows behind them, so they end
         up last: the hand-off and the live blocks are views, and only the
         swapped rows' points are copied."""
-        nonlocal pts, gs
+        nonlocal pts, gs, rows, prev, cur, x0, rules, g, alpha, beta, gamma, hb
         reasons[rows[stopped]] = why
         n_live = stopped.size - np.count_nonzero(stopped)
         holes = np.flatnonzero(stopped[:n_live])
         movers = n_live + np.flatnonzero(~stopped[n_live:])
         order = np.arange(stopped.size)
         order[holes], order[movers] = movers, holes
-        for block in (pts, gs) if gs is not None else (pts,):
-            block[holes, :r], block[movers, :r] = block[movers, :r], block[holes, :r]
-        sink.take(rows[order[n_live:]], pts[n_live:, :r],
-                  None if gs is None else gs[n_live:, :r])
+        if r:
+            for block in (pts, gs) if gs is not None else (pts,):
+                block[holes, :r], block[movers, :r] = block[movers, :r], block[holes, :r]
+            gone = rows[order[n_live:]]
+            cut = sink.take(gone, pts[n_live:, :r], None if gs is None else gs[n_live:, :r])
+            if np.any(cut):
+                reasons[gone[cut]] = "diverged"
+        live = order[:n_live]
         pts, gs = pts[:n_live], None if gs is None else gs[:n_live]
-        return order[:n_live]
+        rows, prev, cur, x0, rules = rows[live], prev[live], cur[live], x0[live], rules[live]
+        if g is not None:
+            g = g[live]
+        alpha, beta, gamma, hb = _select((alpha, beta, gamma), live)
+        return n_live > 0
 
     while True:
-        # x_k is point k + 1; a full block goes to the sink before it is reused
+        # x_k is point k + 1; a full block goes to the sink before it is
+        # reused, and the rows it cuts stop with nothing left to hand
         if r == size:
-            sink.take(rows, pts, gs)
+            cut = sink.take(rows, pts, gs)
             r = 0
+            if np.any(cut) and not freeze(cut, "diverged"):
+                break
+        # a row whose x_k is not finite ends at x_{k-1}, its block's last point
+        if k and not np.isfinite(cur).all():
+            if not freeze(~np.isfinite(cur).all(axis=1), "diverged"):
+                break
         pts[:, r] = cur
         g = gradient(cur) if need_g else None
         if gs is not None:
@@ -627,13 +644,8 @@ def run_lockstep(
             for reason, hit in hits:
                 why[hit] = reason
             done = why != ""
-            live = freeze(done, why[done])
-            if not live.size:
+            if not freeze(done, why[done]):
                 break
-            rows, prev, cur, x0, rules = rows[live], prev[live], cur[live], x0[live], rules[live]
-            alpha, beta, gamma, hb = _select((alpha, beta, gamma), live)
-            if need_g:
-                g = g[live]
         # step(), with heavy-ball rows stepping along grad f(x_k)
         d = cur - prev
         if hb is None:
@@ -644,14 +656,7 @@ def run_lockstep(
             g_step = g.copy()
             gen = ~hb
             g_step[gen] = gradient(cur[gen] + gamma[gen] * d[gen])
-        x_next = (cur + beta * d) - alpha * g_step
-        if not np.isfinite(x_next).all():
-            live = freeze(~np.isfinite(x_next).all(axis=1), "diverged")
-            if not live.size:
-                break
-            rows, cur, x0, x_next, rules = rows[live], cur[live], x0[live], x_next[live], rules[live]
-            alpha, beta, gamma, hb = _select((alpha, beta, gamma), live)
-        prev, cur = cur, x_next
+        prev, cur = cur, (cur + beta * d) - alpha * g_step
         k += 1
 
     return sink.finish(reasons)

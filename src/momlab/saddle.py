@@ -24,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .optimizer import _ROW_BLOCK, MomentumParams, StopRules, _Endpoints, run_lockstep, safe_alpha
+from .optimizer import (_ROW_BLOCK, MomentumParams, StopRules, _Endpoints, run_lockstep,
+                        safe_alpha, step)
 from .problems import Problem
 
 __all__ = [
@@ -77,12 +78,7 @@ def characteristic_roots(d: float, params: MomentumParams):
 
 def momentum_map(problem: Problem, x, y, params: MomentumParams):
     """The pair map F(x, y); fixed points are (x, x) with grad f(x) = 0."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    top = x + params.beta * (x - y) - params.alpha * problem.gradient(
-        x + params.gamma * (x - y)
-    )
-    return top, x.copy()
+    return step(problem, y, x, params)[0], np.array(x, dtype=float)
 
 
 def _check_dense(problem: Problem) -> None:

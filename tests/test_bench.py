@@ -28,9 +28,10 @@ def test_bench_appends_a_row(tmp_path):
     assert list(runs) == ["mf_heavy_ball", "sensing_nesterov", "network_generic"]
     assert all(r["steps"] == 30 and r["stop_reason"] == "max_iters" and r["us_per_step"] > 0
                for r in runs.values())
-    lockstep = row["lockstep_us_per_row_step"]
-    assert list(lockstep) == list(runs)
-    for by_rows in lockstep.values():
-        assert list(by_rows) == ["1", "8", "64"]
-        assert all(r["row_steps"] == 10 * int(b) and r["us_per_row_step"] > 0
-                   for b, r in by_rows.items())
+    for key in ("lockstep_us_per_row_step", "lockstep_columns_us_per_row_step"):
+        lockstep = row[key]
+        assert list(lockstep) == list(runs)
+        for by_rows in lockstep.values():
+            assert list(by_rows) == ["1", "8", "64"]
+            assert all(r["row_steps"] == 10 * int(b) and r["us_per_row_step"] > 0
+                       for b, r in by_rows.items())

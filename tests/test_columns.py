@@ -146,23 +146,71 @@ def test_each_stop_rule(tmp_path, rule, kind, preset, scale):
 
 def test_run_stops_stepping_once_its_sink_cuts(tmp_path, counted):
     # the overflow case of test_each_stop_rule: f overflows after 34 steps
-    # while the iterates stay finite, so only the sink sees the cut; run()
-    # stops at the hand-off of the block that holds it
+    # while the iterates stay finite, so only the sink sees the cut; run(),
+    # and run_lockstep() for a row, stop at the hand-off of the block that
+    # holds it
     p, x0, params, ML = _setup("indefinite_quadratic", "heavy_ball", 3, scale=1.5)
     p, counts = counted(overflowing(p))
     stop = StopRules(max_iters=1100)
     points, f, grads, _ = reference_run(p, x0, x0, params, stop)
-    for sink in (None, Columns(p, build_certificate(*ML, params, x0, 2.0, strict=False))):
-        counts["gradient"][0] = 0
+    cert = build_certificate(*ML, params, x0, 2.0, strict=False)
+    history = optimizer._History(p, params, stop.max_iters + 2)
+    for sink in (None, Columns(p, cert), _RowSinks([history]), _RowSinks([Columns(p, cert)])):
+        counts["gradient"][:] = 0, 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            source = run(p, x0, x0, params, stop, sink=sink)
+            if isinstance(sink, _RowSinks):
+                [source] = run_lockstep(p, x0[None], x0[None], params, stop, sink=sink)
+            else:
+                source = run(p, x0, x0, params, stop, sink=sink)
         assert source.stop_reason == "diverged" and source.num_steps == 34
         assert np.array_equal(source.f, f)
         assert counts["gradient"][0] <= len(points) + B
+        assert sum(counts["gradient"]) <= len(points) + B
     assert np.array_equal(source.grad_norms, np.linalg.norm(grads, axis=1))
     trace = _assert_streaming_equals_stored(tmp_path, p, x0, params, stop, ML)
     assert np.array_equal(trace.points, points) and np.array_equal(trace.grads, grads)
+
+    # _Endpoints' default block (8,192 points at B = 1) spans the whole run,
+    # so blocks of 7 points show the stop
+    def endpoints(rows):
+        ends = optimizer._Endpoints(p, rows)
+        ends.block_rows = 7
+        return ends
+
+    counts["gradient"][:] = 0, 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ends = run_lockstep(p, x0[None], x0[None], params, stop, sink=endpoints(1))
+    assert ends.stop_reason.tolist() == ["diverged"] and ends.num_steps.tolist() == [34]
+    assert np.array_equal(ends.x[0], points[-1]) and np.array_equal(ends.grad[0], grads[-1])
+    assert sum(counts["gradient"]) <= len(points) + B
+
+    # a stack whose middle row overflows: the rows on either side start on
+    # the stable direction, run all 1,100 steps and equal their own run()
+    starts = np.array([x0 * [1.0, 0.0], x0, 0.5 * x0 * [1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        alone = [run(p, x, x, params, stop, sink=Columns(p, cert)) for x in starts]
+        traces = [run(p, x, x, params, stop) for x in starts]
+        for sink in (_RowSinks([Columns(p, cert) for _ in starts]), endpoints(3)):
+            counts["gradient"][:] = 0, 0
+            done = run_lockstep(p, starts, starts, params, stop, sink=sink)
+            assert sum(counts["gradient"]) <= 2 * (stop.max_iters + 2) + len(points) + B
+            if isinstance(sink, _RowSinks):
+                for cols, ref in zip(done, alone):
+                    assert (cols.stop_reason, cols.num_steps) == (ref.stop_reason, ref.num_steps)
+                    for name in Columns._NAMES:
+                        assert np.array_equal(getattr(cols, name), getattr(ref, name)), name
+                    assert np.array_equal(cols.certified, ref.certified)
+            else:
+                assert done.stop_reason.tolist() == [tr.stop_reason for tr in traces]
+                assert done.num_steps.tolist() == [tr.num_steps for tr in traces]
+                for b, tr in enumerate(traces):
+                    assert np.array_equal(done.x[b], tr.points[-1])
+                    assert np.array_equal(done.grad[b], tr.grads[-1])
+    assert [tr.stop_reason for tr in traces] == ["max_iters", "diverged", "max_iters"]
+    assert traces[1].num_steps == 34
 
 
 # around the first block edge, where the first block ends, and around the
