@@ -1,9 +1,10 @@
 """Layer timings of one momlab source tree, appended as a row to a BENCH_*.json file.
 
-    python scripts/bench.py --label change
-    python scripts/bench.py --root ../parent --label parent
+    python scripts/bench.py --out BENCH_30.json --label change
+    python scripts/bench.py --out BENCH_30.json --root ../parent --label parent
 
---out names the file, BENCH_27.json by default.
+--out names the file, and must be given: a row is never appended to a file
+the command line does not name.
 
 --root is the root of a momlab checkout (src/momlab, configs/, perfbench/,
 tests/conftest.py); its momlab is the one measured. A row records:
@@ -18,6 +19,9 @@ tests/conftest.py); its momlab is the one measured. A row records:
   same problems at B = 1, 8 and 64 starts;
 - lockstep_columns_us_per_row_step: the same, with a _RowSinks sink of one
   certificates.Columns per row, as `momlab sweep` steps its cells;
+- checks_us_per_1k_steps: certificates.Columns.of over a stored 20,000-step
+  Trace of each of those problems plus check_descent, check_gradient_bound
+  and check_step_bound on its Columns, per 1,000 steps;
 - perfbench: the result line of each perfbench workload, as printed, at
   seed 0 and 30 seconds;
 - the platform fingerprint of `momlab` reports (cli._platform()), whether
@@ -118,6 +122,28 @@ def run_rows(runs: dict, steps: int, repeats: int) -> dict:
     return rows
 
 
+def checks_rows(runs: dict, steps: int, repeats: int) -> dict:
+    """µs per 1,000 steps of Columns.of over a stored Trace plus the three per-step checks."""
+    from momlab import certificates
+    from momlab.optimizer import StopRules, run
+
+    checks = (certificates.check_descent, certificates.check_gradient_bound,
+              certificates.check_step_bound)
+    rows = {}
+    for name, (p, x_m1, x0, params, stop, cert) in runs.items():
+        trace = run(p, x_m1, x0, params, StopRules(steps, stop.grad_tol, stop.box_radius))
+
+        def checked():
+            cols = certificates.Columns.of(trace, cert)
+            for check in checks:
+                check(cols, cert)
+
+        us = best_us(checked, 1, repeats)
+        rows[name] = {"steps": trace.num_steps,
+                      "us_per_1k_steps": 1e3 * us / max(trace.num_steps, 1)}
+    return rows
+
+
 def lockstep_rows(runs: dict, steps: int, repeats: int, columns: bool) -> dict:
     """run_lockstep() µs per row-step into one _Endpoints sink, or into
     _RowSinks of one Columns per row when columns is set."""
@@ -170,7 +196,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", type=Path, default=HERE, help="momlab checkout to measure")
     ap.add_argument("--label", required=True, help="name of the row, such as parent or change")
-    ap.add_argument("--out", type=Path, default=HERE / "BENCH_27.json")
+    ap.add_argument("--out", type=Path, required=True, help="the BENCH_*.json to append to")
     ap.add_argument("--smoke", action="store_true",
                     help="a tiny budget and no perfbench, for the test suite")
     args = ap.parse_args(argv)
@@ -194,6 +220,7 @@ def main(argv=None) -> int:
         "budget": budget,
         "grad_us": gradient_rows(budget["calls"], repeats),
         "run_us_per_step": run_rows(runs, budget["steps"], repeats),
+        "checks_us_per_1k_steps": checks_rows(runs, budget["steps"], repeats),
         "lockstep_us_per_row_step": lockstep_rows(runs, budget["lockstep_steps"], repeats,
                                                   columns=False),
         "lockstep_columns_us_per_row_step": lockstep_rows(runs, budget["lockstep_steps"],

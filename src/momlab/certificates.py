@@ -3,16 +3,16 @@
 Computes the closed-form constants that make the Lyapunov decrease
 inequality, the gradient-norm bounds, the per-step length bound, and the
 iterate length formula executable, then verifies each inequality iterate by
-iterate. The inequalities read only per-step scalars, which Columns reduces
-a block of rows at a time: as run()'s sink while a trajectory is stepped,
-so that it is never held (every CLI command certifies this way), or from a
-stored Trace's own arrays, reduced afresh on each call. Columns is
-the one implementation of every per-row quantity the checks and trace.csv
-read; it fills its blocks and cuts them at a point that is not finite by
-the rule run()'s Trace and escape studies' endpoints are cut by, and
-reports the cut to the loop, which stops the run. All constant formulas
-are pure functions of (M, L, alpha, beta, gamma, delta, m); the golden
-values are pinned in the test suite.
+iterate. The per-step inequalities read only per-row scalars, and Columns
+checks them a block of rows at a time: as run()'s sink while a trajectory
+is stepped, so that it is never held (every CLI command certifies this
+way), or from a stored Trace's own arrays, reduced afresh on each call.
+Columns is the one implementation of every per-row quantity and per-step
+check, and keeps three columns; it fills its blocks and cuts them at a
+point that is not finite by the rule run()'s Trace and escape studies'
+endpoints are cut by, and reports the cut to the loop, which stops the
+run. All constant formulas are pure functions of (M, L, alpha, beta,
+gamma, delta, m); the golden values are pinned in the test suite.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .optimizer import _ROW_BLOCK, MomentumParams, _by_row_block, _until_cut, safe_alpha
+from .optimizer import _ROW_BLOCK, MomentumParams, _until_cut, safe_alpha
 from .problems import Problem, _dot_self, _norms_in_place, _row_norms
 
 __all__ = [
@@ -334,44 +333,46 @@ def build_certificate(
 
 
 class Columns:
-    """The per-row columns of one trajectory that the checks and trace.csv read.
+    """The per-row columns and per-step reports of one trajectory.
 
     A run() sink: take() reduces each block of recorded rows to per-row
-    scalars and drops the block, so a trajectory of K steps is held as five
-    8-byte columns (40 bytes a point) whatever its dim. finish() joins the
-    columns one at a time, dropping each column's parts once it is joined.
-    The columns, for points x_{-1}..x_K:
+    scalars, checks each step whose last point the block holds, and drops
+    the block, so a trajectory of K steps is held as three 8-byte columns
+    (24 bytes a point) and three per-step reports whatever its dim.
+    finish() joins them one at a time, dropping each column's or report's
+    parts once it is joined. For points x_{-1}..x_K:
 
     - f and grad_norms (||grad f(x_k)||, as np.linalg.norm rounds it), one
       per point; f, and grads when a block carries none, are filled by
       optimizer._until_cut, and take cuts the block at its first point
       (x_0 or later) whose value or gradient is not finite and reports the
       cut: the one rule every recorder, run()'s Trace included, cuts by;
-    - grad_row_norms, the same norms as per-row dot products
-      (problems._row_norms), which the gradient bound reads;
     - step_norms, ||x_k - x_{k-1}|| for k = 0..K;
-    - grad_H_norms, ||grad H_lam(z_k)|| for k = 0..K at cert.lam;
     - certified, per step k = 0..K-1: False from the first step whose
       iterates leave cert's trust ball on;
-    - z_gaps, ||z_{k+1} - z_k|| for k = 0..K-1, built on first use.
+    - reports, the PerStepReport of descent, gradient_bound and step_bound
+      by name, all three on every trajectory.
 
-    Each per-row expression is evaluated on a block exactly as on the whole
-    array, so the columns do not depend on where the blocks end. A stored
+    Step k reads x_{k-1}, x_k and x_{k+1}; take checks it once x_{k+1}
+    arrives, carrying four scalars of a block's last point across the
+    block edge. Each expression is evaluated on a block exactly as on the
+    whole array, so nothing depends on where the blocks end. A stored
     Trace is certified through the same reducer: see Columns.of.
     """
 
-    _NAMES = ("f", "grad_norms", "grad_row_norms", "step_norms", "grad_H_norms")
+    _NAMES = ("f", "grad_norms", "step_norms")
+    _CHECKS = ("descent", "gradient_bound", "step_bound")
 
     def __init__(self, problem: Optional[Problem], cert: Certificate):
         self._problem = problem
-        self._lam2 = 2.0 * cert.lam
-        self._center = cert.ball_center
+        self._cert = cert
         self._limit = cert.ball_radius * (1.0 + 1e-12)
-        self._parts = {name: [] for name in self._NAMES}
-        # the joined (read-only) columns, set by finish
-        self.f = self.grad_norms = self.grad_row_norms = None
-        self.step_norms = self.grad_H_norms = None
+        # each column's parts, and each check's (slack, passed) parts
+        self._parts = {name: [] for name in (*self._NAMES, *self._CHECKS)}
+        # the joined (read-only) columns and the reports, set by finish
+        self.f = self.grad_norms = self.step_norms = self.certified = self.reports = None
         self._last = None     # the last point taken
+        self._carry = np.empty((4, 0))  # its take() rows entry, once it has a predecessor
         self._n = 0           # points taken
         self._exit = None     # index of the first point outside the ball
         self.stop_reason = None
@@ -403,7 +404,7 @@ class Columns:
         if f is None:
             points, f, grads, cut = _until_cut(self._problem, points, grads, first)
         if self._exit is None:
-            out = np.flatnonzero(~(_norms_in_place(points - self._center) <= self._limit))
+            out = np.flatnonzero(~(_norms_in_place(points - self._cert.ball_center) <= self._limit))
             if out.size:
                 self._exit = self._n + int(out[0])
         # x_k - x_{k-1} for every point of the block that has a predecessor
@@ -414,56 +415,51 @@ class Columns:
             np.subtract(points[:1], self._last, out=d[:1])
             np.subtract(points[1:], points[:-1], out=d[1:])
         # grad H(x, y) = (grad f(x) + 2 lam (x - y), 2 lam (y - x)) at (x_k, x_{k-1})
-        h = d * self._lam2
+        h = d * (2.0 * self._cert.lam)
         h_sq = _dot_self(h)
-        h += grads[len(grads) - len(d):]
-        columns = (f, np.linalg.norm(grads, axis=1), _row_norms(grads),
-                   _norms_in_place(d), np.sqrt(_dot_self(h) + h_sq))
-        for name, column in zip(self._NAMES, columns):
+        grads_d = grads[len(grads) - len(d):]
+        h += grads_d
+        sn = _norms_in_place(d)
+        H = sn**2  # H_lam(z_k), as lyapunov_values takes it
+        H *= self._cert.lam
+        H += f[len(f) - len(d):]
+        # rows sn, ||grad H_lam|| (gH), gradient row norm (rn) and H: the last
+        # point's carried entry, then one per point with a predecessor
+        rows = np.concatenate(
+            [self._carry, [sn, np.sqrt(_dot_self(h) + h_sq), _row_norms(grads_d), H]], axis=1)
+        self._carry = rows[:, -1:].copy()
+        self._n += len(points)
+        columns = (f, np.linalg.norm(grads, axis=1), sn, *_checked(self._cert, *rows, self._n))
+        for name, column in zip((*self._NAMES, *self._CHECKS), columns):
             self._parts[name].append(column)
         self._last = points[-1].copy()
-        self._n += len(points)
         return cut
 
     def finish(self, reason: str) -> "Columns":
-        """Join the columns of a run that stopped for reason; returns self."""
+        """Join the columns and reports of a run that stopped for reason; returns self."""
         self.stop_reason = reason
-        # one column at a time, each column's parts dropped once it is joined
-        parts = self._parts
-        del self._parts
+        # one at a time, each column's or report's parts dropped once joined
+        parts, self._parts = self._parts, None
         for name in self._NAMES:
-            column = np.concatenate(parts.pop(name))
-            column.flags.writeable = False
-            setattr(self, name, column)
+            setattr(self, name, _joined(parts.pop(name)))
+        # False from the first ball exit on: point index i is iterate x_{i-1},
+        # and step k touches points k, k+1 and k+2
+        exit_step = self.num_steps if self._exit is None else max(self._exit - 2, 0)
+        self.certified = _joined([np.arange(self.num_steps) < exit_step])
+        self.reports = {name: PerStepReport(name, *map(_joined, zip(*parts.pop(name))),
+                                            self.certified) for name in self._CHECKS}
         return self
 
     @property
     def num_steps(self) -> int:
         return self._n - 2
 
-    @cached_property
-    def certified(self) -> np.ndarray:
-        """certified[k] for step k = 0..K-1; False from the first ball exit on."""
-        certified = np.ones(self.num_steps, dtype=bool)
-        if self._exit is not None:
-            # point index i is iterate x_{i-1}; step k touches points k, k+1, k+2
-            certified[max(self._exit - 2, 0):] = False
-        certified.flags.writeable = False
-        return certified
 
-    @cached_property
-    def z_gaps(self) -> np.ndarray:
-        """||z_{k+1} - z_k|| = hypot(||x_{k+1}-x_k||, ||x_k-x_{k-1}||) for k = 0..K-1."""
-        gaps = _z_gaps(self.step_norms)
-        gaps.flags.writeable = False
-        return gaps
-
-
-def _z_gaps(sn: np.ndarray) -> np.ndarray:
-    """hypot(sn[k+1], sn[k]) for k = 0..len(sn)-2 by math.hypot, which np.hypot
-    does not match in the last bit, a row block at a time."""
-    return _by_row_block(len(sn) - 1, lambda i, j: list(map(
-        math.hypot, sn[i + 1:j + 1].tolist(), sn[i:j].tolist())))
+def _joined(parts) -> np.ndarray:
+    """The read-only concatenation of parts."""
+    joined = np.concatenate(parts)
+    joined.flags.writeable = False
+    return joined
 
 
 def lyapunov_values(trace, lam: float) -> np.ndarray:
@@ -483,24 +479,14 @@ def check_descent(trace, cert: Certificate) -> PerStepReport:
 
     slack_k = H(z_k) - H(z_{k+1}) - c1 (||x_{k+1}-x_k||^2 + ||x_k-x_{k-1}||^2);
     a step passes iff slack_k >= -SLACK_RTOL * (1 + |H(z_k)|). trace is a
-    Trace or its Columns, as for every check.
+    Trace or its Columns, as for every check: the report is its Columns'.
     """
-    cols = Columns.of(trace, cert)
-    H = lyapunov_values(cols, cert.lam)
-    # float_power squares with pow(), as a float64 scalar ** 2 does; the
-    # array ** 2 multiplies and can differ in the last bit
-    sq = np.float_power(cols.step_norms, 2.0)
-    margin = sq[1:] + sq[:-1]
-    margin *= cert.c1
-    slack = H[:-1] - H[1:]
-    slack -= margin
-    passed = slack >= _neg_tol(np.abs(H[:-1]))
-    return PerStepReport("descent", slack, passed, cols.certified)
+    return Columns.of(trace, cert).reports["descent"]
 
 
-# The checks' K-long expressions are taken in place where a temporary would
-# be dropped at once: the same products and sums in the same order, so the
-# same bits, with fewer K-long arrays alive at a time.
+# The checks' expressions run elementwise on a block's rows, so a block
+# gives the whole run's bits. Each is taken in place where a temporary
+# would be dropped at once, with its products and sums in the inequality's order.
 
 def _neg_tol(x: np.ndarray) -> np.ndarray:
     """-SLACK_RTOL * (1 + x), written into x."""
@@ -527,16 +513,7 @@ def check_gradient_bound(trace, cert: Certificate) -> PerStepReport:
 
     The reported slack is the smaller of the two normalized slacks.
     """
-    cols = Columns.of(trace, cert)
-    z_gap = cols.z_gaps
-    gH = cols.grad_H_norms
-    # each bound times ||z_{k+1}-z_k|| serves its slack, then its tolerance
-    b_gap = cert.b_alpha * z_gap
-    slack = b_gap - cols.grad_row_norms[1:-1]
-    c_gap = cert.c2 * z_gap
-    slack_c2 = c_gap - _first_max(gH[:-1], gH[1:])
-    passed = (slack >= _neg_tol(b_gap)) & (slack_c2 >= _neg_tol(c_gap))
-    return PerStepReport("gradient_bound", _first_min(slack, slack_c2), passed, cols.certified)
+    return Columns.of(trace, cert).reports["gradient_bound"]
 
 
 def check_step_bound(trace, cert: Certificate) -> PerStepReport:
@@ -548,23 +525,44 @@ def check_step_bound(trace, cert: Certificate) -> PerStepReport:
     beta < 0 the printed constant is optimistic and the report says so via
     its slack.
     """
-    cols = Columns.of(trace, cert)
+    return Columns.of(trace, cert).reports["step_bound"]
+
+
+def _checked(cert: Certificate, sn, gH, rn, H, n: int):
+    """(slack, passed) of each check for the steps between entries i, i + 1 of
+    Columns.take's rows (sn, gH, rn, H), whose last is point n - 1."""
+    # float_power squares with pow(), as a float64 scalar ** 2 does; the
+    # array ** 2 multiplies and can differ in the last bit
+    sq = np.float_power(sn, 2.0)
+    margin = sq[1:] + sq[:-1]
+    margin *= cert.c1
+    slack = H[:-1] - H[1:]
+    slack -= margin
+    descent = slack, slack >= _neg_tol(np.abs(H[:-1]))
+    # ||z_{k+1} - z_k|| by math.hypot, which np.hypot does not match in the last bit
+    z_gap = np.array(list(map(math.hypot, sn[1:].tolist(), sn[:-1].tolist())))
+    # each bound times ||z_{k+1}-z_k|| serves its slack, then its tolerance
+    b_gap = cert.b_alpha * z_gap
+    slack = b_gap - rn[:-1]
+    c_gap = cert.c2 * z_gap
+    slack_c2 = c_gap - _first_max(gH[:-1], gH[1:])
+    passed = (slack >= _neg_tol(b_gap)) & (slack_c2 >= _neg_tol(c_gap))
+    gradient_bound = _first_min(slack, slack_c2), passed
     p = cert.params
-    sn = cols.step_norms[1:]  # sn[k] = ||x_{k+1} - x_k||, the result of step k
+    sn = sn[1:]  # ||x_{k+1} - x_k||, the result of step k
     L_scaled = cert.L / (1.0 - p.beta)
     flat = cert.delta1 * p.alpha - sn
-    # (delta |beta|^(k+1) + L_scaled) alpha - sn[k]; float_power is the
-    # scalar pow of |beta| ** (k+1), np.power is not
-    decay = np.float_power(abs(p.beta), np.arange(1, cols.num_steps + 1))
+    # (delta |beta|^(k+1) + L_scaled) alpha - sn[k] at the run's step index k;
+    # float_power is the scalar pow of |beta| ** (k+1), np.power is not
+    decay = np.float_power(abs(p.beta), np.arange(n - 1 - len(sn), n - 1))
     decay *= p.delta
     decay += L_scaled
     decay *= p.alpha
     decay -= sn
-    z_bound = math.sqrt(2.0) * cert.delta1 * p.alpha - cols.z_gaps
+    z_bound = math.sqrt(2.0) * cert.delta1 * p.alpha - z_gap
     tol = SLACK_RTOL * (1.0 + cert.delta1 * p.alpha)
     passed = (flat >= -tol) & (decay >= -tol) & (z_bound >= -tol)
-    slack = _first_min(_first_min(flat, decay), z_bound)
-    return PerStepReport("step_bound", slack, passed, cols.certified)
+    return descent, gradient_bound, (_first_min(_first_min(flat, decay), z_bound), passed)
 
 
 @dataclass
@@ -598,8 +596,9 @@ def check_length_formula(trace, cert: Certificate, psi) -> LengthReport:
 def measure_length(trace):
     """Total and per-k partial sums of ||x_{k+1} - x_k|| over steps 0..K-1.
 
-    trace is a Trace or Columns: the step_norms of either, summed in step
-    order (np.cumsum) so that every report gives one total.
+    trace is a Trace or Columns: the step_norms of either (one of the three
+    columns Columns keeps), summed in step order (np.cumsum) so that every
+    report gives one total.
     """
     sn = trace.step_norms[1:]  # exclude the x_{-1} -> x_0 gap
     partial = np.cumsum(sn)

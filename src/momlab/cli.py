@@ -207,8 +207,8 @@ def _certify(cfg: ExperimentConfig, trace, cert):
     """
     cols = _self.Columns.of(trace, cert)
     results = {}
-    # the fit's least-squares temporaries are the largest of any check: it
-    # runs before the per-step reports are held
+    # cols reduced every per-step report with its columns: each check below
+    # only picks its own, so the fit's temporaries peak beside all three
     psi = None
     if "kl_fit" in cfg.checks or "length" in cfg.checks:
         f_star = cfg.problem.info.get("f_star")

@@ -287,6 +287,10 @@ def _assert_sink_rows_equal_run(p, xm1, x0, params, stops):
             assert cols[b].num_steps == ref.num_steps == tr.num_steps
             for name in (*Columns._NAMES, "certified"):
                 assert getattr(cols[b], name).tobytes() == getattr(ref, name).tobytes(), name
+            for name in Columns._CHECKS:
+                got, want = cols[b].reports[name], ref.reports[name]
+                assert got.slack.tobytes() == want.slack.tobytes(), name
+                assert got.passed.tobytes() == want.passed.tobytes(), name
     return kept
 
 

@@ -322,9 +322,17 @@ class TestBoundedMemory:
         pts, grads = trace.points, trace.grads
         assert np.array_equal(trace.step_norms, np.linalg.norm(np.diff(pts, axis=0), axis=1))
         assert np.array_equal(trace.grad_norms, np.linalg.norm(grads, axis=1))
+        # the gradient bound from whole-array ||grad H_lam||, gradient row
+        # norms and ||z_{k+1} - z_k||, against the one reduced block by block
         d = 2.0 * cert.lam * (pts[1:] - pts[:-1])
-        whole = np.sqrt(_dot_self(d + grads[1:]) + _dot_self(d))
-        assert np.array_equal(Columns.of(trace, cert).grad_H_norms, whole)
+        grad_H = np.sqrt(_dot_self(d + grads[1:]) + _dot_self(d))
+        sn = trace.step_norms
+        z_gap = np.array([math.hypot(a, b) for a, b in zip(sn[1:], sn[:-1])])
+        slack_b = cert.b_alpha * z_gap - np.sqrt(_dot_self(grads))[1:-1]
+        slack_c2 = cert.c2 * z_gap - np.maximum(grad_H[:-1], grad_H[1:])
+        rep = Columns.of(trace, cert).reports["gradient_bound"]
+        assert np.array_equal(rep.slack, np.minimum(slack_b, slack_c2))
+        assert not rep.slack.flags.writeable and not rep.passed.flags.writeable
         # the distance from x_0 grows along this run: the first ball exit in
         # the second row block, in the last one, and no exit at all
         dist = np.linalg.norm(pts - cert.ball_center, axis=1)

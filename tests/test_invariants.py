@@ -5,7 +5,8 @@
   the trust ball (the step bound only for beta >= 0: for beta < 0 the
   printed delta1 is optimistic, and its verdict is recorded as an event);
 - the array checks equal a step-by-step evaluation of each inequality bit
-  for bit, on certified runs and on runs that fail or diverge;
+  for bit, on certified runs and on runs that fail or diverge, with blocks
+  of 1, 3, 7 and _ROW_BLOCK rows and any delta;
 - run() equals a per-step loop that evaluates f and grad f at every iterate
   bit for bit, on runs that stop on any rule, including a value overflow
   that the batched f column catches after the loop.
@@ -31,24 +32,25 @@ from momlab import (
     run,
     safe_alpha,
 )
+from momlab import certificates, optimizer
 
 PRESETS = ["heavy_ball", "nesterov", "generic"]
 RADIUS = 2.0
 
 
-def sampled_setup(kind, preset, seed, beta, gamma, scale):
+def sampled_setup(kind, preset, seed, beta, gamma, scale, delta=0.0):
     """(problem, x0, params, L, M) for a run at scale * safe_alpha from a random start."""
     gamma = {"heavy_ball": 0.0, "nesterov": beta}.get(preset, gamma)
     p = make_problem(kind, seed)
     x0 = np.random.default_rng(seed).uniform(-0.5, 0.5, p.dim)
     L, M = estimate_lipschitz(p, x0, RADIUS, reach=max(abs(beta), abs(gamma)), seed=seed)
     alpha = scale * safe_alpha(M, MomentumParams(1e-6, beta, gamma))
-    return p, x0, MomentumParams(alpha, beta, gamma, preset), L, M
+    return p, x0, MomentumParams(alpha, beta, gamma, preset, delta=delta), L, M
 
 
-def sampled_run(kind, preset, seed, beta, gamma, scale=0.9, steps=300, box=RADIUS):
+def sampled_run(kind, preset, seed, beta, gamma, scale=0.9, steps=300, box=RADIUS, delta=0.0):
     """A run at scale * safe_alpha from a random start, stopped at distance box."""
-    p, x0, params, L, M = sampled_setup(kind, preset, seed, beta, gamma, scale)
+    p, x0, params, L, M = sampled_setup(kind, preset, seed, beta, gamma, scale, delta)
     with np.errstate(all="ignore"):
         trace = run(p, x0, x0, params, StopRules(max_iters=steps, box_radius=box))
     cert = build_certificate(M, L, params, x0, RADIUS, strict=False)
@@ -111,19 +113,28 @@ def _reference_slacks(trace, cert):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @given(preset=st.sampled_from(PRESETS), seed=st.integers(0, 2**16), beta=BETAS,
-       gamma=GAMMAS, scale=st.sampled_from([0.9, 3.0, 1e4]))
+       gamma=GAMMAS, scale=st.sampled_from([0.9, 3.0, 1e4]), delta=st.floats(0.0, 2.0))
 @settings(**SETTINGS)
-def test_checks_equal_step_by_step_reference(kind, preset, seed, beta, gamma, scale):
-    _, trace, cert = sampled_run(kind, preset, seed, beta, gamma, scale, 150, np.inf)
+def test_checks_equal_step_by_step_reference(kind, preset, seed, beta, gamma, scale, delta):
+    # the checks carry each block's last point across its edge, and read
+    # |beta|^(k+1) at the run's step index k, which delta > 0 puts in the
+    # step bound's slack; certificates imports _ROW_BLOCK by name
+    for block in (1, 3, 7, optimizer._ROW_BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "_ROW_BLOCK", block)
+            mp.setattr(certificates, "_ROW_BLOCK", block)
+            _, trace, cert = sampled_run(kind, preset, seed, beta, gamma, scale, 150, np.inf,
+                                         delta)
+            with np.errstate(all="ignore"):
+                reference = _reference_slacks(trace, cert)
+                reports = [check_descent(trace, cert), check_gradient_bound(trace, cert),
+                           check_step_bound(trace, cert)]
+        for rep in reports:
+            slack, passed = zip(*reference[rep.name]) if trace.num_steps else ((), ())
+            assert np.array_equal(rep.slack, np.array(slack, dtype=float), equal_nan=True), (
+                rep.name, block)
+            assert np.array_equal(rep.passed, np.array(passed, dtype=bool)), (rep.name, block)
     event(trace.stop_reason)
-    with np.errstate(all="ignore"):
-        reference = _reference_slacks(trace, cert)
-        reports = [check_descent(trace, cert), check_gradient_bound(trace, cert),
-                   check_step_bound(trace, cert)]
-    for rep in reports:
-        slack, passed = zip(*reference[rep.name]) if trace.num_steps else ((), ())
-        assert np.array_equal(rep.slack, np.array(slack, dtype=float), equal_nan=True), rep.name
-        assert np.array_equal(rep.passed, np.array(passed, dtype=bool)), rep.name
 
 
 @pytest.mark.parametrize("grad_tol", [0.0, 1e-3])

@@ -77,6 +77,7 @@ def test_writers_with_checks_missing(tmp_path, checks):
 def test_writers_with_non_finite_slack(tmp_path):
     trace, cert = _certified_run(6)
     for rep in cert.per_step.values():
+        rep.slack = rep.slack.copy()  # a check's slack is read-only
         rep.slack[1:4] = [np.nan, np.inf, -np.inf]
     cert.per_step["descent"].slack[:] = np.nan  # min_slack is NaN as well
     _assert_writers_match(tmp_path, trace, cert)
