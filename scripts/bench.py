@@ -1,13 +1,16 @@
 """Layer timings of one momlab source tree, appended as a row to a BENCH_*.json file.
 
-    python scripts/bench.py --out BENCH_30.json --label change
-    python scripts/bench.py --out BENCH_30.json --root ../parent --label parent
+    git worktree add --detach ../parent HEAD    # the parent, before committing
+    python scripts/bench.py --out BENCH_31.json --root ../parent --label parent
+    python scripts/bench.py --out BENCH_31.json --label change
 
 --out names the file, and must be given: a row is never appended to a file
 the command line does not name.
 
 --root is the root of a momlab checkout (src/momlab, configs/, perfbench/,
-tests/conftest.py); its momlab is the one measured. A row records:
+tests/conftest.py); its momlab is the one measured. A --root that is not
+a git checkout records commit null, with a warning on stderr. A row
+records:
 
 - grad_us: microseconds per gradient call for each family of
   tests/conftest.py's ALL_KINDS, at one point and for a stack of
@@ -22,14 +25,18 @@ tests/conftest.py); its momlab is the one measured. A row records:
 - checks_us_per_1k_steps: certificates.Columns.of over a stored 20,000-step
   Trace of each of those problems plus check_descent, check_gradient_bound
   and check_step_bound on its Columns, per 1,000 steps;
+- escape_us_per_trial_step: escape_experiment on the study of perfbench's
+  `escape` workload, mf_origin_saddle at seed 0 (289,242 trial-steps), set
+  up as `momlab saddle` sets it up: the best and the median;
 - perfbench: the result line of each perfbench workload, as printed, at
   seed 0 and 30 seconds;
 - the platform fingerprint of `momlab` reports (cli._platform()), whether
   Python wrote a bytecode cache, and the commit and a sha256 of src/.
 
-Each timing is the best of 5. The process keeps one BLAS thread, as the
-CLI does: momlab.cli is imported before numpy. --smoke runs every layer on
-a tiny budget and skips perfbench, for the test suite.
+Each timing is the best of 5 (the escape row adds the median). The
+process keeps one BLAS thread, as the CLI does: momlab.cli is imported
+before numpy. --smoke runs every layer on a tiny budget and skips
+perfbench, for the test suite.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ import argparse
 import hashlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -46,6 +54,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 CERTIFY_RUNS = ("mf_heavy_ball", "sensing_nesterov", "network_generic")
+ESCAPE_STUDY = "mf_origin_saddle"
 LOCKSTEP_ROWS = (1, 8, 64)
 # repeats, single-point gradient calls per timing, run() steps, run_lockstep() steps
 BUDGET = {"repeats": 5, "calls": 5000, "steps": 20_000, "lockstep_steps": 2000}
@@ -82,21 +91,25 @@ def gradient_rows(calls: int, repeats: int) -> dict:
     return rows
 
 
-def certify_runs(root: Path, config_dir: Path) -> dict:
-    """name -> (problem, x_{-1}, x_0, params, stop, cert) of certify's long runs."""
-    sys.path.insert(0, str(root / "perfbench"))
+def invocations(root: Path, workload: str, config_dir: Path) -> list:
+    """perfbench's invocations of workload at seed 0, its configs written to config_dir."""
     import generate
-    from momlab import cli
-    from momlab.config import load_config
 
     cwd = os.getcwd()
     os.chdir(root)  # the shipped configs are read relative to the checkout
     try:
-        invocations = generate.workload("certify", 0, config_dir)
+        return generate.workload(workload, 0, config_dir)
     finally:
         os.chdir(cwd)
+
+
+def certify_runs(root: Path, config_dir: Path) -> dict:
+    """name -> (problem, x_{-1}, x_0, params, stop, cert) of certify's long runs."""
+    from momlab import cli
+    from momlab.config import load_config
+
     runs = {}
-    for inv in invocations:
+    for inv in invocations(root, "certify", config_dir):
         if inv.name in CERTIFY_RUNS:
             args = inv.argv
             seed = int(args[args.index("--seed") + 1]) if "--seed" in args else None
@@ -144,6 +157,32 @@ def checks_rows(runs: dict, steps: int, repeats: int) -> dict:
     return rows
 
 
+def escape_row(root: Path, config_dir: Path, repeats: int) -> dict:
+    """µs per trial-step of escape_experiment on perfbench escape's ESCAPE_STUDY,
+    set up as `momlab saddle` sets it up: the best and the median over repeats."""
+    import numpy as np
+    from momlab import saddle
+    from momlab.config import load_config
+
+    (inv,) = [i for i in invocations(root, "escape", config_dir) if i.name == ESCAPE_STUDY]
+    cfg = load_config(inv.argv[inv.argv.index("--config") + 1], command="saddle")
+    point = np.zeros(cfg.problem.dim)  # the study's saddle is the origin
+    analysis = saddle.analyze_critical_point(cfg.problem, point, cfg.momentum_params(1e-6))
+    params = cfg.momentum_params(cfg.alpha_spec)  # the study's alpha is explicit
+    kw = {key: cfg.saddle[key] for key in ("radius", "trials", "seed")}
+    seconds = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        # the study sets all three stop rules, so none takes a command default
+        exp = saddle.escape_experiment(cfg.problem, point, params, stop=cfg.stop,
+                                       analysis=analysis, **kw)
+        seconds.append(time.perf_counter() - start)
+    trial_steps = sum(o["iters"] for o in exp.outcomes)
+    us = [1e6 * t / trial_steps for t in seconds]
+    return {"study": ESCAPE_STUDY, "trials": exp.trials, "trial_steps": trial_steps,
+            "best_us": min(us), "median_us": statistics.median(us)}
+
+
 def lockstep_rows(runs: dict, steps: int, repeats: int, columns: bool) -> dict:
     """run_lockstep() µs per row-step into one _Endpoints sink, or into
     _RowSinks of one Columns per row when columns is set."""
@@ -188,6 +227,9 @@ def source_id(root: Path) -> dict:
         digest.update(path.read_bytes())
     commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root,
                             capture_output=True, text=True)
+    if commit.returncode != 0:
+        print(f"warning: {root} is not a git checkout; the row records commit null",
+              file=sys.stderr)
     return {"commit": commit.stdout.strip() if commit.returncode == 0 else None,
             "src_sha256": digest.hexdigest()}
 
@@ -204,13 +246,14 @@ def main(argv=None) -> int:
     if not (root / "src" / "momlab").is_dir():
         ap.error(f"{root} has no src/momlab")
     pycache = (root / "src" / "momlab" / "__pycache__").is_dir()
-    sys.path[:0] = [str(root / "src"), str(root / "tests")]
+    sys.path[:0] = [str(root / "src"), str(root / "tests"), str(root / "perfbench")]
     from momlab import cli  # before numpy: one BLAS thread, as the CLI has
 
-    with tempfile.TemporaryDirectory() as tmp:
-        runs = certify_runs(root, Path(tmp))
     budget = SMOKE_BUDGET if args.smoke else BUDGET
     repeats = budget["repeats"]
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = certify_runs(root, Path(tmp))
+        escape = escape_row(root, Path(tmp), repeats)
     row = {
         "label": args.label,
         **source_id(root),
@@ -221,6 +264,7 @@ def main(argv=None) -> int:
         "grad_us": gradient_rows(budget["calls"], repeats),
         "run_us_per_step": run_rows(runs, budget["steps"], repeats),
         "checks_us_per_1k_steps": checks_rows(runs, budget["steps"], repeats),
+        "escape_us_per_trial_step": escape,
         "lockstep_us_per_row_step": lockstep_rows(runs, budget["lockstep_steps"], repeats,
                                                   columns=False),
         "lockstep_columns_us_per_row_step": lockstep_rows(runs, budget["lockstep_steps"],

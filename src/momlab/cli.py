@@ -13,10 +13,11 @@ $MOMLAB_OUT (falling back to ./momlab_out). Every output embeds the config
 hash and the seeds used; CSV files are deterministic given config + seed.
 A command creates its output directory only once its inputs are accepted.
 
-Importing this module loads only argparse and the package version: numpy
-and every momlab module load when a command first reaches one of their
-names, so `--version` and `--help` start without numpy, and `track` and
-`saddle` never load the certificate checks.
+Importing this module loads only argparse and the package version. Every
+other name a command calls resolves on its first use: a name the package
+exports (momlab.__all__) through the package, the rest through _LAZY. So
+`--version` and `--help` start without numpy, and `track` and `saddle`
+never load the certificate checks.
 """
 
 from __future__ import annotations
@@ -48,31 +49,27 @@ EXIT_CHECK_FAILED = 2
 
 # name -> the module it comes from, imported when a command first reaches the
 # name: a momlab module lends the name itself, any other module is bound whole.
+# A name the package exports (momlab.__all__) resolves through the package.
 # The commands call every such name through this module (_self), so a name
 # rebound here, as a tracer does, is the one called
 _LAZY = {
     "np": "numpy", "csv": "csv", "dataclasses": "dataclasses", "json": "json",
-    **dict.fromkeys(("FitError", "check_rate", "fit_desingularizer", "measure_length"),
-                    ".analysis"),
-    **dict.fromkeys(("Columns", "build_certificate", "check_descent", "check_gradient_bound",
-                     "check_length_formula", "check_step_bound", "lyapunov_values"),
-                    ".certificates"),
     **dict.fromkeys(("ConfigError", "_positive", "load_config"), ".config"),
-    "tracking_ladder": ".gradient_flow",
-    **dict.fromkeys(("_ROW_BLOCK", "StopRules", "_RowSinks", "run", "run_lockstep",
-                     "safe_alpha"), ".optimizer"),
-    "estimate_lipschitz": ".problems",
-    **dict.fromkeys(("analyze_critical_point", "escape_experiment", "saddle_safe_alpha"),
-                    ".saddle"),
+    **dict.fromkeys(("_ROW_BLOCK", "_RowSinks"), ".optimizer"),
+    "_escape_alpha_bound": ".saddle",
 }
+_package = sys.modules[__package__]
 
 
 def __getattr__(name):
     source = _LAZY.get(name)
-    if source is None:
+    if source is not None:
+        module = importlib.import_module(source, __package__)
+        value = getattr(module, name) if source.startswith(".") else module
+    elif name in _package.__all__:
+        value = getattr(_package, name)
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(source, __package__)
-    value = getattr(module, name) if source.startswith(".") else module
     globals()[name] = value
     return value
 
@@ -200,12 +197,11 @@ def _prepare(cfg: ExperimentConfig, alpha: float | None, seed_offset: int = 0,
     return x0, x_m1, params, stop, cert, seeds
 
 
-def _certify(cfg: ExperimentConfig, trace, cert):
-    """Run cfg's checks on a Trace or its Columns; returns (results, psi, total_length).
+def _certify(cfg: ExperimentConfig, cols, cert):
+    """Run cfg's checks on a run's Columns; returns (results, psi, total_length).
 
     The per-step checks are stored in cert.per_step.
     """
-    cols = _self.Columns.of(trace, cert)
     results = {}
     # cols reduced every per-step report with its columns: each check below
     # only picks its own, so the fit's temporaries peak beside all three
@@ -244,8 +240,8 @@ def _passed_everything(cols, cert, results) -> bool:
     return ok
 
 
-def write_trace_csv(path, trace, cert, meta: str) -> None:
-    """Write trace.csv: one row per iterate x_k, k = 0..K, of a Trace or its Columns.
+def write_trace_csv(path, cols, cert, meta: str) -> None:
+    """Write trace.csv: one row per iterate x_k, k = 0..K, of a run's Columns.
 
     The per-step columns (step_norm and the descent and gradient-bound
     slacks in cert.per_step) are blank on the last row and wherever a check
@@ -254,7 +250,6 @@ def write_trace_csv(path, trace, cert, meta: str) -> None:
     csv.writer rows of those strings: the text of every row at once would
     raise a long run's peak memory.
     """
-    cols = _self.Columns.of(trace, cert)
     rows = cols.num_steps + 1
     slack = {name: rep.slack for name, rep in cert.per_step.items()}
     columns = [
@@ -351,8 +346,6 @@ def cmd_run(args) -> int:
 
 def cmd_track(args) -> int:
     cfg = _self.load_config(args.config, args.seed, command="track")
-    if cfg.track is None:
-        raise _self.ConfigError("track: section required for the track command")
     x0, seeds = cfg.resolve_x0()
     maxes, slope = _self.tracking_ladder(
         cfg.problem, x0, cfg.beta, cfg.track["alphas"], cfg.track["horizon"], gamma=cfg.gamma
@@ -384,28 +377,18 @@ def cmd_track(args) -> int:
 
 def cmd_saddle(args) -> int:
     cfg = _self.load_config(args.config, args.seed, command="saddle")
-    if cfg.saddle is None:
-        raise _self.ConfigError("saddle: section required for the saddle command")
-    if cfg.beta == 0.0:
-        raise _self.ConfigError(
-            "params.beta: the escape guarantee requires beta != 0; "
-            "set a nonzero momentum coefficient"
-        )
     alpha = cfg.alpha_spec if args.alpha is None else _self._positive(args.alpha, "--alpha")
     point = (
         _self.np.zeros(cfg.problem.dim)
         if cfg.saddle["point"] == "origin"
         else _self.np.asarray(cfg.saddle["point"], dtype=float)
     )
-    # probe step size: alpha 'auto' uses both ceilings; the analysis rejects
-    # a point that is not critical, naming ||grad f||
+    # probe step size: the analysis rejects a point that is not critical,
+    # naming ||grad f||
     probe = cfg.momentum_params(1e-6)
     analysis = _self.analyze_critical_point(cfg.problem, point, probe)
-    m_tilde = float(abs(analysis.hessian_eigs).max())
     if alpha == "auto":
-        alpha = 0.9 * min(
-            _self.safe_alpha(max(m_tilde, 1e-12), probe), _self.saddle_safe_alpha(m_tilde, probe)
-        )
+        alpha = 0.9 * _self._escape_alpha_bound(analysis, probe)
     params = cfg.momentum_params(alpha)
     # report map spectrum at the step size actually used; the Hessian
     # spectrum does not depend on it
@@ -456,8 +439,6 @@ _SWEEP_GROUP_BYTES = 1 << 23
 
 def cmd_sweep(args) -> int:
     cfg = _self.load_config(args.config, args.seed, command="sweep")
-    if cfg.sweep is None:
-        raise _self.ConfigError("sweep: section required for the sweep command")
     problem = cfg.problem
     block = min(cfg.stop.max_iters + 2, _self._ROW_BLOCK)
     # run_lockstep holds a block of gradients beside each cell's points when

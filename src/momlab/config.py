@@ -45,11 +45,13 @@ it loads for does not read (COMMAND_KEYS): track reads only
 problem, params.beta/gamma/preset, init.x0 and track; saddle only problem,
 params, stop and saddle; run everything but track, saddle and sweep; sweep
 everything but m_crit, track and saddle, and of the checks only the two
-sweep.csv reports. Numbers (scalars and vector entries) must be finite and
-not booleans, vectors must have problem-dim entries, seeds are integers
->= 0 and sizes integers >= 1, and neither track.alphas nor a sweep list may
-repeat a value. track.horizon is at least every track.alphas entry, or
-that rung would take no step.
+sweep.csv reports. load_config also holds each command's preconditions:
+track, saddle and sweep each require their own section, and saddle a
+nonzero params.beta. Numbers (scalars and vector entries) must be finite
+and not booleans, vectors must have problem-dim entries, seeds are
+integers >= 0 and sizes integers >= 1, and neither track.alphas nor a
+sweep list may repeat a value. track.horizon is at least every
+track.alphas entry, or that rung would take no step.
 A sweep cell is the config with its (alpha, beta, gamma) replaced; under a
 heavy_ball or nesterov preset each cell's gamma follows the preset (0, or
 the cell's beta), so sweep.gammas may be left out, and a value that
@@ -325,7 +327,10 @@ def load_config(path, seed: Optional[int] = None, *, command: str) -> Experiment
 
     command is one of COMMAND_KEYS; once the config itself is valid, every
     key that command does not read is rejected, and for a sweep every check
-    sweep.csv does not report (SWEEP_CHECKS, also its default).
+    sweep.csv does not report (SWEEP_CHECKS, also its default). Last come
+    the command's own preconditions: track, saddle and sweep each need
+    their section, and saddle a nonzero beta, which its escape guarantee
+    requires.
     """
     if command not in COMMAND_KEYS:
         raise ValueError(f"unknown command {command!r}; known: {', '.join(COMMAND_KEYS)}")
@@ -347,6 +352,11 @@ def load_config(path, seed: Optional[int] = None, *, command: str) -> Experiment
         for c in cfg.checks:
             if c not in SWEEP_CHECKS:
                 raise ConfigError(f"checks: {c} is not reported by the sweep command")
+    if command != "run" and getattr(cfg, command) is None:
+        raise ConfigError(f"{command}: section required for the {command} command")
+    if command == "saddle" and cfg.beta == 0.0:
+        raise ConfigError("params.beta: the escape guarantee requires beta != 0; "
+                          "set a nonzero momentum coefficient")
     return cfg
 
 

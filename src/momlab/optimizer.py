@@ -497,13 +497,13 @@ def _each_row(given, kind, n: int) -> list:
 
 
 def _select(coef, live):
-    """(alpha, beta, gamma, hb) restricted to the live rows.
+    """(alpha, beta, gamma, hb) of the live rows, from (B, 1) coefficient columns.
 
     hb marks the heavy-ball rows (gamma == 0), which step with grad f(x_k):
     True for every row, else a row mask, or None for no row.
     """
-    alpha, beta, gamma = (v[live] if isinstance(v, np.ndarray) else v for v in coef)
-    hb = np.asarray(gamma == 0.0)
+    alpha, beta, gamma = (v[live] for v in coef)
+    hb = gamma == 0.0
     hb = True if hb.all() else hb[:, 0] if hb.any() else None
     return alpha, beta, gamma, hb
 
@@ -522,9 +522,9 @@ def run_lockstep(
     params and stop are one MomentumParams and one StopRules for every row,
     or sequences of B, one per row. Row b follows exactly the iterates, stop
     rule and step count of run(problem, x_minus1[b], x_0[b], params[b],
-    stop[b]): one params gives scalar coefficients, a sequence gives (B, 1)
-    columns in the same elementwise expressions, and a heavy-ball row
-    (gamma == 0) steps with grad f(x_k), as run() does.
+    stop[b]): alpha, beta and gamma are held as (B, 1) columns, whether
+    one params or B of them are given, in run()'s elementwise expressions,
+    and a heavy-ball row (gamma == 0) steps with grad f(x_k), as run() does.
 
     sink records the whole stack (len(sink) == B) and states its block
     length, sink.block_rows points per row. The live rows' points, and the
@@ -552,12 +552,8 @@ def run_lockstep(
         raise ValueError(f"expected a sink of one row per start ({n}), got {len(sink)}")
     row_params = _each_row(params, MomentumParams, n)
     _warn_velocity(_row_norms(cur - prev), np.array([p.delta * p.alpha for p in row_params]))
-    # one params: scalar coefficients; one per row: (B, 1) columns
-    coef = [
-        getattr(params, a) if isinstance(params, MomentumParams)
-        else np.array([getattr(p, a) for p in row_params], dtype=float)[:, None]
-        for a in ("alpha", "beta", "gamma")
-    ]
+    coef = [np.array([getattr(p, a) for p in row_params], dtype=float)[:, None]
+            for a in ("alpha", "beta", "gamma")]
     alpha, beta, gamma, hb = _select(coef, slice(None))
     # per-row stop rules, filtered with the rows: max_iters, grad_tol, box_radius
     rules = np.array([[s.max_iters, s.grad_tol, s.box_radius]

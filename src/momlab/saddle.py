@@ -214,6 +214,16 @@ def saddle_safe_alpha(M_tilde: float, params: MomentumParams) -> float:
     return abs(params.beta) / (1.0 + abs(params.gamma) * M_tilde)
 
 
+def _escape_alpha_bound(analysis: CriticalPointAnalysis, params: MomentumParams) -> float:
+    """Largest step size of the escape guarantee: min(safe_alpha, saddle_safe_alpha).
+
+    Both take M~, the largest |Hessian eigenvalue| of analysis, which
+    safe_alpha floors at 1e-12; beta == 0 is rejected.
+    """
+    m_tilde = float(np.max(np.abs(analysis.hessian_eigs)))
+    return min(safe_alpha(max(m_tilde, 1e-12), params), saddle_safe_alpha(m_tilde, params))
+
+
 def rank_condition_holds(M_tilde: float, params: MomentumParams) -> bool:
     """|beta| > alpha |gamma| M~ keeps det(beta I - alpha gamma H) nonzero."""
     return abs(params.beta) > params.alpha * abs(params.gamma) * M_tilde
@@ -315,9 +325,10 @@ def escape_experiment(
     plus that budget however long its trials run. A trial is 'at_saddle'
     when it converges within 10 * radius * 1e-3 of the saddle; raw final
     distances are recorded so outcomes can be re-thresholded. Requires the
-    candidate to be a strict saddle, beta != 0, and alpha <= min(safe_alpha,
-    saddle_safe_alpha). A caller that has analyzed the saddle already passes
-    that analysis (at any params), so the Hessian is not built again.
+    candidate to be a strict saddle, beta != 0, and alpha within
+    _escape_alpha_bound (up to a relative 1e-12), the one rule for that
+    bound. A caller that has analyzed the saddle already passes that
+    analysis (at any params), so the Hessian is not built again.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -330,12 +341,10 @@ def escape_experiment(
         raise ValueError(
             f"candidate is classified {analysis.classification}, not strict_saddle"
         )
-    m_tilde = float(np.max(np.abs(analysis.hessian_eigs)))
-    a_max = saddle_safe_alpha(m_tilde, params)  # also rejects beta == 0
-    if params.alpha > min(safe_alpha(m_tilde, params), a_max) * (1.0 + 1e-12):
+    bound = _escape_alpha_bound(analysis, params)
+    if params.alpha > bound * (1.0 + 1e-12):
         raise ValueError(
-            f"alpha = {params.alpha} exceeds min(descent, escape) threshold "
-            f"{min(safe_alpha(m_tilde, params), a_max):.6g}"
+            f"alpha = {params.alpha} exceeds min(descent, escape) threshold {bound:.6g}"
         )
     stop = stop or StopRules(max_iters=20_000, grad_tol=1e-9, box_radius=100.0)
     at_tol = 10.0 * radius * 1e-3

@@ -413,3 +413,25 @@ def test_lockstep_params_per_row_must_match_the_starts():
                      sink=_RowSinks([_History(p, MomentumParams(0.1), 10)] * 2))
     with pytest.raises(ValueError, match=r"sink of one row per start \(3\), got 4"):
         run_lockstep(p, x0, x0, MomentumParams(0.1), sink=_Endpoints(p, 4))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("preset", ["heavy_ball", "nesterov", "generic"])
+@pytest.mark.parametrize("beta", [0.5, -0.0])
+def test_one_params_equals_one_per_row(kind, preset, beta):
+    # one MomentumParams and B copies of it give the same (B, 1) coefficient
+    # columns; row 0 starts at -0.0, where a beta of -0.0 shows in the sign
+    p = make_problem(kind)
+    params = _params(preset, 0.02, beta, 0.3, 1.0)
+    rng = np.random.default_rng(0)
+    x0 = rng.standard_normal((5, p.dim))
+    x0[0] = -0.0
+    xm1 = x0 + 1e-3 * rng.uniform(-0.5, 0.5, x0.shape)
+    xm1[0] = -0.0
+    stop = StopRules(max_iters=40, grad_tol=1e-3, box_radius=3.0)
+    one = _ends(p, xm1, x0, params, stop, block_rows=3)
+    each = _ends(p, xm1, x0, [params] * 5, stop, block_rows=3)
+    assert one.x.tobytes() == each.x.tobytes()
+    assert one.grad.tobytes() == each.grad.tobytes()
+    assert one.n.tolist() == each.n.tolist()
+    assert list(one.stop_reason) == list(each.stop_reason)

@@ -32,6 +32,10 @@ def test_bench_appends_a_row(tmp_path):
     checks = row["checks_us_per_1k_steps"]
     assert list(checks) == list(runs)
     assert all(r["steps"] == 30 and r["us_per_1k_steps"] > 0 for r in checks.values())
+    escape = row["escape_us_per_trial_step"]
+    assert escape["study"] == "mf_origin_saddle" and escape["trials"] == 100
+    assert escape["trial_steps"] == 289_242  # perfbench escape's study at seed 0
+    assert 0 < escape["best_us"] <= escape["median_us"]
     for key in ("lockstep_us_per_row_step", "lockstep_columns_us_per_row_step"):
         lockstep = row[key]
         assert list(lockstep) == list(runs)
@@ -51,3 +55,21 @@ def test_bench_needs_out(tmp_path):
     done = subprocess.run(argv, capture_output=True, text=True, cwd=tmp_path, env=blas_free_env())
     assert done.returncode == 2 and "--out" in done.stderr
     assert not list(tmp_path.rglob("BENCH_*.json"))
+
+
+def test_bench_warns_of_a_root_without_git(tmp_path):
+    # a checkout's files without .git: the row is written, with commit null,
+    # and stderr names the root
+    root = tmp_path / "copy"
+    for part in ("src", "configs", "perfbench", "tests"):
+        shutil.copytree(ROOT / part, root / part, ignore=shutil.ignore_patterns("__pycache__"))
+    out = tmp_path / "bench.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--root", str(root), "--out",
+         str(out), "--label", "copy", "--smoke"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=blas_free_env(GIT_CEILING_DIRECTORIES=str(tmp_path)))
+    assert done.returncode == 0, done.stderr
+    assert f"warning: {root} is not a git checkout" in done.stderr
+    (row,) = json.loads(out.read_text())["rows"]
+    assert row["label"] == "copy" and row["commit"] is None

@@ -647,6 +647,17 @@ saddle: {point: origin, radius: 1.0e-3, trials: 10, seed: 0}
         assert report["escape_fraction"] == 1.0
         assert (tmp_path / "out" / "escape.json").exists()
 
+    def test_auto_alpha_is_nine_tenths_of_the_escape_bound(self, tmp_path):
+        path = CONFIG_DIR / "indefinite_saddle.yaml"
+        assert main(["saddle", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        cfg = momlab_config.load_config(path, command="saddle")
+        assert cfg.alpha_spec == "auto"
+        probe = cfg.momentum_params(1e-6)
+        analysis = momlab_cli.analyze_critical_point(cfg.problem, np.zeros(2), probe)
+        alpha = 0.9 * momlab_cli._escape_alpha_bound(analysis, probe)
+        assert json.loads((tmp_path / "saddle_report.json").read_text())["alpha"] == alpha
+        assert json.loads((tmp_path / "escape.json").read_text())["config"]["alpha"] == alpha
+
     @pytest.mark.parametrize("seed_flag, problem_seed", [((), 2), (("--seed", "7"), 7)])
     def test_report_records_seeds(self, tmp_path, seed_flag, problem_seed):
         cfg = write_config(tmp_path, """

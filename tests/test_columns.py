@@ -66,8 +66,9 @@ def _certified(tmp_path, p, x0, params, stop, ML, streaming):
         warnings.simplefilter("ignore")
         sink = Columns(p, cert) if streaming else None
         source = run(p, x0, x0, params, stop, sink=sink)
-        results, psi, total = _certify(cfg, source, cert)
-        write_trace_csv(out / "trace.csv", source, cert, META)
+        cols = source if streaming else Columns.of(source, cert)
+        results, psi, total = _certify(cfg, cols, cert)
+        write_trace_csv(out / "trace.csv", cols, cert, META)
     cert.to_json(out / "certificate.json")
     return (source, cert, results, psi, total,
             (out / "trace.csv").read_bytes(), (out / "certificate.json").read_bytes())

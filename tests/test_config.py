@@ -4,7 +4,7 @@ import pytest
 from conftest import ALL_KINDS
 
 from momlab.cli import main
-from momlab.config import load_config
+from momlab.config import ConfigError, load_config
 
 # a run of a few steps; each case below adds or replaces one section
 BASE = {
@@ -267,3 +267,32 @@ def test_keys_the_command_reads_accepted(tmp_path, capsys, command, sections):
     text = "".join(f"{key}: {body}\n" for key, body in sections.items())
     rc, err = cli(tmp_path, capsys, command, text)
     assert rc == 0, err
+
+
+def _loaded(tmp_path, command, sections):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("".join(f"{key}: {body}\n" for key, body in sections.items()
+                            if body is not None))
+    return load_config(path, command=command)
+
+
+@pytest.mark.parametrize("command, sections", [
+    ("track", {**TRACK, "track": None}),
+    ("saddle", {**SADDLE, "saddle": None}),
+    ("sweep", BASE),
+])
+def test_command_without_its_section_rejected(tmp_path, command, sections):
+    with pytest.raises(ConfigError) as err:
+        _loaded(tmp_path, command, sections)
+    assert str(err.value) == f"{command}: section required for the {command} command"
+
+
+def test_saddle_with_beta_zero_rejected(tmp_path):
+    sections = {**SADDLE, "params": "{alpha: 0.1, beta: 0.0}"}
+    with pytest.raises(ConfigError, match=r"^params\.beta: the escape guarantee requires"):
+        _loaded(tmp_path, "saddle", sections)
+
+
+def test_run_needs_no_command_section(tmp_path):
+    cfg = _loaded(tmp_path, "run", {**BASE, "params": "{alpha: 0.1, beta: 0.0}"})
+    assert cfg.track is None and cfg.saddle is None and cfg.sweep is None

@@ -22,7 +22,7 @@ from momlab import (
 )
 from momlab.optimizer import _ROW_BLOCK
 from momlab import saddle
-from momlab.saddle import DENSE_HESSIAN_MAX_DIM, rank_condition_holds
+from momlab.saddle import DENSE_HESSIAN_MAX_DIM, _escape_alpha_bound, rank_condition_holds
 
 P_HB = MomentumParams(0.1, 0.5, 0.0)
 
@@ -277,6 +277,17 @@ class TestEscape:
         params = MomentumParams(0.49, 0.5)  # above safe_alpha(1.0) = 0.3
         with pytest.raises(ValueError, match="alpha"):
             escape_experiment(p, np.zeros(2), params, radius=1e-3, trials=2)
+
+    def test_accepts_alpha_at_the_bound_and_rejects_the_next_above(self):
+        p = synthetic("indefinite_quadratic")
+        probe = MomentumParams(1e-6, 0.5, 0.3)
+        bound = _escape_alpha_bound(analyze_critical_point(p, np.zeros(2), probe), probe)
+        kw = dict(radius=1e-3, trials=2, stop=StopRules(max_iters=5))
+        exp = escape_experiment(p, np.zeros(2), MomentumParams(bound, 0.5, 0.3), **kw)
+        assert exp.params.alpha == bound
+        over = np.nextafter(bound * (1.0 + 1e-12), np.inf)
+        with pytest.raises(ValueError, match=f"exceeds .* threshold {bound:.6g}$"):
+            escape_experiment(p, np.zeros(2), MomentumParams(over, 0.5, 0.3), **kw)
 
     def test_json_export(self, tmp_path):
         p = synthetic("indefinite_quadratic")

@@ -13,6 +13,7 @@ from oracles import reference_certificate_json, reference_trace_csv
 
 from momlab import MomentumParams, StopRules, run, synthetic
 from momlab.certificates import (
+    Columns,
     PerStepReport,
     build_certificate,
     check_descent,
@@ -46,7 +47,7 @@ def _certified_run(steps, checks=tuple(CHECKS)):
 
 
 def _assert_writers_match(tmp_path, trace, cert):
-    write_trace_csv(tmp_path / "trace.csv", trace, cert, META)
+    write_trace_csv(tmp_path / "trace.csv", Columns.of(trace, cert), cert, META)
     reference_trace_csv(tmp_path / "ref_trace.csv", trace, cert, META)
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "ref_trace.csv").read_bytes()
     cert.to_json(tmp_path / "certificate.json")
